@@ -8,8 +8,9 @@ is excluded from the average: the initial state is deterministic, so its
 regression sees a single repeated state and cannot identify the value away
 from it.
 
-Numerical divergence inside a cell is recorded as a ``+inf`` error and the
-sweep continues.  All emitted bytes except the ``runtime_ms`` column are a
+Numerical divergence inside a cell, including a sampled path leaving the
+gridded oracle's domain, is recorded as a ``+inf`` error and the sweep
+continues.  All emitted bytes except the ``runtime_ms`` column are a
 deterministic function of (config, seed).
 """
 
@@ -33,6 +34,7 @@ from .config import ExperimentConfig
 from .errors import (
     DegenerateDenominatorError,
     DriftUnboundedError,
+    OutOfDomainError,
     SchemaError,
     SingularDiffusionError,
     WeightOverflowError,
@@ -77,6 +79,7 @@ _NUMERIC_FAILURES = (
     DriftUnboundedError,
     WeightOverflowError,
     DegenerateDenominatorError,
+    OutOfDomainError,
 )
 
 
@@ -212,7 +215,7 @@ def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
     except _NUMERIC_FAILURES:
         for est in cfg.estimators:
             for deg in cfg.degrees:
-                rows[(est, deg)] = _row(cfg, est, deg, samples, trial, float("inf"), 0.0, trial_seed)
+                rows[(est, deg)] = _row(setup, est, deg, samples, trial, float("inf"), 0.0, trial_seed)
         return rows
 
     for deg in cfg.degrees:
@@ -228,17 +231,17 @@ def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
             except _NUMERIC_FAILURES:
                 mean_rae = float("inf")
             elapsed_ms = (time.perf_counter() - start) * 1e3
-            rows[(est, deg)] = _row(cfg, est, deg, samples, trial, mean_rae, elapsed_ms, trial_seed)
+            rows[(est, deg)] = _row(setup, est, deg, samples, trial, mean_rae, elapsed_ms, trial_seed)
     return rows
 
 
-def _row(cfg, est, deg, samples, trial, mean_rae, runtime_ms, seed) -> dict:
-    basis_count = math.comb((1 if cfg.problem == "nonlinear1d" else 4) + deg, deg)
+def _row(setup, est, deg, samples, trial, mean_rae, runtime_ms, seed) -> dict:
+    cfg = setup.cfg
     return {
         "problem": cfg.problem,
         "drift": cfg.drift,
         "estimator": est,
-        "basis_count": basis_count,
+        "basis_count": math.comb(setup.dp.dim_x + deg, deg),
         "samples": samples,
         "trial": trial,
         "mean_rae": mean_rae,

@@ -8,8 +8,12 @@ over all multi-indices of total degree at most ``d``, giving
 basis functions.  Each timestep carries its own affine scaling of the state
 into [-1, 1] per coordinate (chosen from the sampled state distribution), and
 evaluation outside [-1, 1] is permitted via the three-term recurrence.
-Gradients and Hessians are analytic: the recurrence is differentiated once
-and twice and composed with the scaling slopes by the chain rule.
+Gradients and Hessians are exact and act on coefficients, not features:
+differentiating along one coordinate maps the basis span into itself through
+a sparse per-coordinate operator G_c (built once per basis from the 1-D
+Chebyshev differentiation matrix).  With scaling slope s_c, the gradient and
+Hessian coefficients are s_c G_c a and s_c s_e G_e G_c a, so every derivative
+query is one feature evaluation and one matrix product.
 
 Fitting is plain ridge-regularized least squares on the feature matrix,
 solved through an orthogonal factorization.
@@ -20,12 +24,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder
 
 from .errors import NotFittedError, RankDeficientWarning
 
@@ -33,8 +38,6 @@ __all__ = [
     "BasisSpec",
     "ValueModel",
     "basis_eval",
-    "basis_grad",
-    "basis_hessian",
     "lsmc_fit",
     "scaling_from_batch",
     "fit_function",
@@ -91,6 +94,27 @@ class BasisSpec:
     def indices(self) -> np.ndarray:
         return _multi_indices(self.dim, self.max_total_degree)
 
+    @cached_property
+    def derivative_operators(self) -> np.ndarray:
+        """Per-coordinate differentiation operators G, shape (dim, size, size).
+
+        ``G[c] @ a`` are the coefficients of d/dz_c of the expansion with
+        coefficients ``a``, in unit-box coordinates z.  T_j' is a combination
+        of T_m with m < j, and lowering one index of a total-degree
+        multi-index stays in the index set, so the operators are exact.
+        """
+        d = self.max_total_degree
+        # column j: Chebyshev coefficients of T_j'
+        d1 = chebder(np.eye(d + 2))[: d + 1, : d + 1]
+        position = {alpha: b for b, alpha in enumerate(map(tuple, self.indices.tolist()))}
+        ops = np.zeros((self.dim, self.size, self.size))
+        for alpha, b in position.items():
+            for c, j in enumerate(alpha):
+                for m in range(j):
+                    lowered = alpha[:c] + (m,) + alpha[c + 1 :]
+                    ops[c, position[lowered], b] = d1[m, j]
+        return ops
+
     @property
     def size(self) -> int:
         d = self.max_total_degree
@@ -109,79 +133,27 @@ class BasisSpec:
         return z, slope
 
 
-def _cheb_with_derivatives(z: np.ndarray, degree: int) -> tuple:
-    """Chebyshev values T_j(z) and first/second derivatives, j = 0..degree.
+def _cheb_values(z: np.ndarray, degree: int) -> np.ndarray:
+    """Chebyshev values T_j(z), j = 0..degree, on a new trailing axis.
 
-    Returned arrays have shape ``z.shape + (degree + 1,)``.  The three-term
-    recurrence (and its derivatives) is total: valid for any real z.
+    The three-term recurrence is total: valid for any real z.
     """
-    shape = z.shape + (degree + 1,)
-    t = np.empty(shape)
-    dt = np.zeros(shape)
-    d2t = np.zeros(shape)
+    t = np.empty(z.shape + (degree + 1,))
     t[..., 0] = 1.0
     if degree >= 1:
         t[..., 1] = z
-        dt[..., 1] = 1.0
     for j in range(2, degree + 1):
         t[..., j] = 2.0 * z * t[..., j - 1] - t[..., j - 2]
-        dt[..., j] = 2.0 * t[..., j - 1] + 2.0 * z * dt[..., j - 1] - dt[..., j - 2]
-        d2t[..., j] = 4.0 * dt[..., j - 1] + 2.0 * z * d2t[..., j - 1] - d2t[..., j - 2]
-    return t, dt, d2t
-
-
-def _select(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """table (..., n, J) selected at indices (B, n) -> (..., B, n)."""
-    n = indices.shape[1]
-    return table[..., np.arange(n), indices]
+    return t
 
 
 def basis_eval(spec: BasisSpec, i: int, x) -> np.ndarray:
     """Feature vector Phi(x) at step ``i``; shape ``x.shape[:-1] + (size,)``."""
     x = np.asarray(x, dtype=float)
     z, _ = spec.scaled(i, x)
-    t, _, _ = _cheb_with_derivatives(z, spec.max_total_degree)
-    tsel = _select(t, spec.indices)
+    t = _cheb_values(z, spec.max_total_degree)
+    tsel = t[..., np.arange(spec.dim), spec.indices]
     return np.prod(tsel, axis=-1)
-
-
-def basis_grad(spec: BasisSpec, i: int, x) -> np.ndarray:
-    """Feature Jacobian; shape ``x.shape[:-1] + (size, dim)``."""
-    x = np.asarray(x, dtype=float)
-    z, slope = spec.scaled(i, x)
-    t, dt, _ = _cheb_with_derivatives(z, spec.max_total_degree)
-    tsel = _select(t, spec.indices)
-    dtsel = _select(dt, spec.indices)
-    n = spec.dim
-    out = np.empty(tsel.shape)
-    for c in range(n):
-        others = [cc for cc in range(n) if cc != c]
-        partial = np.prod(tsel[..., others], axis=-1) if others else 1.0
-        out[..., c] = slope[c] * dtsel[..., c] * partial
-    return out
-
-
-def basis_hessian(spec: BasisSpec, i: int, x) -> np.ndarray:
-    """Feature Hessians; shape ``x.shape[:-1] + (size, dim, dim)``."""
-    x = np.asarray(x, dtype=float)
-    z, slope = spec.scaled(i, x)
-    t, dt, d2t = _cheb_with_derivatives(z, spec.max_total_degree)
-    tsel = _select(t, spec.indices)
-    dtsel = _select(dt, spec.indices)
-    d2tsel = _select(d2t, spec.indices)
-    n = spec.dim
-    out = np.empty(tsel.shape + (n,))
-    for c in range(n):
-        for e in range(c, n):
-            others = [cc for cc in range(n) if cc not in (c, e)]
-            partial = np.prod(tsel[..., others], axis=-1) if others else 1.0
-            if c == e:
-                val = slope[c] ** 2 * d2tsel[..., c] * partial
-            else:
-                val = slope[c] * slope[e] * dtsel[..., c] * dtsel[..., e] * partial
-            out[..., c, e] = val
-            out[..., e, c] = val
-    return out
 
 
 @dataclass(eq=False)
@@ -190,17 +162,13 @@ class ValueModel:
 
     Coefficients are NaN until a step is fitted; querying an unfitted step
     raises :class:`NotFittedError`.  Evaluation broadcasts over leading axes
-    of the state argument.
+    of the state argument.  Value, gradient and Hessian are each one feature
+    evaluation times a coefficient block built from ``coeffs[i]`` on the call.
     """
 
     basis: BasisSpec
     coeffs: np.ndarray
     fitted: np.ndarray
-    rank_deficient: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.rank_deficient is None:
-            self.rank_deficient = np.zeros(self.coeffs.shape[0], dtype=bool)
 
     @classmethod
     def empty(cls, basis: BasisSpec, n_steps: int) -> "ValueModel":
@@ -213,17 +181,25 @@ class ValueModel:
     def fitted_steps(self) -> set:
         return set(np.nonzero(self.fitted)[0].tolist())
 
-    def set_coeffs(self, i: int, alpha: np.ndarray, rank_deficient: bool = False) -> None:
+    def set_coeffs(self, i: int, alpha: np.ndarray) -> None:
         alpha = np.asarray(alpha, dtype=float)
         if alpha.shape != (self.basis.size,):
             raise ValueError(f"expected {self.basis.size} coefficients, got {alpha.shape}")
         self.coeffs[i] = alpha
         self.fitted[i] = True
-        self.rank_deficient[i] = rank_deficient
 
     def _require(self, i: int) -> None:
         if not 0 <= i < self.coeffs.shape[0] or not self.fitted[i]:
             raise NotFittedError(i)
+
+    def _differentiate(self, i: int, a: np.ndarray) -> np.ndarray:
+        """Coefficients of the state gradient of expansion(s) ``a``.
+
+        Returns ``s_c G_c a`` stacked over coordinates c, shape
+        ``(dim,) + a.shape``, where s_c is the step's scaling slope.
+        """
+        slope = 2.0 / (self.basis.scale_hi[i] - self.basis.scale_lo[i])
+        return slope.reshape((-1,) + (1,) * a.ndim) * (self.basis.derivative_operators @ a)
 
     def eval(self, i: int, x) -> np.ndarray:
         self._require(i)
@@ -231,13 +207,16 @@ class ValueModel:
 
     def grad(self, i: int, x) -> np.ndarray:
         self._require(i)
-        return np.einsum("...bn,b->...n", basis_grad(self.basis, i, x), self.coeffs[i])
+        return basis_eval(self.basis, i, x) @ self._differentiate(i, self.coeffs[i]).T
 
     def hessian(self, i: int, x) -> np.ndarray:
         self._require(i)
-        return np.einsum(
-            "...bnm,b->...nm", basis_hessian(self.basis, i, x), self.coeffs[i]
-        )
+        n = self.basis.dim
+        grad_block = self._differentiate(i, self.coeffs[i]).T
+        # (e, b, c) -> (b, c, e): column c * n + e holds d2/dx_c dx_e
+        block = self._differentiate(i, grad_block).transpose(1, 2, 0).reshape(-1, n * n)
+        phi = basis_eval(self.basis, i, x)
+        return (phi @ block).reshape(phi.shape[:-1] + (n, n))
 
 
 def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Backward pass: terminal fit, per-step regression, end-to-end accuracy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fbsde_lsmc import (
     sample_forward,
     scaling_from_batch,
 )
+from fbsde_lsmc.errors import RankDeficientWarning
 
 from conftest import make_scalar_lqr
 
@@ -55,8 +58,8 @@ class TestBackwardPass:
         spec = scaling_from_batch(batch, 2)
         probe = np.linspace(-1.5, 2.0, 9)[:, None]
         for kind in EstimatorKind:
-            with np.testing.suppress_warnings() as sup:
-                sup.filter(message=".*rank.*")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", category=RankDeficientWarning)
                 model = backward_pass(dp, mu, batch, kind, spec, ridge=0.0)
             for i in range(1, dp.n_steps + 1):
                 np.testing.assert_allclose(model.eval(i, probe), 3.5, atol=1e-10)

@@ -1,6 +1,7 @@
 """Configuration parsing, experiment sweeps, heatmaps, and the CLI surface."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -9,8 +10,9 @@ import pytest
 
 from fbsde_lsmc.cli import main
 from fbsde_lsmc.config import load_config, parse_config_text
-from fbsde_lsmc.errors import ConfigError, SchemaError
-from fbsde_lsmc.experiments import emit_heatmap, run_experiment
+from fbsde_lsmc.errors import ConfigError, GridEscapeWarning, OutOfDomainError, SchemaError
+from fbsde_lsmc.experiments import build_setup, emit_heatmap, run_experiment, subseed
+from fbsde_lsmc.sampling import sample_forward
 
 TINY_LQR = """
 problem.name = cartpole_lqr
@@ -23,6 +25,31 @@ sweep.estimators = taylor_noiseless,em_noisy
 sweep.degrees = 1,2
 sweep.samples = 32,64
 sampling.reference_samples = 64
+"""
+
+
+# Scalar sweep on a tiny oracle grid.  The feedback drift u = -1.5 x holds
+# back the quadratic drift too weakly: about one path in ten climbs out of the
+# grid, which the 2-path batches of this seed avoid and the 256-path batches
+# never do.
+ESCAPING_SCALAR = """
+problem.name = nonlinear1d
+run.n_steps = 20
+run.seed = 1
+run.trials = 2
+run.output_dir = {out}
+drift.kind = custom
+drift.gains = -1.5
+sweep.estimators = taylor_noiseless,em_noisy
+sweep.degrees = 1,2
+sweep.samples = 2,256
+sampling.reference_samples = 64
+oracle.state_lo = -8
+oracle.state_hi = 14
+oracle.state_nodes = 41
+oracle.control_nodes = 11
+oracle.quad_nodes = 5
+metrics.dx = 0.05
 """
 
 
@@ -83,6 +110,15 @@ def tiny_run(tmp_path_factory):
     return cfg, results, manifest
 
 
+@pytest.fixture(scope="module")
+def escaping_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("escaping")
+    cfg = parse_config_text(ESCAPING_SCALAR.format(out=out))
+    with pytest.warns(GridEscapeWarning):
+        results, manifest = run_experiment(cfg)
+    return cfg, results, manifest
+
+
 class TestRunExperiment:
     def test_row_count_and_uniqueness(self, tiny_run):
         cfg, results, _ = tiny_run
@@ -91,11 +127,30 @@ class TestRunExperiment:
         keys = {(r["estimator"], r["basis_count"], r["samples"], r["trial"]) for r in rows}
         assert len(keys) == len(rows)
 
-    def test_basis_count_column(self, tiny_run):
-        cfg, results, _ = tiny_run
+    def test_basis_count_column(self, tiny_run, tmp_path):
+        scalar = parse_config_text(ESCAPING_SCALAR.format(out=tmp_path))
+        scalar = dataclasses.replace(scalar, samples=[2])
+        with pytest.warns(GridEscapeWarning):
+            scalar_run = (scalar,) + run_experiment(scalar)
+        for (cfg, results, _), dim in ((tiny_run, 4), (scalar_run, 1)):
+            rows = _read_rows(results)
+            counts = {int(r["basis_count"]) for r in rows}
+            assert counts == {math.comb(dim + deg, deg) for deg in cfg.degrees}
+
+    def test_grid_escape_is_recorded_as_failed_cells(self, escaping_run):
+        cfg, results, _ = escaping_run
+        with pytest.warns(GridEscapeWarning):
+            setup = build_setup(cfg)
+        with pytest.raises(OutOfDomainError):
+            sample_forward(
+                setup.dp, setup.mu, setup.drift, 256, subseed(cfg.seed, "trial-0"), cfg.d_cap
+            )
         rows = _read_rows(results)
-        counts = {int(r["basis_count"]) for r in rows}
-        assert counts == {math.comb(4 + 1, 1), math.comb(4 + 2, 2)}
+        assert len(rows) == 2 * 2 * 2 * 2  # estimators x degrees x samples x trials
+        escaped = [r["mean_rae"] for r in rows if r["samples"] == "256"]
+        finished = [float(r["mean_rae"]) for r in rows if r["samples"] == "2"]
+        assert escaped == ["inf"] * len(escaped)
+        assert len(finished) == 8 and all(math.isfinite(v) for v in finished)
 
     def test_manifest_echoes_config(self, tiny_run):
         cfg, _, manifest = tiny_run
@@ -105,8 +160,6 @@ class TestRunExperiment:
 
     def test_rerun_is_deterministic_outside_runtime(self, tiny_run, tmp_path):
         cfg, results, _ = tiny_run
-        import dataclasses
-
         cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path / "again"))
         results2, _ = run_experiment(cfg2)
 
@@ -120,8 +173,6 @@ class TestRunExperiment:
 
     def test_parallel_matches_serial(self, tiny_run, tmp_path):
         cfg, results, _ = tiny_run
-        import dataclasses
-
         cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path / "par"))
         results2, _ = run_experiment(cfg2, jobs=2)
 

@@ -1,4 +1,4 @@
-"""Chebyshev bases, analytic derivatives, and least-squares fitting."""
+"""Chebyshev bases, derivative operators, and least-squares fitting."""
 
 import json
 import math
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from fbsde_lsmc import (
     BasisSpec,
@@ -93,6 +94,52 @@ class TestModelDerivatives:
                 ep[c] = h
                 fd = (model.eval(0, x + ep) - model.eval(0, x - ep)) / (2 * h)
                 assert abs(grad[c] - fd) < 1e-6 * max(1.0, abs(fd))
+
+    @given(
+        dim=st.integers(1, 4),
+        degree=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_operators_match_per_axis_chebder_reference(self, dim, degree, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-5.0, 5.0, size=(1, dim))
+        hi = lo + rng.uniform(0.1, 10.0, size=(1, dim))
+        spec = BasisSpec(dim, degree, lo, hi)
+        coeffs = rng.normal(size=spec.size)
+        model = ValueModel.empty(spec, 0)
+        model.set_coeffs(0, coeffs)
+        # points inside the box and up to one box width outside it
+        width = hi - lo
+        x = rng.uniform(lo - width, hi + width, size=(32, dim))
+
+        # reference: d^k T_j(z_c) / dz_c^k from the 1-D chebder of e_j,
+        # times plain T values on the other axes, chained with the slopes
+        z, slope = spec.scaled(0, x)
+        eye = np.eye(degree + 1)
+        table = np.zeros((3, dim, len(x), spec.size))  # (order, axis, point, feature)
+        for k in range(3):
+            for c in range(dim):
+                for b, j in enumerate(spec.indices[:, c]):
+                    table[k, c, :, b] = chebval(z[:, c], chebder(eye[j], k))
+
+        def partial(orders):
+            feats = np.prod([table[orders[c], c] for c in range(dim)], axis=0)
+            scale = np.prod([slope[c] ** orders[c] for c in range(dim)])
+            return scale * feats @ coeffs
+
+        grad_ref = np.stack([partial(np.eye(dim, dtype=int)[c]) for c in range(dim)], -1)
+        hess_ref = np.empty((len(x), dim, dim))
+        for c in range(dim):
+            for e in range(dim):
+                orders = np.zeros(dim, dtype=int)
+                orders[c] += 1
+                orders[e] += 1
+                hess_ref[:, c, e] = partial(orders)
+
+        for got, ref in ((model.grad(0, x), grad_ref), (model.hessian(0, x), hess_ref)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_unfitted_step_raises(self):
         spec = BasisSpec.with_unit_scaling(1, 1, 3)
