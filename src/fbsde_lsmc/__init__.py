@@ -34,7 +34,6 @@ from .oracles import (
     GridTruth,
     RiccatiTruth,
     grid_bellman,
-    gt_eval,
     riccati_from_lqr,
     riccati_value,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "GridTruth",
     "RiccatiTruth",
     "grid_bellman",
-    "gt_eval",
     "riccati_from_lqr",
     "riccati_value",
     "QEval",

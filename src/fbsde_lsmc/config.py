@@ -199,11 +199,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Load a config file and apply the ``FBSDE_SEED`` environment override."""
-    try:
-        with open(path) as fh:
-            cfg = parse_config_text(fh.read())
-    except OSError:
-        raise
+    with open(path) as fh:
+        cfg = parse_config_text(fh.read())
     env_seed = os.environ.get("FBSDE_SEED")
     if env_seed is not None:
         try:

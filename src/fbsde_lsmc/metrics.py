@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError
 from .estimators import EstimatorKind, estimate_targets, taylor_triple
-from .oracles import GroundTruth, gt_eval
+from .oracles import GroundTruth
 from .problems import DiscreteProblem
-from .sampling import TrajectoryBatch, pinned_step_batch, reweighted_expectation
+from .sampling import TrajectoryBatch, pinned_step_batch
 from .value_model import ValueModel
 
 __all__ = [
@@ -119,7 +119,7 @@ def rae(m: ValueModel, gt: GroundTruth, region: ConfidenceRegion, i: int) -> flo
     """
     pts = region.grid_points(i)
     v_model = np.asarray(m.eval(i, pts), dtype=float)
-    v_true = np.asarray(gt_eval(gt, i, pts), dtype=float)
+    v_true = np.asarray(gt.value(i, pts), dtype=float)
     numerator = float(np.sum(np.abs(v_model - v_true)))
     denominator = float(np.sum(np.abs(v_true.mean() - v_true)))
     scale = max(1.0, float(np.sum(np.abs(v_true))))
@@ -159,7 +159,7 @@ def estimator_bias_variance(
     variance = _centered_variance(targets.yhat)
     bias = None
     if truth is not None:
-        v_true = float(gt_eval(truth, i, np.asarray(x_pin, dtype=float)))
+        v_true = float(truth.value(i, np.asarray(x_pin, dtype=float)))
         bias = float(targets.yhat.mean() - v_true)
     return bias, variance
 
@@ -186,7 +186,6 @@ class DiagnosticReport:
     bias: Optional[float]
     variance: float
     cells: list = field(default_factory=list)
-    delta_samples: np.ndarray = field(default_factory=lambda: np.empty(0))
     fit_residual: dict = field(default_factory=dict)
 
     @property
@@ -225,7 +224,6 @@ def bias_bound_check(
         raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
     n_cells = min(n_cells, batch.n_samples)
     cells = []
-    all_deltas = []
     for cell_idx in range(n_cells):
         x_pin = batch.x[cell_idx, i]
         k_pin = batch.k_drift[cell_idx, i]
@@ -237,12 +235,11 @@ def bias_bound_check(
             + np.einsum("mi,mi->m", tri.zbar, w)
             + 0.5 * np.einsum("mi,mij,mj->m", w, tri.mbar, w)
         )
-        delta = np.asarray(gt_eval(truth, i + 1, pinned.x[:, i + 1]), dtype=float) - expansion
-        all_deltas.append(delta)
+        delta = np.asarray(truth.value(i + 1, pinned.x[:, i + 1]), dtype=float) - expansion
 
-        lhs = float(np.abs(reweighted_expectation(lambda b, k: delta[k], pinned, i + 1)))
-        phi = np.exp(pinned.log_theta[:, i + 1])
-        stderr = float(np.std(phi * delta, ddof=1) / np.sqrt(n_rep))
+        weighted = np.exp(pinned.log_theta[:, i + 1]) * delta
+        lhs = float(np.abs(weighted.mean()))
+        stderr = float(np.std(weighted, ddof=1) / np.sqrt(n_rep))
         d_norm = float(np.linalg.norm(pinned.d[0, i]))
         with np.errstate(over="ignore"):
             # an infinite bound is the honest value for very large drifts
@@ -261,7 +258,7 @@ def bias_bound_check(
 
     resid = np.abs(
         np.asarray(m.eval(i + 1, batch.x[:, i + 1]), dtype=float)
-        - np.asarray(gt_eval(truth, i + 1, batch.x[:, i + 1]), dtype=float)
+        - np.asarray(truth.value(i + 1, batch.x[:, i + 1]), dtype=float)
     )
     bias, variance = estimator_bias_variance(
         kind,
@@ -281,7 +278,6 @@ def bias_bound_check(
         bias=bias,
         variance=variance,
         cells=cells,
-        delta_samples=np.concatenate(all_deltas),
         fit_residual={
             "mean": float(resid.mean()),
             "max": float(resid.max()),

@@ -34,13 +34,6 @@ from scipy.interpolate import RegularGridInterpolator
 from .errors import GridEscapeWarning, OutOfDomainError, SingularRecursionError
 from .problems import DiscreteProblem, FeedbackPolicy, LqrStructure
 
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _HAVE_NUMBA = False
-
 __all__ = [
     "GridSpec",
     "GridTruth",
@@ -49,7 +42,6 @@ __all__ = [
     "grid_bellman",
     "riccati_value",
     "riccati_from_lqr",
-    "gt_eval",
     "export_grid_csv",
     "export_riccati_json",
 ]
@@ -197,56 +189,6 @@ def _normalized_hermite(n_nodes: int) -> tuple:
     return h * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
-def _expected_value_1d_np(base, offsets, weights, table, lo, step, esc_lo, esc_hi):
-    """Quadrature-weighted interpolated next values on a uniform scalar grid.
-
-    ``base`` is (n_states, n_u), ``offsets`` (n_states, n_q); returns the
-    (n_states, n_u) expectation and the count of displaced points outside
-    [esc_lo, esc_hi].
-    """
-    xq = base[:, :, None] + offsets[:, None, :]
-    escapes = int(np.count_nonzero((xq < esc_lo) | (xq > esc_hi)))
-    pos = (xq - lo) / step
-    cell = np.clip(pos.astype(np.intp), 0, table.shape[0] - 2)
-    frac = pos - cell
-    left = table[cell]
-    vals = left + frac * (table[cell + 1] - left)
-    return vals @ weights, escapes
-
-
-if _HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _expected_value_1d(base, offsets, weights, table, lo, step, esc_lo, esc_hi):
-        n_states, n_u = base.shape
-        n_q = offsets.shape[1]
-        n_nodes = table.shape[0]
-        out = np.empty((n_states, n_u))
-        escapes = 0
-        for s in prange(n_states):
-            for j in range(n_u):
-                acc = 0.0
-                b = base[s, j]
-                for q in range(n_q):
-                    xq = b + offsets[s, q]
-                    if xq < esc_lo or xq > esc_hi:
-                        escapes += 1
-                    p = (xq - lo) / step
-                    c = int(p)
-                    if c < 0:
-                        c = 0
-                    elif c > n_nodes - 2:
-                        c = n_nodes - 2
-                    f = p - c
-                    left = table[c]
-                    acc += weights[q] * (left + f * (table[c + 1] - left))
-                out[s, j] = acc
-        return out, escapes
-
-else:  # pragma: no cover
-    _expected_value_1d = _expected_value_1d_np
-
-
 def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
     """Dynamic-programming ground truth on a state grid (dim_x <= 2).
 
@@ -304,20 +246,6 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
             """
             nonlocal escape_count
             stage = dp.L(i, xs, us)
-            if n == 1:
-                base = np.ascontiguousarray((xs + dp.F(i, xs, us))[..., 0])
-                ev, esc = _expected_value_1d(
-                    base,
-                    np.ascontiguousarray(sig_z[..., 0]),
-                    w,
-                    vtab,
-                    float(axes[0][0]),
-                    float(axes[0][1] - axes[0][0]),
-                    float(grid.lo[0] - margin[0]),
-                    float(grid.hi[0] + margin[0]),
-                )
-                escape_count += int(esc)
-                return stage + ev
             x_next = (xs + dp.F(i, xs, us))[:, :, None, :] + sig_z[:, None, :, :]
             escaped = (x_next < grid.lo - margin) | (x_next > grid.hi + margin)
             escape_count += int(np.count_nonzero(np.any(escaped, axis=-1)))
@@ -421,11 +349,6 @@ def riccati_from_lqr(lqr: LqrStructure, horizon: float, n_steps: int) -> Riccati
         sigma_d=lqr.sigma_mat * math.sqrt(dt),
         n_steps=n_steps,
     )
-
-
-def gt_eval(gt: GroundTruth, i: int, x) -> np.ndarray:
-    """Ground-truth value at (step, state); works for either truth kind."""
-    return gt.value(i, x)
 
 
 def export_grid_csv(gt: GridTruth, path) -> None:

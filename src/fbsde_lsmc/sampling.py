@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -58,44 +58,35 @@ def _stream(seed: int, traj: int, purpose: int) -> np.random.Generator:
 
 
 class DriftProcess:
-    """Source of forward drift increments K_i.
+    """Source of forward drift increments K_i = increments(dp, i, X_i, xi_i).
 
-    Three kinds are supported:
+    ``xi_i`` is auxiliary standard normal noise, drawn from a stream
+    independent of the Brownian one only when ``needs_aux`` is set (it is
+    ``None`` otherwise).  The constructors cover the three usual drifts:
 
     - ``on_policy(policy)``: K_i = F_i(X_i, policy(i, X_i)); when ``policy``
       is the batch's reference policy the corrections D vanish identically.
     - ``feedback(fn)``: K_i = fn(i, X_i), a deterministic state feedback.
-    - ``randomized(fn)``: K_i = fn(i, X_i, xi_i) with auxiliary standard
-      normal noise xi_i drawn from a stream independent of the Brownian one.
+    - ``randomized(fn)``: K_i = fn(i, X_i, xi_i).
     """
 
-    def __init__(self, kind: str, policy=None, fn: Optional[Callable] = None):
-        if kind not in ("on_policy", "feedback", "randomized"):
-            raise ValueError(f"unknown drift kind: {kind}")
-        self.kind = kind
-        self.policy = policy
-        self.fn = fn
+    def __init__(self, increments: Callable, needs_aux: bool = False):
+        self.increments = increments
+        self.needs_aux = needs_aux
 
     @classmethod
     def on_policy(cls, policy) -> "DriftProcess":
-        return cls("on_policy", policy=policy)
+        return cls(lambda dp, i, x, xi: dp.F(i, x, policy(i, x)))
 
     @classmethod
     def feedback(cls, fn: Callable[[int, np.ndarray], np.ndarray]) -> "DriftProcess":
-        return cls("feedback", fn=fn)
+        return cls(lambda dp, i, x, xi: fn(i, x))
 
     @classmethod
     def randomized(
         cls, fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     ) -> "DriftProcess":
-        return cls("randomized", fn=fn)
-
-    def increments(self, dp: DiscreteProblem, i: int, x: np.ndarray, xi) -> np.ndarray:
-        if self.kind == "on_policy":
-            return dp.F(i, x, self.policy(i, x))
-        if self.kind == "feedback":
-            return self.fn(i, x)
-        return self.fn(i, x, xi)
+        return cls(lambda dp, i, x, xi: fn(i, x, xi), needs_aux=True)
 
 
 @dataclass(eq=False)
@@ -204,7 +195,7 @@ def sample_forward(
     for k in range(n_samples):
         w[k] = _stream(seed, k, _PURPOSE_BROWNIAN).standard_normal((n_steps, n))
     xi = None
-    if drift.kind == "randomized":
+    if drift.needs_aux:
         xi = np.empty((n_samples, n_steps, n))
         for k in range(n_samples):
             xi[k] = _stream(seed, k, _PURPOSE_AUX).standard_normal((n_steps, n))
@@ -322,19 +313,22 @@ def girsanov_weights(batch: TrajectoryBatch) -> np.ndarray:
     return np.exp(log_theta)
 
 
-def reweighted_expectation(h, batch: TrajectoryBatch, upto: int):
-    """Empirical reweighted expectation ``mean_k Theta[k, upto] * h(batch, k)``.
+def reweighted_expectation(values, batch: TrajectoryBatch, upto: int):
+    """Empirical reweighted expectation ``mean_k Theta[k, upto] * values[k]``.
 
-    ``h`` maps ``(batch, k)`` to a scalar or array; the result has the same
-    shape.  This approximates the reference-measure expectation of ``h`` using
-    samples drawn under the batch's drift.
+    ``values`` has shape (M, ...), one entry per trajectory; the result has
+    the trailing shape.  This approximates the reference-measure expectation
+    using samples drawn under the batch's drift.
     """
     if not 0 <= upto <= batch.n_steps:
         raise ValueError(f"upto={upto} out of range [0, {batch.n_steps}]")
+    values = np.asarray(values, dtype=float)
+    if values.shape[:1] != (batch.n_samples,):
+        raise ValueError(
+            f"values has shape {values.shape}, batch has {batch.n_samples} samples"
+        )
     theta = np.exp(batch.log_theta[:, upto])
-    vals = np.stack([np.asarray(h(batch, k), dtype=float) for k in range(batch.n_samples)])
-    weighted = theta.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
-    return weighted.mean(axis=0)
+    return (theta.reshape((-1,) + (1,) * (values.ndim - 1)) * values).mean(axis=0)
 
 
 def mean_cost(dp: DiscreteProblem, mu, batch: TrajectoryBatch) -> tuple:

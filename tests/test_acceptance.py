@@ -243,10 +243,10 @@ class TestCriterion6DiscreteGirsanov:
         theta = batch.theta[:, j + 1]
         sqrt_m = np.sqrt(batch.n_samples)
 
-        first = reweighted_expectation(lambda b, k: wq[k], batch, upto=j + 1)
+        first = reweighted_expectation(wq, batch, upto=j + 1)
         first_se = (theta[:, None] * wq).std(axis=0, ddof=1) / sqrt_m
         second = reweighted_expectation(
-            lambda b, k: np.outer(wq[k], wq[k]), batch, upto=j + 1
+            np.einsum("mi,mj->mij", wq, wq), batch, upto=j + 1
         )
         second_se = (
             theta[:, None, None] * np.einsum("mi,mj->mij", wq, wq)

@@ -10,7 +10,6 @@ from fbsde_lsmc import (
     GridSpec,
     discretize,
     grid_bellman,
-    gt_eval,
     riccati_from_lqr,
     riccati_value,
 )
@@ -84,18 +83,18 @@ class TestRiccati:
             )
 
 
-def _uncontrolled_problem(g_fn, sigma=0.5, horizon=0.5):
+def _uncontrolled_problem(g_fn, sigma=0.5, horizon=0.5, dim=1):
     return ContinuousProblem(
-        dim_x=1,
+        dim_x=dim,
         dim_u=1,
         horizon=horizon,
         f=lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=lambda t, x: sigma * np.ones(np.shape(x)[:-1] + (1, 1)),
+        sigma=lambda t, x: sigma * np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim)),
         ell=lambda t, x, u: np.zeros(np.shape(x)[:-1]),
         g=g_fn,
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
-        x0=np.zeros(1),
+        x0=np.zeros(dim),
     )
 
 
@@ -177,12 +176,40 @@ class TestGridBellman:
             truth = grid_bellman(dp, grid)
         assert truth.escape_count > 0
 
+    def test_two_dimensional_linear_terminal_is_preserved(self):
+        # E[c.(x + Sigma W)] = c.x, and multilinear interpolation with linear
+        # extrapolation reproduces a linear table exactly
+        c = np.array([1.0, -2.0])
+        cp = _uncontrolled_problem(lambda x: np.asarray(x, dtype=float) @ c, sigma=0.01, dim=2)
+        dp = discretize(cp, 5)
+        grid = GridSpec(lo=np.array([-2.0, -2.0]), hi=np.array([2.0, 2.0]), n_state_nodes=41,
+                        n_control_nodes=3, n_quad_nodes=5)
+        truth = grid_bellman(dp, grid)
+        assert truth.values.shape == (6, 41, 41)
+        assert truth.escape_count == 0
+        mesh = np.stack(np.meshgrid(*truth.axes, indexing="ij"), axis=-1)
+        probe = np.random.default_rng(0).uniform(-2.1, 2.1, size=(50, 2))
+        for i in range(6):
+            np.testing.assert_allclose(truth.values[i], mesh @ c, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(truth.value(i, probe), probe @ c, rtol=0, atol=1e-12)
+
+    def test_two_dimensional_escape_counter_warns_on_tight_grid(self):
+        cp = _uncontrolled_problem(
+            lambda x: np.asarray(x, dtype=float) @ np.array([1.0, -2.0]), sigma=2.0, dim=2
+        )
+        dp = discretize(cp, 3)
+        grid = GridSpec(lo=np.array([-0.5, -0.5]), hi=np.array([0.5, 0.5]), n_state_nodes=11,
+                        n_control_nodes=3, n_quad_nodes=5)
+        with pytest.warns(GridEscapeWarning):
+            truth = grid_bellman(dp, grid)
+        assert truth.escape_count > 0
+
 
 class TestGtEval:
     def test_riccati_origin_gives_noise_constant(self):
         cp = make_scalar_lqr()
         truth = riccati_from_lqr(cp.lqr, cp.horizon, 10)
-        assert gt_eval(truth, 3, np.zeros(1)) == pytest.approx(truth.c[3])
+        assert truth.value(3, np.zeros(1)) == pytest.approx(truth.c[3])
 
     def test_grid_node_and_midpoint_queries(self):
         cp = _uncontrolled_problem(lambda x: np.abs(np.asarray(x, dtype=float)[..., 0]))
@@ -194,13 +221,13 @@ class TestGtEval:
         # node query returns the table entry (up to one ulp from the index
         # division)
         k = 3
-        assert gt_eval(truth, 2, np.array([nodes[k]])) == pytest.approx(
+        assert truth.value(2, np.array([nodes[k]])) == pytest.approx(
             truth.values[2, k], rel=1e-13
         )
         # midpoint query averages the neighbors
         mid = 0.5 * (nodes[4] + nodes[5])
         expect = 0.5 * (truth.values[2, 4] + truth.values[2, 5])
-        assert gt_eval(truth, 2, np.array([mid])) == pytest.approx(expect, rel=1e-12)
+        assert truth.value(2, np.array([mid])) == pytest.approx(expect, rel=1e-12)
 
     def test_far_outside_grid_rejected(self):
         cp = _uncontrolled_problem(lambda x: np.asarray(x, dtype=float)[..., 0] ** 2)

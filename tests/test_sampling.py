@@ -215,7 +215,7 @@ class TestReweightedExpectation:
 
     def test_constant_function(self, drifted_batch):
         dp, batch = drifted_batch
-        val = reweighted_expectation(lambda b, k: 1.0, batch, upto=dp.n_steps)
+        val = reweighted_expectation(np.ones(batch.n_samples), batch, upto=dp.n_steps)
         theta = batch.theta[:, dp.n_steps]
         stderr = theta.std(ddof=1) / np.sqrt(batch.n_samples)
         assert abs(val - 1.0) < 3 * stderr
@@ -227,18 +227,20 @@ class TestReweightedExpectation:
         wq = batch.w[:, j, 0] - batch.d[:, j, 0]
         theta = batch.theta[:, j + 1]
 
-        val1 = reweighted_expectation(lambda b, k: wq[k], batch, upto=j + 1)
+        val1 = reweighted_expectation(wq, batch, upto=j + 1)
         stderr1 = (theta * wq).std(ddof=1) / np.sqrt(batch.n_samples)
         assert abs(val1) < 3 * stderr1
 
-        val2 = reweighted_expectation(lambda b, k: wq[k] ** 2, batch, upto=j + 1)
+        val2 = reweighted_expectation(wq**2, batch, upto=j + 1)
         stderr2 = (theta * wq**2).std(ddof=1) / np.sqrt(batch.n_samples)
         assert abs(val2 - 1.0) < 3 * stderr2
 
     def test_upto_out_of_range(self, drifted_batch):
+        # an out-of-range ``upto``, and a values array with the wrong row count
         dp, batch = drifted_batch
-        with pytest.raises(ValueError):
-            reweighted_expectation(lambda b, k: 1.0, batch, upto=dp.n_steps + 1)
+        for rows, upto in [(batch.n_samples, dp.n_steps + 1), (batch.n_samples - 1, dp.n_steps)]:
+            with pytest.raises(ValueError):
+                reweighted_expectation(np.ones(rows), batch, upto=upto)
 
 
 class TestPinnedBatch:
