@@ -160,23 +160,33 @@ class RiccatiTruth:
 
 GroundTruth = Union[GridTruth, RiccatiTruth]
 
+# points per grid_bellman row block: 512 KB per float64 temporary, cache-sized
+_BUDGET = 65536
+
 
 def _interp(axes, table, x):
     """Multilinear interpolation with linear extrapolation outside the axes.
 
     The 1-D fast path exploits the uniform node spacing: cell index and
     fraction come from one division, and letting the fraction leave [0, 1]
-    in the edge cells is exactly linear extrapolation.
+    in the edge cells is exactly linear extrapolation.  It works in place and
+    gathers each cell's slope from ``np.diff(table)``: the same IEEE
+    subtraction ``table[cell + 1] - table[cell]``, done once per node rather
+    than once per point, so the result is bit-identical.
     """
     if len(axes) == 1:
         nodes = axes[0]
         xi = x[..., 0]
-        step = nodes[1] - nodes[0]
-        pos = (xi - nodes[0]) / step
-        cell = np.clip(pos.astype(np.intp), 0, len(nodes) - 2)
-        frac = pos - cell
-        left = table[cell]
-        return left + frac * (table[cell + 1] - left)
+        # an explicit output keeps a single-point query's 0-d position an array
+        pos = np.subtract(xi, nodes[0], out=np.empty(xi.shape))
+        pos /= nodes[1] - nodes[0]
+        cell = pos.astype(np.intp)
+        np.clip(cell, 0, len(nodes) - 2, out=cell)
+        pos -= cell
+        pos *= np.diff(table).take(cell)
+        out = table.take(cell)
+        out += pos
+        return out
     interp = RegularGridInterpolator(
         axes, table, method="linear", bounds_error=False, fill_value=None
     )
@@ -193,8 +203,11 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
     """Dynamic-programming ground truth on a state grid (dim_x <= 2).
 
     Requires the problem callables to broadcast (they do for instances built
-    by this package).  States thrown outside the grid-plus-margin by the
-    quadrature displacements increment ``escape_count`` and raise a
+    by this package).  Each step is evaluated in blocks of state rows holding
+    a fixed budget of (state, control, quadrature node) points, so peak memory
+    does not grow with states x controls x nodes, and the tables are bit-for-bit
+    those of one whole-grid pass.  States thrown outside the grid-plus-margin
+    by the quadrature displacements increment ``escape_count`` and raise a
     :class:`GridEscapeWarning` once per run; they are still evaluated by
     linear extrapolation.
     """
@@ -245,12 +258,17 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
             ``xs`` and ``us`` share shape (n_states, U, .); returns (n_states, U).
             """
             nonlocal escape_count
-            stage = dp.L(i, xs, us)
-            x_next = (xs + dp.F(i, xs, us))[:, :, None, :] + sig_z[:, None, :, :]
-            escaped = (x_next < grid.lo - margin) | (x_next > grid.hi + margin)
-            escape_count += int(np.count_nonzero(np.any(escaped, axis=-1)))
-            vals = _interp(axes, vtab, x_next.reshape(-1, n)).reshape(x_next.shape[:-1])
-            return stage + vals @ w
+            out = np.empty(xs.shape[:2])
+            rows = max(1, _BUDGET // (xs.shape[1] * n_quad))
+            for r in range(0, n_states, rows):
+                xc, uc = xs[r : r + rows], us[r : r + rows]
+                stage = dp.L(i, xc, uc)
+                x_next = (xc + dp.F(i, xc, uc))[:, :, None, :] + sig_z[r : r + rows, None]
+                escaped = (x_next < grid.lo - margin) | (x_next > grid.hi + margin)
+                escape_count += int(np.count_nonzero(np.any(escaped, axis=-1)))
+                vals = _interp(axes, vtab, x_next.reshape(-1, n)).reshape(x_next.shape[:-1])
+                np.add(stage, vals @ w, out=out[r : r + rows])
+            return out
 
         xs_all = np.broadcast_to(states[:, None, :], (n_states, n_controls, n))
         us_all = np.broadcast_to(controls[None, :, :], (n_states, n_controls, dp.dim_u))

@@ -1,15 +1,22 @@
 """Ground-truth oracles: gridded dynamic programming and Riccati recursion."""
 
+import dataclasses
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from fbsde_lsmc import (
     ContinuousProblem,
     GridSpec,
     discretize,
     grid_bellman,
+    oracles,
     riccati_from_lqr,
     riccati_value,
 )
@@ -203,6 +210,85 @@ class TestGridBellman:
         with pytest.warns(GridEscapeWarning):
             truth = grid_bellman(dp, grid)
         assert truth.escape_count > 0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tables_do_not_depend_on_the_chunk_budget(self, dim, monkeypatch):
+        # budgets giving 1-row blocks, blocks that do not divide the state
+        # count (main pass and one-control refinement), and one block for all;
+        # the 1-D diffusion depends on the state, so each block needs its rows
+        if dim == 1:
+            cp = dataclasses.replace(
+                make_scalar_lqr(u_max=2.0), sigma=lambda t, x: 0.5 + 0.3 * np.abs(x)[..., None]
+            )
+            dp = discretize(cp, 4)
+            grid = GridSpec(lo=np.array([-1.0]), hi=np.array([1.0]), n_state_nodes=37,
+                            n_control_nodes=5, n_quad_nodes=7)
+        else:
+            cp = _uncontrolled_problem(
+                lambda x: np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), sigma=1.5, dim=2
+            )
+            dp = discretize(cp, 2)
+            grid = GridSpec(lo=np.array([-2.0, -2.0]), hi=np.array([2.0, 2.0]),
+                            n_state_nodes=41, n_control_nodes=3, n_quad_nodes=5)
+        n_quad = grid.n_quad_nodes**dim
+        tables = []
+        for budget in (1, 4 * grid.n_control_nodes * n_quad, 10**9):
+            monkeypatch.setattr(oracles, "_BUDGET", budget)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GridEscapeWarning)
+                tables.append(grid_bellman(dp, grid))
+        ref = tables[0]
+        assert ref.escape_count > 0
+        for truth in tables[1:]:
+            np.testing.assert_array_equal(truth.values, ref.values)
+            np.testing.assert_array_equal(truth.u_star, ref.u_star)
+            assert truth.escape_count == ref.escape_count
+
+    def test_shipped_grid_step_memory_is_bounded(self):
+        # 2001 x 201 x 21 points per step: a whole-step pass holds several
+        # 67 MB temporaries at once; row blocks need the tables plus a few
+        # 512 KB chunk temporaries
+        dp = discretize(make_scalar_lqr(u_max=20.0), 2)
+        grid = GridSpec(lo=np.array([-4.0]), hi=np.array([4.0]))
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GridEscapeWarning)
+                truth = grid_bellman(dp, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert truth.values.shape == (3, 2001)
+        assert peak < 64 * 2**20
+
+
+class TestInterp:
+    @given(n_nodes=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_uniform_path_matches_regular_grid_interpolator(self, n_nodes, seed):
+        rng = np.random.default_rng(seed)
+        # both methods round the position to about eps |x| / spacing cells,
+        # so the axes keep that small against the 1e-12 tolerance
+        lo = rng.uniform(-2.0, 2.0)
+        span = rng.uniform(1.0, 20.0)
+        nodes = np.linspace(lo, lo + span, n_nodes)
+        columns = rng.normal(scale=rng.uniform(0.1, 100.0), size=(n_nodes, 3))
+        # points inside the axis and up to one grid margin beyond both edges
+        margin = GridSpec.margin_fraction * span
+        x = rng.uniform(lo - margin, lo + span + margin, size=(40, 1))
+        x[:2, 0] = lo - margin, lo + span + margin
+        # a strided column view, as GridTruth.control passes, and a plain table
+        for table in (columns[:, 1], np.ascontiguousarray(columns[:, 1])):
+            ref = RegularGridInterpolator(
+                (nodes,), table, method="linear", bounds_error=False, fill_value=None
+            )
+            tol = 1e-12 * np.max(np.abs(table))
+            got = oracles._interp([nodes], table, x)
+            assert got.shape == (40,)
+            assert np.max(np.abs(got - ref(x))) <= tol
+            one = oracles._interp([nodes], table, x[0])
+            assert np.shape(one) == ()
+            assert abs(one - ref(x[:1])[0]) <= tol
 
 
 class TestGtEval:
