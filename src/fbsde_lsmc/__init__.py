@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .backward import backward_pass
 from .config import ExperimentConfig, load_config, parse_config_text
 from .estimators import (
-    BackwardTargets,
     EstimatorKind,
     TaylorTriple,
     delta_y_taylor,
@@ -37,7 +36,7 @@ from .oracles import (
     riccati_from_lqr,
     riccati_value,
 )
-from .policy import QEval, hamiltonian_policy, improve_policy, taylor_q
+from .policy import hamiltonian_policy, improve_policy, taylor_q
 from .problems import (
     ConstantPolicy,
     ContinuousProblem,
@@ -53,7 +52,6 @@ from .sampling import (
     TrajectoryBatch,
     drift_correction,
     girsanov_weights,
-    reweighted_expectation,
     sample_forward,
 )
 from .value_model import (
@@ -71,7 +69,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "parse_config_text",
-    "BackwardTargets",
     "EstimatorKind",
     "TaylorTriple",
     "delta_y_taylor",
@@ -90,7 +87,6 @@ __all__ = [
     "grid_bellman",
     "riccati_from_lqr",
     "riccati_value",
-    "QEval",
     "hamiltonian_policy",
     "improve_policy",
     "taylor_q",
@@ -106,7 +102,6 @@ __all__ = [
     "TrajectoryBatch",
     "drift_correction",
     "girsanov_weights",
-    "reweighted_expectation",
     "sample_forward",
     "BasisSpec",
     "ValueModel",

@@ -55,7 +55,7 @@ def backward_pass(
     for i in reversed(range(n_steps)):
         try:
             targets = estimate_targets(kind, model, dp, mu, batch, i)
-            model.set_coeffs(i, lsmc_fit(batch.x[:, i], targets.yhat, spec, i, ridge))
+            model.set_coeffs(i, lsmc_fit(batch.x[:, i], targets, spec, i, ridge))
         except Exception as exc:
             raise _annotate(exc, i)
     return model

@@ -18,20 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .backward import backward_pass
 from .config import load_config
-from .errors import (
-    ConfigError,
-    DegenerateDenominatorError,
-    DriftUnboundedError,
-    OutOfDomainError,
-    SchemaError,
-    SingularDiffusionError,
-    SingularRecursionError,
-    WeightOverflowError,
-)
+from .errors import _NUMERIC_FAILURES, ConfigError, SchemaError
 from .estimators import EstimatorKind
 from .experiments import build_setup, emit_heatmap, run_experiment, subseed
 from .metrics import bias_bound_check, report_to_csv
@@ -40,16 +29,6 @@ from .sampling import sample_forward
 from .value_model import scaling_from_batch
 
 _INVALID_INPUT = (ConfigError, SchemaError, ValueError)
-_NUMERIC = (
-    SingularDiffusionError,
-    DriftUnboundedError,
-    WeightOverflowError,
-    SingularRecursionError,
-    DegenerateDenominatorError,
-    OutOfDomainError,
-    FloatingPointError,
-    np.linalg.LinAlgError,
-)
 
 
 def _cmd_run(args) -> int:
@@ -167,7 +146,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC as exc:
+    except _NUMERIC_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except _INVALID_INPUT as exc:

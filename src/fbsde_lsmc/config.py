@@ -95,6 +95,14 @@ class ExperimentConfig:
             self.d_cap = 10.0 if self.problem == "nonlinear1d" else 1e9
         if self.n_steps < 1:
             raise ConfigError("run.n_steps must be >= 1")
+        if self.metrics_dx is not None and self.metrics_points_per_axis is not None:
+            raise ConfigError("set at most one of metrics.dx and metrics.points_per_axis")
+        if self.metrics_dx is not None and not self.metrics_dx > 0:
+            raise ConfigError("metrics.dx must be > 0")
+        if self.metrics_points_per_axis is not None and self.metrics_points_per_axis < 2:
+            raise ConfigError("metrics.points_per_axis must be >= 2")
+        if self.diagnose_cells < 1:
+            raise ConfigError("diagnose.cells must be >= 1")
 
     def resolved(self) -> dict:
         out = {}

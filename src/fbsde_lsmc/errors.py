@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import numpy as np
+
 
 class SingularDiffusionError(ValueError):
     """Diffusion matrix is singular (or numerically non-invertible)."""
@@ -69,3 +71,18 @@ class RankDeficientWarning(UserWarning):
 
 class GridEscapeWarning(UserWarning):
     """States left the dynamic-programming grid beyond the extrapolation margin."""
+
+
+# Numerical failures: a sweep records the cell as +inf, the CLI exits 3.
+_NUMERIC_FAILURES = (
+    np.linalg.LinAlgError,
+    FloatingPointError,
+    OverflowError,
+    ZeroDivisionError,
+    SingularDiffusionError,
+    DriftUnboundedError,
+    WeightOverflowError,
+    DegenerateDenominatorError,
+    SingularRecursionError,
+    OutOfDomainError,
+)

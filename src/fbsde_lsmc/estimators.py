@@ -40,7 +40,6 @@ from .value_model import ValueModel
 __all__ = [
     "EstimatorKind",
     "TaylorTriple",
-    "BackwardTargets",
     "taylor_triple",
     "estimate_targets",
     "delta_y_taylor",
@@ -72,15 +71,6 @@ class TaylorTriple:
     zbar: np.ndarray
     mbar: np.ndarray
     xbar: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class BackwardTargets:
-    """Per-trajectory regression targets for one backward step."""
-
-    yhat: np.ndarray
-    step: int
-    kind: EstimatorKind
 
 
 def taylor_triple(m: ValueModel, i: int, x_i, k_i, sigma_i) -> TaylorTriple:
@@ -137,8 +127,8 @@ def estimate_targets(
     mu,
     batch: TrajectoryBatch,
     i: int,
-) -> BackwardTargets:
-    """Targets Yhat_i for every trajectory of the batch at step ``i``.
+) -> np.ndarray:
+    """Targets Yhat_i for every trajectory of the batch at step ``i``, shape (M,).
 
     Requires the model fitted at step ``i + 1`` and the batch populated
     through step ``i + 1``.  ``mu`` must be the batch's reference policy,
@@ -173,7 +163,7 @@ def estimate_targets(
         raise FloatingPointError(
             f"non-finite backward target at trajectory {bad}, step {i}"
         )
-    return BackwardTargets(yhat=yhat, step=i, kind=kind)
+    return yhat
 
 
 def delta_y_taylor(

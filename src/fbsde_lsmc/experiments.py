@@ -31,14 +31,7 @@ import numpy as np
 from . import __version__
 from .backward import backward_pass
 from .config import ExperimentConfig
-from .errors import (
-    DegenerateDenominatorError,
-    DriftUnboundedError,
-    OutOfDomainError,
-    SchemaError,
-    SingularDiffusionError,
-    WeightOverflowError,
-)
+from .errors import _NUMERIC_FAILURES, SchemaError
 from .estimators import EstimatorKind
 from .metrics import confidence_region, rae
 from .oracles import (
@@ -70,19 +63,6 @@ RESULT_COLUMNS = [
     "seed",
 ]
 
-_NUMERIC_FAILURES = (
-    np.linalg.LinAlgError,
-    FloatingPointError,
-    OverflowError,
-    ZeroDivisionError,
-    SingularDiffusionError,
-    DriftUnboundedError,
-    WeightOverflowError,
-    DegenerateDenominatorError,
-    OutOfDomainError,
-)
-
-
 def subseed(base: int, tag: str) -> int:
     """Stable 64-bit sub-seed for a named purpose."""
     digest = hashlib.blake2b(f"{base}:{tag}".encode(), digest_size=8).digest()
@@ -94,7 +74,6 @@ class ExperimentSetup:
     """Everything a sweep cell needs besides the forward batch."""
 
     cfg: ExperimentConfig
-    cp: object
     dp: object
     truth: object
     mu: object
@@ -150,6 +129,21 @@ def build_drift(cfg: ExperimentConfig, dp, mu) -> DriftProcess:
     return DriftProcess.on_policy(pol)
 
 
+def _reference_region(cfg: ExperimentConfig, dp, mu):
+    """Confidence region of an on-policy reference batch under ``mu``."""
+    ref = sample_forward(
+        dp,
+        mu,
+        DriftProcess.on_policy(mu),
+        cfg.reference_samples,
+        subseed(cfg.seed, "reference"),
+        cfg.d_cap,
+    )
+    return confidence_region(
+        ref, dx=cfg.metrics_dx, points_per_axis=cfg.metrics_points_per_axis
+    )
+
+
 def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
     """Problem, ground truth, reference policy, region and drift for a config.
 
@@ -158,27 +152,18 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
     escapes it.
     """
     cp, dp = _build_problem(cfg)
-    ref_seed = subseed(cfg.seed, "reference")
 
     if cfg.problem == "cartpole_lqr":
         truth = riccati_from_lqr(cp.lqr, cp.horizon, cfg.n_steps)
         mu = truth.policy(dp.control_lower, dp.control_upper)
-        ref = sample_forward(
-            dp, mu, DriftProcess.on_policy(mu), cfg.reference_samples, ref_seed, cfg.d_cap
-        )
-        region = confidence_region(
-            ref, dx=cfg.metrics_dx, points_per_axis=cfg.metrics_points_per_axis or 9
-        )
+        region = _reference_region(cfg, dp, mu)
     else:
         lo = cfg.oracle_state_lo if cfg.oracle_state_lo is not None else [-5.0]
         hi = cfg.oracle_state_hi if cfg.oracle_state_hi is not None else [12.0]
         spec = _grid_spec_from_cfg(cfg, lo, hi)
         truth = grid_bellman(dp, spec)
         mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
-        ref = sample_forward(
-            dp, mu, DriftProcess.on_policy(mu), cfg.reference_samples, ref_seed, cfg.d_cap
-        )
-        region = confidence_region(ref, dx=cfg.metrics_dx or 1e-2)
+        region = _reference_region(cfg, dp, mu)
         want = GridSpec.from_region(region, widen=0.5)
         if np.any(want.lo < spec.lo) or np.any(want.hi > spec.hi):
             merged = _grid_spec_from_cfg(
@@ -186,13 +171,10 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
             )
             truth = grid_bellman(dp, merged)
             mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
-            ref = sample_forward(
-                dp, mu, DriftProcess.on_policy(mu), cfg.reference_samples, ref_seed, cfg.d_cap
-            )
-            region = confidence_region(ref, dx=cfg.metrics_dx or 1e-2)
+            region = _reference_region(cfg, dp, mu)
 
     drift = build_drift(cfg, dp, mu)
-    return ExperimentSetup(cfg=cfg, cp=cp, dp=dp, truth=truth, mu=mu, region=region, drift=drift)
+    return ExperimentSetup(cfg=cfg, dp=dp, truth=truth, mu=mu, region=region, drift=drift)
 
 
 def _mean_rae(model, truth, region, n_steps) -> float:
@@ -257,10 +239,10 @@ def _init_worker(cfg_dict, truth, mu, region):
     """Rebuild the unpicklable problem closures once per worker process."""
     global _WORKER_SETUP
     cfg = ExperimentConfig(**cfg_dict)
-    cp, dp = _build_problem(cfg)
+    _, dp = _build_problem(cfg)
     drift = build_drift(cfg, dp, mu)
     _WORKER_SETUP = ExperimentSetup(
-        cfg=cfg, cp=cp, dp=dp, truth=truth, mu=mu, region=region, drift=drift
+        cfg=cfg, dp=dp, truth=truth, mu=mu, region=region, drift=drift
     )
 
 

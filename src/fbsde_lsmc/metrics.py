@@ -23,7 +23,7 @@ function.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -155,21 +155,23 @@ def estimator_bias_variance(
     ``None`` when no truth is available; the variance is returned either way.
     """
     batch = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed)
-    targets = estimate_targets(kind, m, dp, mu, batch, i)
-    variance = _centered_variance(targets.yhat)
-    bias = None
-    if truth is not None:
-        v_true = float(truth.value(i, np.asarray(x_pin, dtype=float)))
-        bias = float(targets.yhat.mean() - v_true)
-    return bias, variance
+    return _pinned_bias_variance(kind, dp, mu, m, batch, i, truth)
+
+
+def _pinned_bias_variance(kind, dp, mu, m, pinned, i, truth):
+    """(bias, variance) of a target over a batch pinned at step ``i``."""
+    yhat = estimate_targets(kind, m, dp, mu, pinned, i)
+    variance = _centered_variance(yhat)
+    if truth is None:
+        return None, variance
+    v_true = float(truth.value(i, pinned.x[0, i]))
+    return float(yhat.mean() - v_true), variance
 
 
 @dataclass(frozen=True, eq=False)
 class BoundCell:
     """One pinned (state, drift) cell of the remainder-bias bound check."""
 
-    x: np.ndarray
-    k_drift: np.ndarray
     d_norm: float
     lhs: float
     rhs: float
@@ -179,18 +181,19 @@ class BoundCell:
 
 @dataclass(eq=False)
 class DiagnosticReport:
-    """Bias/variance/bound measurements for one backward step."""
+    """Bias/variance/bound measurements for one backward step.
+
+    ``bias`` and ``variance`` are those of the first cell's pinned batch;
+    the fit residual is |V~_{i+1} - V_{i+1}| over the batch states at i + 1.
+    """
 
     step: int
     kind: EstimatorKind
     bias: Optional[float]
     variance: float
-    cells: list = field(default_factory=list)
-    fit_residual: dict = field(default_factory=dict)
-
-    @property
-    def bound_rhs(self) -> float:
-        return max((c.rhs for c in self.cells), default=0.0)
+    cells: list
+    fit_residual_mean: float
+    fit_residual_max: float
 
     @property
     def verdict(self) -> bool:
@@ -218,16 +221,23 @@ def bias_bound_check(
 
     (exact truth minus second-order expansion of the model) is measured.  The
     cell holds when |reweighted mean of delta| <= exp(||D||^2/2) *
-    rms(delta) + 3 stderr.
+    rms(delta) + 3 stderr.  The report's bias and variance are those of
+    ``kind`` on the first cell's batch, equal to :func:`estimator_bias_variance`
+    at ``(batch.x[0, i], batch.k_drift[0, i])`` with the same ``n_rep`` and
+    ``seed``.
     """
     if not 0 <= i < batch.n_steps:
         raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     n_cells = min(n_cells, batch.n_samples)
     cells = []
     for cell_idx in range(n_cells):
         x_pin = batch.x[cell_idx, i]
         k_pin = batch.k_drift[cell_idx, i]
         pinned = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed + cell_idx)
+        if cell_idx == 0:
+            bias, variance = _pinned_bias_variance(kind, dp, mu, m, pinned, i, truth)
         tri = taylor_triple(m, i, pinned.x[:, i], pinned.k_drift[:, i], dp.Sigma(i, pinned.x[:, i]))
         w = pinned.w[:, i]
         expansion = (
@@ -246,8 +256,6 @@ def bias_bound_check(
             rhs = float(np.exp(0.5 * d_norm**2) * np.sqrt(np.mean(delta**2)))
         cells.append(
             BoundCell(
-                x=x_pin.copy(),
-                k_drift=k_pin.copy(),
                 d_norm=d_norm,
                 lhs=lhs,
                 rhs=rhs,
@@ -260,28 +268,14 @@ def bias_bound_check(
         np.asarray(m.eval(i + 1, batch.x[:, i + 1]), dtype=float)
         - np.asarray(truth.value(i + 1, batch.x[:, i + 1]), dtype=float)
     )
-    bias, variance = estimator_bias_variance(
-        kind,
-        dp,
-        mu,
-        m,
-        i,
-        batch.x[0, i],
-        batch.k_drift[0, i],
-        n_rep,
-        seed,
-        truth=truth,
-    )
     return DiagnosticReport(
         step=i,
         kind=kind,
         bias=bias,
         variance=variance,
         cells=cells,
-        fit_residual={
-            "mean": float(resid.mean()),
-            "max": float(resid.max()),
-        },
+        fit_residual_mean=float(resid.mean()),
+        fit_residual_max=float(resid.max()),
     )
 
 
@@ -323,7 +317,7 @@ def report_to_csv(reports, path) -> None:
                         int(cell.holds),
                         "" if report.bias is None else repr(report.bias),
                         repr(report.variance),
-                        repr(report.fit_residual.get("mean", float("nan"))),
-                        repr(report.fit_residual.get("max", float("nan"))),
+                        repr(report.fit_residual_mean),
+                        repr(report.fit_residual_max),
                     ]
                 )

@@ -23,24 +23,12 @@ tensor grid search over the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .problems import DiscreteProblem
 from .value_model import ValueModel
 
-__all__ = ["QEval", "hamiltonian_policy", "taylor_q", "improve_policy", "ImprovedPolicy"]
-
-
-@dataclass(frozen=True, eq=False)
-class QEval:
-    """A state-action value sample at (step, x, u)."""
-
-    value: float
-    step: int
-    x: np.ndarray
-    u: np.ndarray
+__all__ = ["hamiltonian_policy", "taylor_q", "improve_policy"]
 
 
 def _diagonal_part(quad: np.ndarray, m: int):
@@ -90,13 +78,24 @@ def _separable_argmin(quad_diag, lin, l1, lower, upper):
     return out
 
 
-def _control_grid(dp: DiscreteProblem, grid_points: int) -> np.ndarray:
+def _grid_search(dp: DiscreteProblem, grid_points: int, x: np.ndarray, score) -> np.ndarray:
+    """Control minimizing ``score(xs, us)`` over a tensor grid of the box.
+
+    Loops over the states on the leading axes of ``x``; ``xs`` repeats one
+    state once per candidate control in ``us``.
+    """
     lo, hi = dp.control_lower, dp.control_upper
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("grid search needs a finite control box")
     axes = [np.linspace(lo[j], hi[j], grid_points) for j in range(dp.dim_u)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    us = np.stack([g.ravel() for g in mesh], axis=-1)
+    flat = x.reshape(-1, x.shape[-1])
+    out = np.empty((flat.shape[0], dp.dim_u))
+    for k, state in enumerate(flat):
+        xs = np.broadcast_to(state, (us.shape[0],) + state.shape)
+        out[k] = us[int(np.argmin(score(xs, us)))]
+    return out.reshape(x.shape[:-1] + (dp.dim_u,))
 
 
 def hamiltonian_policy(
@@ -104,38 +103,33 @@ def hamiltonian_policy(
 ) -> np.ndarray:
     """Gradient-based control at (i, x); model must be fitted at step ``i``.
 
-    Broadcasts over leading axes of ``x`` on the closed-form path; the grid
-    fallback handles one state at a time.
+    Broadcasts over leading axes of ``x``; the grid fallback searches the
+    control box once per state.
     """
     x = np.asarray(x, dtype=float)
-    grad = m.grad(i, x)
     st = dp.structure
     if st is not None:
         diag, ok = _diagonal_part(st.cost_quad, dp.dim_u)
         if ok:
             gain = st.drift_gain(dp.t(i), x)
-            lin = np.einsum("...nj,...n->...j", gain, grad)
+            lin = np.einsum("...nj,...n->...j", gain, m.grad(i, x))
             return _separable_argmin(
                 diag, lin, st.cost_l1, dp.control_lower, dp.control_upper
             )
 
-    if x.ndim != 1:
-        raise ValueError("grid-search fallback handles one state at a time")
-    us = _control_grid(dp, grid_points)
-    xs = np.broadcast_to(x, (us.shape[0],) + x.shape)
-    vals = dp.L(i, xs, us) + np.einsum("gn,n->g", dp.F(i, xs, us), grad)
-    return us[int(np.argmin(vals))]
+    def score(xs, us):
+        return dp.L(i, xs, us) + np.einsum("gn,n->g", dp.F(i, xs, us), m.grad(i, xs[0]))
+
+    return _grid_search(dp, grid_points, x, score)
 
 
-def taylor_q(m: ValueModel, dp: DiscreteProblem, i: int, x, u) -> QEval:
-    """Second-order state-action value at (i, x, u); model fitted at ``i + 1``."""
+def taylor_q(m: ValueModel, dp: DiscreteProblem, i: int, x, u):
+    """Second-order state-action value at (i, x, u); model fitted at ``i + 1``.
+
+    Broadcasts over leading axes of ``x`` and ``u``.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    value = _taylor_q_values(m, dp, i, x, u)
-    return QEval(value=float(value) if np.ndim(value) == 0 else value, step=i, x=x, u=u)
-
-
-def _taylor_q_values(m, dp, i, x, u):
     x_next = x + dp.F(i, x, u)
     sig = dp.Sigma(i, x)
     hess = m.hessian(i + 1, x_next)
@@ -154,8 +148,8 @@ def improve_policy(
 
         R dt + drift_gain^T hess V~ drift_gain dt^2 / 2
 
-    is diagonal; it then broadcasts over leading axes of ``x``.  Otherwise
-    the control box is grid searched one state at a time.
+    is diagonal.  Otherwise the control box is grid searched once per state.
+    Either way the result broadcasts over leading axes of ``x``.
     """
     x = np.asarray(x, dtype=float)
     st = dp.structure
@@ -175,31 +169,4 @@ def improve_policy(
                 diag, lin, st.cost_l1 * dt, dp.control_lower, dp.control_upper
             )
 
-    if x.ndim != 1:
-        raise ValueError("grid-search fallback handles one state at a time")
-    us = _control_grid(dp, grid_points)
-    xs = np.broadcast_to(x, (us.shape[0],) + x.shape)
-    vals = _taylor_q_values(m, dp, i, xs, us)
-    return us[int(np.argmin(vals))]
-
-
-class ImprovedPolicy:
-    """Policy wrapper applying :func:`improve_policy` pointwise."""
-
-    def __init__(self, m: ValueModel, dp: DiscreteProblem, grid_points: int = 1001):
-        self.model = m
-        self.dp = dp
-        self.grid_points = grid_points
-
-    def __call__(self, i: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return improve_policy(self.model, self.dp, i, x, self.grid_points)
-        try:
-            return improve_policy(self.model, self.dp, i, x, self.grid_points)
-        except ValueError:
-            flat = x.reshape(-1, x.shape[-1])
-            out = np.stack(
-                [improve_policy(self.model, self.dp, i, xx, self.grid_points) for xx in flat]
-            )
-            return out.reshape(x.shape[:-1] + (self.dp.dim_u,))
+    return _grid_search(dp, grid_points, x, lambda xs, us: taylor_q(m, dp, i, xs, us))

@@ -23,7 +23,6 @@ how generation is ordered or parallelized.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,9 +38,6 @@ __all__ = [
     "pinned_step_batch",
     "drift_correction",
     "girsanov_weights",
-    "reweighted_expectation",
-    "mean_cost",
-    "dump_trajectories",
 ]
 
 # Largest exponent for which exp() stays finite in float64.
@@ -105,8 +101,6 @@ class TrajectoryBatch:
         Corrections toward the reference policy drift.
     log_theta : ndarray, shape (M, N+1)
         Cumulative log change-of-measure weights; ``log_theta[:, 0] == 0``.
-    seed : int
-        Seed the batch was generated from (informational).
     """
 
     x: np.ndarray
@@ -114,7 +108,6 @@ class TrajectoryBatch:
     k_drift: np.ndarray
     d: np.ndarray
     log_theta: np.ndarray
-    seed: int
 
     @property
     def n_samples(self) -> int:
@@ -210,7 +203,7 @@ def sample_forward(
         xi_step = xi[:, i] if xi is not None else None
         _advance_step(dp, mu, drift, i, x, w, k_drift, d, log_theta, xi_step, d_cap)
 
-    return TrajectoryBatch(x=x, w=w, k_drift=k_drift, d=d, log_theta=log_theta, seed=seed)
+    return TrajectoryBatch(x=x, w=w, k_drift=k_drift, d=d, log_theta=log_theta)
 
 
 def _advance_step(dp, mu, drift, i, x, w, k_drift, d, log_theta, xi_step, d_cap):
@@ -280,9 +273,7 @@ def pinned_step_batch(
 
     full_w = np.zeros((n_samples, i + 1, n))
     full_w[:, i] = w[:, 0]
-    return TrajectoryBatch(
-        x=x, w=full_w, k_drift=k_drift, d=d, log_theta=log_theta, seed=seed
-    )
+    return TrajectoryBatch(x=x, w=full_w, k_drift=k_drift, d=d, log_theta=log_theta)
 
 
 def girsanov_weights(batch: TrajectoryBatch) -> np.ndarray:
@@ -312,59 +303,3 @@ def girsanov_weights(batch: TrajectoryBatch) -> np.ndarray:
     batch.log_theta = log_theta
     return np.exp(log_theta)
 
-
-def reweighted_expectation(values, batch: TrajectoryBatch, upto: int):
-    """Empirical reweighted expectation ``mean_k Theta[k, upto] * values[k]``.
-
-    ``values`` has shape (M, ...), one entry per trajectory; the result has
-    the trailing shape.  This approximates the reference-measure expectation
-    using samples drawn under the batch's drift.
-    """
-    if not 0 <= upto <= batch.n_steps:
-        raise ValueError(f"upto={upto} out of range [0, {batch.n_steps}]")
-    values = np.asarray(values, dtype=float)
-    if values.shape[:1] != (batch.n_samples,):
-        raise ValueError(
-            f"values has shape {values.shape}, batch has {batch.n_samples} samples"
-        )
-    theta = np.exp(batch.log_theta[:, upto])
-    return (theta.reshape((-1,) + (1,) * (values.ndim - 1)) * values).mean(axis=0)
-
-
-def mean_cost(dp: DiscreteProblem, mu, batch: TrajectoryBatch) -> tuple:
-    """Mean and standard error of total cost along the batch under policy ``mu``."""
-    total = np.zeros(batch.n_samples)
-    for i in range(batch.n_steps):
-        xs = batch.x[:, i]
-        total += dp.L(i, xs, mu(i, xs))
-    total += dp.g(batch.x[:, batch.n_steps])
-    return float(total.mean()), float(total.std(ddof=1) / np.sqrt(batch.n_samples))
-
-
-def dump_trajectories(batch: TrajectoryBatch, path) -> None:
-    """Write the batch as CSV: traj, step, x_0.., w_0.., theta.
-
-    Floats are written with shortest round-trip formatting; the noise columns
-    are empty on the final row of each trajectory (no step leaves it).
-    """
-    n = batch.dim
-    theta = batch.theta
-    header = (
-        ["traj", "step"]
-        + [f"x_{c}" for c in range(n)]
-        + [f"w_{c}" for c in range(n)]
-        + ["theta"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(batch.n_samples):
-            for i in range(batch.n_steps + 1):
-                row = [k, i]
-                row += [repr(float(v)) for v in batch.x[k, i]]
-                if i < batch.n_steps:
-                    row += [repr(float(v)) for v in batch.w[k, i]]
-                else:
-                    row += [""] * n
-                row.append(repr(float(theta[k, i])))
-                writer.writerow(row)

@@ -21,7 +21,6 @@ solved through an orthogonal factorization.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,8 +40,6 @@ __all__ = [
     "lsmc_fit",
     "scaling_from_batch",
     "fit_function",
-    "model_to_json",
-    "save_model_json",
 ]
 
 
@@ -177,10 +174,6 @@ class ValueModel:
         fitted = np.zeros(n_steps + 1, dtype=bool)
         return cls(basis=basis, coeffs=coeffs, fitted=fitted)
 
-    @property
-    def fitted_steps(self) -> set:
-        return set(np.nonzero(self.fitted)[0].tolist())
-
     def set_coeffs(self, i: int, alpha: np.ndarray) -> None:
         alpha = np.asarray(alpha, dtype=float)
         if alpha.shape != (self.basis.size,):
@@ -289,25 +282,3 @@ def fit_function(spec: BasisSpec, i: int, fn: Callable[[np.ndarray], np.ndarray]
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     return lsmc_fit(pts, fn(pts), spec, i, ridge=0.0)
 
-
-def model_to_json(m: ValueModel) -> dict:
-    """JSON-ready dump: one record per fitted step with scaling and coeffs."""
-    steps = []
-    for i in sorted(m.fitted_steps):
-        steps.append(
-            {
-                "step": int(i),
-                "degree": int(m.basis.max_total_degree),
-                "scaling": {
-                    "lo": m.basis.scale_lo[i].tolist(),
-                    "hi": m.basis.scale_hi[i].tolist(),
-                },
-                "coeffs": m.coeffs[i].tolist(),
-            }
-        )
-    return {"dim": m.basis.dim, "basis_size": m.basis.size, "steps": steps}
-
-
-def save_model_json(m: ValueModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(m), fh, indent=2)

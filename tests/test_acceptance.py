@@ -23,7 +23,6 @@ from fbsde_lsmc import (
     fit_function,
     grid_bellman,
     improve_policy,
-    reweighted_expectation,
     riccati_from_lqr,
     sample_forward,
     delta_y_taylor,
@@ -243,14 +242,13 @@ class TestCriterion6DiscreteGirsanov:
         theta = batch.theta[:, j + 1]
         sqrt_m = np.sqrt(batch.n_samples)
 
-        first = reweighted_expectation(wq, batch, upto=j + 1)
-        first_se = (theta[:, None] * wq).std(axis=0, ddof=1) / sqrt_m
-        second = reweighted_expectation(
-            np.einsum("mi,mj->mij", wq, wq), batch, upto=j + 1
-        )
-        second_se = (
-            theta[:, None, None] * np.einsum("mi,mj->mij", wq, wq)
-        ).std(axis=0, ddof=1) / sqrt_m
+        # reweighted means of W~ and W~ W~^T, W~ = W - D, with their stderrs
+        first_terms = theta[:, None] * wq
+        second_terms = theta[:, None, None] * np.einsum("mi,mj->mij", wq, wq)
+        first = first_terms.mean(axis=0)
+        first_se = first_terms.std(axis=0, ddof=1) / sqrt_m
+        second = second_terms.mean(axis=0)
+        second_se = second_terms.std(axis=0, ddof=1) / sqrt_m
 
         ok_first = np.all(np.abs(first) < 3 * first_se)
         ok_second = np.all(np.abs(second - np.eye(dim)) < 3 * second_se)

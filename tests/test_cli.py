@@ -92,6 +92,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("sweep.degrees =")
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "metrics.dx = 0.1\nmetrics.points_per_axis = 5",
+            "metrics.dx = 0",
+            "metrics.points_per_axis = 1",
+            "diagnose.cells = 0",
+        ],
+        ids=["both_metric_keys", "zero_dx", "one_point_per_axis", "zero_cells"],
+    )
+    def test_metric_and_diagnose_keys_validated(self, extra):
+        with pytest.raises(ConfigError):
+            parse_config_text("problem.name = cartpole_lqr\n" + extra)
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "c.cfg"
         path.write_text("run.seed = 5")
@@ -151,6 +165,21 @@ class TestRunExperiment:
         finished = [float(r["mean_rae"]) for r in rows if r["samples"] == "2"]
         assert escaped == ["inf"] * len(escaped)
         assert len(finished) == 8 and all(math.isfinite(v) for v in finished)
+
+    def test_metric_grid_keys_reach_the_region(self, tmp_path):
+        # either key applies to either problem; unset, the region's defaults hold
+        cart = parse_config_text(TINY_LQR.format(out=tmp_path))
+        region = build_setup(cart).region
+        assert (region.dx, region.points_per_axis) == (None, 9)
+        region = build_setup(dataclasses.replace(cart, metrics_dx=0.5)).region
+        assert (region.dx, region.points_per_axis) == (0.5, None)
+        scalar = parse_config_text(ESCAPING_SCALAR.format(out=tmp_path))
+        for points, expect in ((None, (0.01, None)), (40, (None, 40))):
+            cfg = dataclasses.replace(scalar, metrics_dx=None, metrics_points_per_axis=points)
+            with pytest.warns(GridEscapeWarning):
+                region = build_setup(cfg).region
+            assert (region.dx, region.points_per_axis) == expect
+        assert len(region.grid_points(3)) == 40
 
     def test_manifest_echoes_config(self, tiny_run):
         cfg, _, manifest = tiny_run
@@ -253,6 +282,12 @@ class TestCliEntry:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("problem.name = pendulum")
         assert main(["run", str(cfg_path)]) == 1
+
+    def test_diagnose_without_cells_exits_1(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_LQR.format(out=tmp_path / "out") + "diagnose.cells = 0\n")
+        assert main(["diagnose", str(cfg_path)]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2

@@ -91,7 +91,7 @@ def _hand_batch(x_i, k_i, w_i, d_i, n=1):
     k = np.array([[k_i]], dtype=float).reshape(1, 1, n)
     d = np.array([[d_i]], dtype=float).reshape(1, 1, n)
     log_theta = np.zeros((1, 2))
-    return TrajectoryBatch(x=x, w=w, k_drift=k, d=d, log_theta=log_theta, seed=0)
+    return TrajectoryBatch(x=x, w=w, k_drift=k, d=d, log_theta=log_theta)
 
 
 def _hand_problem(stage_cost):
@@ -137,7 +137,7 @@ class TestEstimateTargets:
         mu = lambda i, x: np.zeros(np.shape(x)[:-1] + (1,))
         batch = _hand_batch(x_i=1.0, k_i=1.0, w_i=0.3, d_i=0.5)
         out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 0)
-        assert out.yhat[0] == pytest.approx(7.45, rel=1e-10)
+        assert out[0] == pytest.approx(7.45, rel=1e-10)
 
     def test_on_policy_noiseless_drops_correction_terms(self):
         model = _square_model()
@@ -146,7 +146,7 @@ class TestEstimateTargets:
         batch = _hand_batch(x_i=1.0, k_i=1.0, w_i=0.3, d_i=0.0)
         out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 0)
         # L + Ybar + tr(Mbar)/2 = 0.2 + 4 + 1
-        assert out.yhat[0] == pytest.approx(5.2, rel=1e-10)
+        assert out[0] == pytest.approx(5.2, rel=1e-10)
 
     def test_reestimate_equals_noiseless_for_quadratic_model(self):
         cp = make_scalar_lqr()
@@ -162,7 +162,7 @@ class TestEstimateTargets:
         i = 3
         noiseless = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, i)
         reest = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
-        np.testing.assert_allclose(reest.yhat, noiseless.yhat, rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(reest, noiseless, rtol=1e-9, atol=1e-11)
 
     def test_noiseless_pointwise_exact_for_quadratic_truth(self, scalar_lqr_setup):
         # with the exact quadratic value model, the noiseless target equals
@@ -174,7 +174,7 @@ class TestEstimateTargets:
         for i in (0, dp.n_steps // 2, dp.n_steps - 1):
             out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, i)
             v_true = truth.value(i, batch.x[:, i])
-            assert np.max(np.abs(out.yhat - v_true)) < 1e-10
+            assert np.max(np.abs(out - v_true)) < 1e-10
 
     def test_em_gradient_evaluated_at_realized_state(self):
         # the Taylor and end-of-interval gradients must differ when the model
@@ -185,7 +185,7 @@ class TestEstimateTargets:
         batch = _hand_batch(x_i=1.0, k_i=1.0, w_i=0.7, d_i=0.0)
         em = estimate_targets(EstimatorKind.EM_NOISY, model, dp, mu, batch, 0)
         # Ztil = 2 * X_{i+1} = 2 * 2.7; target = V(2.7) - Ztil * W
-        assert em.yhat[0] == pytest.approx(2.7**2 - 2 * 2.7 * 0.7, rel=1e-10)
+        assert em[0] == pytest.approx(2.7**2 - 2 * 2.7 * 0.7, rel=1e-10)
 
     def test_kind_validation(self):
         model = _square_model()
@@ -263,7 +263,7 @@ class TestStatisticalProperties:
         model = model_from_truth(truth, 1, dp.n_steps, degree=3)
         batch = pinned_step_batch(dp, mu, 4, np.array([0.8]), np.array([0.1]), 500, seed=3)
         out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 4)
-        assert np.all(out.yhat == out.yhat[0])
+        assert np.all(out == out[0])
 
     def test_cubic_remainder_mean_vanishes(self, scalar_lqr_setup):
         # odd-order expansion terms average to zero over the step noise

@@ -32,7 +32,6 @@ def _batch_with_states(x):
         k_drift=np.zeros((m, steps - 1, n)),
         d=np.zeros((m, steps - 1, n)),
         log_theta=np.zeros((m, steps)),
-        seed=0,
     )
 
 
@@ -250,7 +249,40 @@ class TestBiasBoundCheck:
             )
             assert report.verdict
             assert report.variance >= 0.0
-            assert report.bound_rhs >= 0.0
+            assert all(cell.rhs >= 0.0 for cell in report.cells)
+
+    def test_bias_and_variance_come_from_the_first_cell_batch(
+        self, lqr_setup_with_model, monkeypatch
+    ):
+        import fbsde_lsmc.metrics as metrics_module
+
+        cp, dp, truth, mu, model = lqr_setup_with_model
+        cubic = _cubic_model(truth, dp.n_steps, 0.3)
+        batch = self._drifted_batch(dp, mu, 0.5)
+        kind = EstimatorKind.EM_NOISY
+        expect = estimator_bias_variance(
+            kind, dp, mu, cubic, 4, batch.x[0, 4], batch.k_drift[0, 4], 500, 7, truth=truth
+        )
+        built = []
+        original = metrics_module.pinned_step_batch
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "pinned_step_batch", counting)
+        report = bias_bound_check(
+            dp, mu, cubic, batch, 4, truth, n_cells=3, n_rep=500, seed=7, kind=kind
+        )
+        assert len(built) == 3  # one pinned batch per cell, none rebuilt
+        assert (report.bias, report.variance) == expect
+        assert report.variance > 0.0
+
+    def test_zero_cells_rejected(self, lqr_setup_with_model):
+        cp, dp, truth, mu, model = lqr_setup_with_model
+        batch = self._drifted_batch(dp, mu, 0.5)
+        with pytest.raises(ValueError, match="n_cells"):
+            bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=0, n_rep=50)
 
     def test_csv_serialization(self, lqr_setup_with_model, tmp_path):
         cp, dp, truth, mu, model = lqr_setup_with_model

@@ -20,9 +20,7 @@ from fbsde_lsmc import (
     scaling_from_batch,
     taylor_q,
 )
-from fbsde_lsmc.policy import ImprovedPolicy
 from fbsde_lsmc.problems import ControlStructure
-from fbsde_lsmc.sampling import mean_cost
 
 from conftest import make_scalar_lqr, model_from_truth
 
@@ -38,6 +36,31 @@ def _model_1d(fn, n_steps, degree=2, half=8.0):
     for i in range(n_steps + 1):
         model.set_coeffs(i, fit_function(spec, i, fn))
     return model
+
+
+def _mean_cost(dp, mu, batch):
+    """Mean and standard error of the total cost along the batch under ``mu``."""
+    total = np.zeros(batch.n_samples)
+    for i in range(batch.n_steps):
+        total += dp.L(i, batch.x[:, i], mu(i, batch.x[:, i]))
+    total += dp.g(batch.x[:, batch.n_steps])
+    return total.mean(), total.std(ddof=1) / np.sqrt(batch.n_samples)
+
+
+def _unstructured_problem():
+    """Scalar problem without declared control structure: grid search only."""
+    return ContinuousProblem(
+        dim_x=1,
+        dim_u=1,
+        horizon=1.0,
+        f=lambda t, x, u: -0.2 * x + u,
+        sigma=lambda t, x: 0.6 * np.ones(np.shape(x)[:-1] + (1, 1)),
+        ell=lambda t, x, u: 0.5 * u[..., 0] ** 2,
+        g=lambda x: np.asarray(x, dtype=float)[..., 0] ** 2,
+        control_lower=np.array([-5.0]),
+        control_upper=np.array([5.0]),
+        x0=np.zeros(1),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +108,15 @@ class TestHamiltonianPolicy:
             oracle = us[int(np.argmin(vals)), 0]
             assert abs(closed[0] - oracle) < 1e-3
 
+    def test_grid_fallback_loops_over_leading_axes(self):
+        dp = discretize(_unstructured_problem(), 4)
+        model = _model_1d(lambda pts: 3.0 * pts[..., 0] ** 2 - pts[..., 0], 4)
+        xs = np.linspace(-2.0, 3.0, 6).reshape(2, 3, 1)
+        batched = hamiltonian_policy(model, dp, 2, xs, grid_points=201)
+        single = [hamiltonian_policy(model, dp, 2, x, grid_points=201) for x in xs.reshape(-1, 1)]
+        assert batched.shape == (2, 3, 1)
+        np.testing.assert_array_equal(batched.reshape(-1, 1), np.stack(single))
+
 
 class TestTaylorQ:
     def test_zero_diffusion_is_deterministic_backup(self):
@@ -94,7 +126,7 @@ class TestTaylorQ:
         x, u = np.array([1.0]), np.array([0.5])
         q = taylor_q(model, dp, 0, x, u)
         expect = dp.L(0, x, u) + model.eval(1, x + dp.F(0, x, u))
-        assert q.value == pytest.approx(float(expect), rel=1e-9)
+        assert q == pytest.approx(float(expect), rel=1e-9)
 
     def test_hand_value(self):
         # V(x) = x^2, Sigma = 1, x + F = 2, L = 0.5 -> 0.5 + 4 + 1 = 5.5
@@ -113,7 +145,7 @@ class TestTaylorQ:
         dp = discretize(cp, 1)
         model = _model_1d(lambda pts: pts[..., 0] ** 2, 1)
         q = taylor_q(model, dp, 0, np.array([1.0]), np.array([0.0]))
-        assert q.value == pytest.approx(5.5, rel=1e-10)
+        assert q == pytest.approx(5.5, rel=1e-10)
 
     def test_matches_exact_discrete_q_on_lqr(self, scalar_lqr_setup):
         cp, dp, truth, mu = scalar_lqr_setup
@@ -135,7 +167,7 @@ class TestTaylorQ:
                 + truth.p[i + 1, 0, 0] * sig_d**2
             )
             q = taylor_q(model, dp, i, np.array([x]), np.array([u]))
-            assert q.value == pytest.approx(exact, rel=1e-10, abs=1e-10)
+            assert q == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
 
 class TestImprovePolicy:
@@ -168,6 +200,16 @@ class TestImprovePolicy:
         fine = improve_policy(model, dp, 1, x, grid_points=1001)
         cell = 20.0 / 100
         assert abs(coarse[0] - fine[0]) <= cell + 1e-12
+
+    def test_grid_fallback_loops_over_leading_axes(self):
+        # cubic model forces the grid path
+        dp = discretize(_unstructured_problem(), 4)
+        model = _model_1d(lambda pts: pts[..., 0] ** 3 - 2 * pts[..., 0], 4, degree=3)
+        xs = np.linspace(-1.0, 1.5, 6).reshape(3, 2, 1)
+        batched = improve_policy(model, dp, 1, xs, grid_points=201)
+        single = [improve_policy(model, dp, 1, x, grid_points=201) for x in xs.reshape(-1, 1)]
+        assert batched.shape == (3, 2, 1)
+        np.testing.assert_array_equal(batched.reshape(-1, 1), np.stack(single))
 
     def test_argmin_invariant_to_constant_shift(self, scalar_lqr_setup):
         cp, dp, truth, mu = scalar_lqr_setup
@@ -217,9 +259,7 @@ class TestImprovePolicy:
             x = rng.uniform(-3, 3, size=1)
             closed = improve_policy(model, dp, 1, x)
             us = np.linspace(-5, 5, 200001)[:, None]
-            from fbsde_lsmc.policy import _taylor_q_values
-
-            vals = _taylor_q_values(model, dp, 1, np.broadcast_to(x, (us.shape[0], 1)), us)
+            vals = taylor_q(model, dp, 1, np.broadcast_to(x, (us.shape[0], 1)), us)
             oracle = us[int(np.argmin(vals)), 0]
             assert abs(closed[0] - oracle) < 1e-4
 
@@ -236,10 +276,10 @@ class TestImprovePolicy:
         batch = sample_forward(dp, base, DriftProcess.on_policy(base), 256, seed=3)
         spec = scaling_from_batch(batch, 2)
         model = backward_pass(dp, base, batch, EstimatorKind.TAYLOR_NOISELESS, spec, 1e-10)
-        improved = ImprovedPolicy(model, dp)
+        improved = lambda i, x: improve_policy(model, dp, i, x)
 
         eval_base = sample_forward(dp, base, DriftProcess.on_policy(base), 400, seed=77)
-        cost_base, se_base = mean_cost(dp, base, eval_base)
+        cost_base, se_base = _mean_cost(dp, base, eval_base)
         eval_improved = sample_forward(dp, improved, DriftProcess.on_policy(improved), 400, seed=77)
-        cost_improved, se_improved = mean_cost(dp, improved, eval_improved)
+        cost_improved, se_improved = _mean_cost(dp, improved, eval_improved)
         assert cost_improved <= cost_base + 3 * (se_base + se_improved)

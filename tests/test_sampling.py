@@ -1,7 +1,5 @@
 """Forward sampling, drift corrections, and change-of-measure weights."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from fbsde_lsmc import (
     discretize,
     drift_correction,
     girsanov_weights,
-    reweighted_expectation,
     sample_forward,
 )
 from fbsde_lsmc.errors import (
@@ -20,7 +17,7 @@ from fbsde_lsmc.errors import (
     SingularDiffusionError,
     WeightOverflowError,
 )
-from fbsde_lsmc.sampling import dump_trajectories, pinned_step_batch
+from fbsde_lsmc.sampling import pinned_step_batch
 
 from conftest import make_scalar_lqr
 
@@ -202,47 +199,6 @@ class TestGirsanovWeights:
         assert err.value.step == 3
 
 
-@pytest.fixture(scope="module")
-def drifted_batch():
-    cp, dp, truth, mu = _scalar_setup()
-    drift = DriftProcess.feedback(
-        lambda i, x: dp.F(i, x, mu(i, x)) - 0.7 * np.sqrt(dp.dt) * 0.8
-    )
-    return dp, sample_forward(dp, mu, drift, 4 * 10**4, seed=17)
-
-
-class TestReweightedExpectation:
-
-    def test_constant_function(self, drifted_batch):
-        dp, batch = drifted_batch
-        val = reweighted_expectation(np.ones(batch.n_samples), batch, upto=dp.n_steps)
-        theta = batch.theta[:, dp.n_steps]
-        stderr = theta.std(ddof=1) / np.sqrt(batch.n_samples)
-        assert abs(val - 1.0) < 3 * stderr
-
-    def test_first_and_second_moments(self, drifted_batch):
-        # the corrected noise is standard normal under the reweighted law
-        dp, batch = drifted_batch
-        j = 2
-        wq = batch.w[:, j, 0] - batch.d[:, j, 0]
-        theta = batch.theta[:, j + 1]
-
-        val1 = reweighted_expectation(wq, batch, upto=j + 1)
-        stderr1 = (theta * wq).std(ddof=1) / np.sqrt(batch.n_samples)
-        assert abs(val1) < 3 * stderr1
-
-        val2 = reweighted_expectation(wq**2, batch, upto=j + 1)
-        stderr2 = (theta * wq**2).std(ddof=1) / np.sqrt(batch.n_samples)
-        assert abs(val2 - 1.0) < 3 * stderr2
-
-    def test_upto_out_of_range(self, drifted_batch):
-        # an out-of-range ``upto``, and a values array with the wrong row count
-        dp, batch = drifted_batch
-        for rows, upto in [(batch.n_samples, dp.n_steps + 1), (batch.n_samples - 1, dp.n_steps)]:
-            with pytest.raises(ValueError):
-                reweighted_expectation(np.ones(rows), batch, upto=upto)
-
-
 class TestPinnedBatch:
     def test_recursion_and_weights(self):
         cp, dp, truth, mu = _scalar_setup()
@@ -260,28 +216,3 @@ class TestPinnedBatch:
         np.testing.assert_allclose(batch.d[:, 4], expected_d, rtol=1e-14)
         assert np.all(batch.log_theta[:, :5] == 0.0)
 
-
-class TestTrajectoryDump:
-    def test_round_trip_exact(self, tmp_path):
-        cp, dp, truth, mu = _scalar_setup()
-        batch = sample_forward(
-            dp,
-            mu,
-            DriftProcess.feedback(lambda i, x: -0.1 * x * dp.dt),
-            3,
-            seed=8,
-        )
-        path = tmp_path / "trajs.csv"
-        dump_trajectories(batch, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3 * (dp.n_steps + 1)
-        theta = batch.theta
-        for row in rows:
-            k, i = int(row["traj"]), int(row["step"])
-            assert float(row["x_0"]) == batch.x[k, i, 0]
-            assert float(row["theta"]) == theta[k, i]
-            if i < dp.n_steps:
-                assert float(row["w_0"]) == batch.w[k, i, 0]
-            else:
-                assert row["w_0"] == ""

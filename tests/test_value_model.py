@@ -1,6 +1,5 @@
 """Chebyshev bases, derivative operators, and least-squares fitting."""
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from fbsde_lsmc import (
     scaling_from_batch,
 )
 from fbsde_lsmc.errors import NotFittedError, RankDeficientWarning
-from fbsde_lsmc.value_model import model_to_json
 
 
 class TestBasisEval:
@@ -242,20 +240,3 @@ class TestFitFunction:
             basis_eval(spec, 0, probe) @ coeffs, quad(probe), rtol=1e-11, atol=1e-11
         )
 
-
-class TestJsonDump:
-    def test_schema(self, tmp_path):
-        spec = BasisSpec.with_unit_scaling(1, 2, 1)
-        model = ValueModel.empty(spec, 1)
-        model.set_coeffs(1, np.array([1.0, 2.0, 3.0]))
-        data = model_to_json(model)
-        assert data["basis_size"] == 3
-        assert data["steps"][0]["step"] == 1
-        assert data["steps"][0]["degree"] == 2
-        assert data["steps"][0]["coeffs"] == [1.0, 2.0, 3.0]
-        assert data["steps"][0]["scaling"]["lo"] == [-1.0]
-        path = tmp_path / "model.json"
-        from fbsde_lsmc.value_model import save_model_json
-
-        save_model_json(model, path)
-        assert json.loads(path.read_text())["steps"][0]["coeffs"] == [1.0, 2.0, 3.0]
