@@ -5,14 +5,23 @@ each earlier step builds targets from the freshly fitted next-step model and
 regresses them on the states at that step.  The same batch supplies both the
 regression inputs and the targets (no sample splitting), and the same basis
 and ridge are used at every step including the terminal one.
+
+Estimators fitted on one batch and basis run in lockstep, one sweep from the
+terminal step to 0.  At step i the features Phi_{i+1}(X_i + K_i) and
+Phi_i(X_i) are evaluated once for all of them, and Phi_{i+1}(X_{i+1}) is the
+design matrix of the step-(i+1) fit; each estimator multiplies these by its
+own coefficient blocks.  The products keep the shapes of a one-estimator
+pass, so every estimator's coefficients are bit-identical to fitting it
+alone.  An estimator that hits a numerical failure stops; the others go on.
 """
 
 from __future__ import annotations
 
-from .estimators import EstimatorKind, estimate_targets
+from .errors import _NUMERIC_FAILURES
+from .estimators import EstimatorKind, _Step, estimate_targets
 from .problems import DiscreteProblem
 from .sampling import TrajectoryBatch
-from .value_model import BasisSpec, ValueModel, lsmc_fit
+from .value_model import BasisSpec, ValueModel, basis_eval, lsmc_fit
 
 __all__ = ["backward_pass"]
 
@@ -36,6 +45,22 @@ def backward_pass(
 
     Returns a model with every step in 0..N fitted.  Errors raised while
     fitting or building targets propagate annotated with the failing step.
+    This is the one-estimator case of :func:`backward_sweep`.
+    """
+    result = backward_sweep(dp, mu, batch, [kind], spec, ridge)[kind]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def backward_sweep(
+    dp: DiscreteProblem, mu, batch: TrajectoryBatch, kinds, spec: BasisSpec, ridge: float = 1e-10
+) -> dict:
+    """Fit one value model per estimator kind in a single lockstep sweep.
+
+    Returns ``{kind: model}``.  A kind whose fit raised a numerical failure
+    at step i maps to that exception instead, with ``failing_step = i``;
+    any other error propagates at once, annotated the same way.
     """
     n_steps = dp.n_steps
     if batch.n_steps != n_steps:
@@ -45,17 +70,24 @@ def backward_pass(
     if spec.n_steps_covered < n_steps + 1:
         raise ValueError("basis scaling does not cover every timestep")
 
-    model = ValueModel.empty(spec, n_steps)
-    try:
-        terminal = dp.g(batch.x[:, n_steps])
-        model.set_coeffs(n_steps, lsmc_fit(batch.x[:, n_steps], terminal, spec, n_steps, ridge))
-    except Exception as exc:
-        raise _annotate(exc, n_steps)
-
-    for i in reversed(range(n_steps)):
-        try:
-            targets = estimate_targets(kind, model, dp, mu, batch, i)
-            model.set_coeffs(i, lsmc_fit(batch.x[:, i], targets, spec, i, ridge))
-        except Exception as exc:
-            raise _annotate(exc, i)
-    return model
+    out = {kind: ValueModel.empty(spec, n_steps) for kind in kinds}
+    phi = None  # design matrix of the last fit: Phi_{i+1}(X_{i+1}) at step i
+    for i in reversed(range(n_steps + 1)):
+        step = _Step(spec, dp, mu, batch, i, phi) if i < n_steps else None
+        phi = None
+        for kind, model in out.items():
+            if isinstance(model, Exception):
+                continue
+            try:
+                if step is None:
+                    ys = dp.g(batch.x[:, i])
+                else:
+                    ys = estimate_targets(kind, model, dp, mu, batch, i, step)
+                if phi is None:
+                    phi = basis_eval(spec, i, batch.x[:, i])
+                model.set_coeffs(i, lsmc_fit(batch.x[:, i], ys, spec, i, ridge, phi=phi))
+            except _NUMERIC_FAILURES as exc:
+                out[kind] = _annotate(exc, i)
+            except Exception as exc:
+                raise _annotate(exc, i)
+    return out

@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .backward import backward_pass
+from .backward import backward_sweep
 from .config import load_config
 from .errors import _NUMERIC_FAILURES, ConfigError, SchemaError
 from .estimators import EstimatorKind
@@ -84,10 +84,13 @@ def _cmd_diagnose(args) -> int:
     )
     spec = scaling_from_batch(batch, cfg.degrees[0])
     step = cfg.diagnose_step if cfg.diagnose_step is not None else cfg.n_steps // 2
+    kinds = [EstimatorKind(est) for est in cfg.estimators]
+    fitted = backward_sweep(setup.dp, setup.mu, batch, kinds, spec, cfg.ridge)
     reports = []
-    for est in cfg.estimators:
-        kind = EstimatorKind(est)
-        model = backward_pass(setup.dp, setup.mu, batch, kind, spec, cfg.ridge)
+    for est, kind in zip(cfg.estimators, kinds):
+        model = fitted[kind]
+        if isinstance(model, Exception):
+            raise model
         reports.append(
             bias_bound_check(
                 setup.dp,

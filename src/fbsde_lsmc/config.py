@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("metrics.points_per_axis must be >= 2")
         if self.diagnose_cells < 1:
             raise ConfigError("diagnose.cells must be >= 1")
+        if self.diagnose_reps < 2:
+            raise ConfigError("diagnose.reps must be >= 2")
 
     def resolved(self) -> dict:
         out = {}

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .problems import DiscreteProblem
 from .sampling import TrajectoryBatch
-from .value_model import ValueModel
+from .value_model import BasisSpec, ValueModel, basis_eval
 
 __all__ = [
     "EstimatorKind",
@@ -73,19 +74,22 @@ class TaylorTriple:
     xbar: np.ndarray
 
 
-def taylor_triple(m: ValueModel, i: int, x_i, k_i, sigma_i) -> TaylorTriple:
+def taylor_triple(m: ValueModel, i: int, x_i, k_i, sigma_i, phi=None) -> TaylorTriple:
     """Expansion of the step-(i+1) model at the pre-noise mean ``x_i + k_i``.
 
     ``sigma_i`` is the diffusion matrix evaluated at ``x_i``; arguments may
-    carry leading batch axes.
+    carry leading batch axes.  ``phi``, when given, is the step-(i+1) feature
+    matrix at ``x_i + k_i`` computed by the caller.
     """
     x_i = np.asarray(x_i, dtype=float)
     k_i = np.asarray(k_i, dtype=float)
     sigma_i = np.asarray(sigma_i, dtype=float)
     xbar = x_i + k_i
-    ybar = m.eval(i + 1, xbar)
-    grad = m.grad(i + 1, xbar)
-    hess = m.hessian(i + 1, xbar)
+    if phi is None:
+        phi = m.features(i + 1, xbar)
+    ybar = m.from_features(i + 1, phi)
+    grad = m.from_features(i + 1, phi, 1)
+    hess = m.from_features(i + 1, phi, 2)
     zbar = np.einsum("...ji,...j->...i", sigma_i, grad)
     mbar = np.einsum("...ki,...kl,...lj->...ij", sigma_i, hess, sigma_i)
     mbar = 0.5 * (mbar + np.swapaxes(mbar, -1, -2))
@@ -100,24 +104,48 @@ def _quad(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...ij,...j->...", v, mat, v)
 
 
-def _check_step(batch: TrajectoryBatch, i: int) -> None:
-    if not 0 <= i < batch.n_steps:
-        raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
+class _Step:
+    """Batch columns of step ``i`` and the pieces its estimators share.
+
+    The stage cost, the diffusion and the step-(i+1) features at X_i + K_i
+    and at X_{i+1} are computed on first use; one that raised is retried.
+    """
+
+    def __init__(self, spec: BasisSpec, dp, mu, batch: TrajectoryBatch, i: int, phi_next=None):
+        if not 0 <= i < batch.n_steps:
+            raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
+        self.spec, self.dp, self.mu, self.i = spec, dp, mu, i
+        self.x_i, self.x_next = batch.x[:, i], batch.x[:, i + 1]
+        self.k, self.w, self.d = batch.k_drift[:, i], batch.w[:, i], batch.d[:, i]
+        if phi_next is not None:
+            self.phi_next = phi_next
+
+    @cached_property
+    def stage(self) -> np.ndarray:
+        return self.dp.L(self.i, self.x_i, self.mu(self.i, self.x_i))
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return self.dp.Sigma(self.i, self.x_i)
+
+    @cached_property
+    def phi_bar(self) -> np.ndarray:
+        return basis_eval(self.spec, self.i + 1, self.x_i + self.k)
+
+    @cached_property
+    def phi_next(self) -> np.ndarray:
+        return basis_eval(self.spec, self.i + 1, self.x_next)
 
 
-def _taylor_pieces(m, dp, mu, batch, i):
+def _taylor_pieces(m: ValueModel, step: _Step):
     """Shared subterms of the Taylor-form targets, vectorized over the batch."""
-    x_i = batch.x[:, i]
-    tri = taylor_triple(m, i, x_i, batch.k_drift[:, i], dp.Sigma(i, x_i))
-    w = batch.w[:, i]
-    d = batch.d[:, i]
-    stage = dp.L(i, x_i, mu(i, x_i))
-    zw = _dot(tri.zbar, w)
-    zd = _dot(tri.zbar, d)
+    tri = taylor_triple(m, step.i, step.x_i, step.k, step.sigma, step.phi_bar)
+    zw = _dot(tri.zbar, step.w)
+    zd = _dot(tri.zbar, step.d)
     tr_m = np.trace(tri.mbar, axis1=-2, axis2=-1)
-    dmd = _quad(tri.mbar, d)
-    wmw = _quad(tri.mbar, w)
-    return tri, stage, zw, zd, tr_m, dmd, wmw
+    dmd = _quad(tri.mbar, step.d)
+    wmw = _quad(tri.mbar, step.w)
+    return tri, step.stage, zw, zd, tr_m, dmd, wmw
 
 
 def estimate_targets(
@@ -127,36 +155,35 @@ def estimate_targets(
     mu,
     batch: TrajectoryBatch,
     i: int,
+    step: Optional[_Step] = None,
 ) -> np.ndarray:
     """Targets Yhat_i for every trajectory of the batch at step ``i``, shape (M,).
 
     Requires the model fitted at step ``i + 1`` and the batch populated
     through step ``i + 1``.  ``mu`` must be the batch's reference policy,
-    since the stored corrections D were computed against it.
+    since the stored corrections D were computed against it.  ``step``
+    shares the model-independent pieces of step ``i`` between estimators
+    fitted on the same batch and basis.
     """
     if not isinstance(kind, EstimatorKind):
         raise ValueError(f"kind must be an EstimatorKind, got {kind!r}")
-    _check_step(batch, i)
+    if step is None:
+        step = _Step(m.basis, dp, mu, batch, i)
 
     if kind.is_taylor:
-        tri, stage, zw, zd, tr_m, dmd, wmw = _taylor_pieces(m, dp, mu, batch, i)
+        tri, stage, zw, zd, tr_m, dmd, wmw = _taylor_pieces(m, step)
         if kind is EstimatorKind.TAYLOR_NOISELESS:
             yhat = stage + tri.ybar + zd + 0.5 * (tr_m + dmd)
         else:
-            v_next = m.eval(i + 1, batch.x[:, i + 1])
+            v_next = m.from_features(i + 1, step.phi_next)
             yhat = v_next + stage - zw + zd + 0.5 * (tr_m + dmd - wmw)
     else:
-        x_i = batch.x[:, i]
-        x_next = batch.x[:, i + 1]
-        w = batch.w[:, i]
-        d = batch.d[:, i]
-        stage = dp.L(i, x_i, mu(i, x_i))
-        v_next = m.eval(i + 1, x_next)
-        z_til = np.einsum("...ji,...j->...i", dp.Sigma(i, x_i), m.grad(i + 1, x_next))
+        v_next = m.from_features(i + 1, step.phi_next)
+        z_til = np.einsum("...ji,...j->...i", step.sigma, m.from_features(i + 1, step.phi_next, 1))
         if kind is EstimatorKind.EM_NOISELESS:
-            yhat = v_next + stage + _dot(z_til, d)
+            yhat = v_next + step.stage + _dot(z_til, step.d)
         else:
-            yhat = v_next + stage - _dot(z_til, w) + _dot(z_til, d)
+            yhat = v_next + step.stage - _dot(z_til, step.w) + _dot(z_til, step.d)
 
     if not np.all(np.isfinite(yhat)):
         bad = int(np.argmax(~np.isfinite(yhat)))
@@ -182,8 +209,7 @@ def delta_y_taylor(
     expression reduces bit-for-bit to its undrifted form.  Returns the full
     per-trajectory array, or a scalar when ``k`` selects one trajectory.
     """
-    _check_step(batch, i)
-    _, stage, zw, zd, tr_m, dmd, wmw = _taylor_pieces(m, dp, mu, batch, i)
+    _, stage, zw, zd, tr_m, dmd, wmw = _taylor_pieces(m, _Step(m.basis, dp, mu, batch, i))
     delta = -stage + zw - zd + 0.5 * (wmw - tr_m - dmd)
     if k is None:
         return delta

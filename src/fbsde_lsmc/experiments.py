@@ -1,9 +1,11 @@
 """Experiment orchestration: sweeps, result emission, heatmap reduction.
 
 One experiment cell is a tuple (estimator, degree, samples, trial).  Cells
-sharing (samples, trial) reuse a single forward pass; each then runs one
-backward pass and scores the fitted model by its relative absolute error
-against the configured ground truth, averaged over timesteps 1..N.  Step 0
+sharing (samples, trial) reuse a single forward pass.  For each degree, the
+estimators are fitted together in one lockstep backward sweep, and each
+fitted model is scored by its relative absolute error against the
+configured ground truth, averaged over timesteps 1..N; the grid features
+and truth values of a step are computed once for all of them.  Step 0
 is excluded from the average: the initial state is deterministic, so its
 regression sees a single repeated state and cannot identify the value away
 from it.
@@ -29,11 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backward import backward_pass
+from .backward import backward_sweep
 from .config import ExperimentConfig
 from .errors import _NUMERIC_FAILURES, SchemaError
 from .estimators import EstimatorKind
-from .metrics import confidence_region, rae
+from .metrics import confidence_region, shared_rae
 from .oracles import (
     GridPolicy,
     GridSpec,
@@ -48,6 +50,7 @@ from .problems import (
     discretize,
 )
 from .sampling import DriftProcess, sample_forward
+from .value_model import scaling_from_batch
 
 __all__ = ["ExperimentSetup", "build_setup", "run_experiment", "emit_heatmap"]
 
@@ -177,43 +180,50 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
     return ExperimentSetup(cfg=cfg, dp=dp, truth=truth, mu=mu, region=region, drift=drift)
 
 
-def _mean_rae(model, truth, region, n_steps) -> float:
-    vals = [rae(model, truth, region, i) for i in range(1, n_steps + 1)]
-    out = float(np.mean(vals))
-    return out if math.isfinite(out) else float("inf")
+def _mean_raes(fitted: dict, truth, region, n_steps) -> dict:
+    """Mean RAE over steps 1..N per kind; +inf where the fit or the scoring failed."""
+    models = {kind: m for kind, m in fitted.items() if not isinstance(m, Exception)}
+    out = dict.fromkeys(fitted, float("inf"))
+    if not models:
+        return out
+    scored = list(models.values())
+    try:
+        per_step = [shared_rae(scored, truth, region, i) for i in range(1, n_steps + 1)]
+    except _NUMERIC_FAILURES:
+        return out
+    for kind, vals in zip(models, zip(*per_step)):
+        mean = float(np.mean(vals))
+        out[kind] = mean if math.isfinite(mean) else float("inf")
+    return out
 
 
 def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
-    """All cells sharing one forward pass; returns {(estimator, degree): row}."""
-    from .value_model import scaling_from_batch
+    """All cells sharing one forward pass; returns {(estimator, degree): row}.
 
+    The estimators of each degree are fitted in one lockstep sweep and scored
+    together; each of their cells gets an equal share of that wall time.
+    """
     cfg = setup.cfg
     trial_seed = subseed(cfg.seed, f"trial-{trial}")
-    rows = {}
+    kinds = [EstimatorKind(est) for est in cfg.estimators]
     try:
         batch = sample_forward(
             setup.dp, setup.mu, setup.drift, samples, trial_seed, cfg.d_cap
         )
     except _NUMERIC_FAILURES:
-        for est in cfg.estimators:
-            for deg in cfg.degrees:
-                rows[(est, deg)] = _row(setup, est, deg, samples, trial, float("inf"), 0.0, trial_seed)
-        return rows
-
+        batch = None
+    rows = {}
     for deg in cfg.degrees:
-        spec = scaling_from_batch(batch, deg)
-        for est in cfg.estimators:
-            start = time.perf_counter()
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    model = backward_pass(
-                        setup.dp, setup.mu, batch, EstimatorKind(est), spec, cfg.ridge
-                    )
-                    mean_rae = _mean_rae(model, setup.truth, setup.region, cfg.n_steps)
-            except _NUMERIC_FAILURES:
-                mean_rae = float("inf")
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            rows[(est, deg)] = _row(setup, est, deg, samples, trial, mean_rae, elapsed_ms, trial_seed)
+        start = time.perf_counter()
+        scores = dict.fromkeys(kinds, float("inf"))
+        if batch is not None:
+            spec = scaling_from_batch(batch, deg)
+            with np.errstate(over="ignore", invalid="ignore"):
+                fitted = backward_sweep(setup.dp, setup.mu, batch, kinds, spec, cfg.ridge)
+                scores = _mean_raes(fitted, setup.truth, setup.region, cfg.n_steps)
+        elapsed_ms = (time.perf_counter() - start) * 1e3 / len(kinds)
+        for est, kind in zip(cfg.estimators, kinds):
+            rows[(est, deg)] = _row(setup, est, deg, samples, trial, scores[kind], elapsed_ms, trial_seed)
     return rows
 
 

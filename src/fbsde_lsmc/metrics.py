@@ -112,22 +112,34 @@ def confidence_region(
 def rae(m: ValueModel, gt: GroundTruth, region: ConfidenceRegion, i: int) -> float:
     """Relative absolute error of the model at step ``i`` over the region.
 
+    The one-model case of :func:`shared_rae`.
+
     Raises
     ------
     DegenerateDenominatorError
         If the truth is (numerically) constant on the region.
     """
+    return shared_rae([m], gt, region, i)[0]
+
+
+def shared_rae(models, gt: GroundTruth, region: ConfidenceRegion, i: int) -> list:
+    """:func:`rae` of each model at step ``i``, for models sharing one basis.
+
+    The grid points, their features and the truth values are computed once
+    and every model is scored against them.
+    """
+    if any(m.basis is not models[0].basis for m in models):
+        raise ValueError("scored models must share one basis")
     pts = region.grid_points(i)
-    v_model = np.asarray(m.eval(i, pts), dtype=float)
+    phi = models[0].features(i, pts)
     v_true = np.asarray(gt.value(i, pts), dtype=float)
-    numerator = float(np.sum(np.abs(v_model - v_true)))
     denominator = float(np.sum(np.abs(v_true.mean() - v_true)))
     scale = max(1.0, float(np.sum(np.abs(v_true))))
     if denominator <= 1e-15 * scale:
         raise DegenerateDenominatorError(
             f"ground truth is constant on the region at step {i}"
         )
-    return numerator / denominator
+    return [float(np.sum(np.abs(m.from_features(i, phi) - v_true))) / denominator for m in models]
 
 
 def _centered_variance(values: np.ndarray) -> float:
@@ -154,6 +166,8 @@ def estimator_bias_variance(
     ``bias`` is ``mean(Yhat) - V_i(x_pin)`` against the supplied truth, or
     ``None`` when no truth is available; the variance is returned either way.
     """
+    if n_rep < 2:
+        raise ValueError(f"n_rep must be >= 2, got {n_rep}")
     batch = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed)
     return _pinned_bias_variance(kind, dp, mu, m, batch, i, truth)
 
@@ -230,6 +244,8 @@ def bias_bound_check(
         raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    if n_rep < 2:
+        raise ValueError(f"n_rep must be >= 2, got {n_rep}")
     n_cells = min(n_cells, batch.n_samples)
     cells = []
     for cell_idx in range(n_cells):

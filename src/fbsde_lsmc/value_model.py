@@ -160,7 +160,8 @@ class ValueModel:
     Coefficients are NaN until a step is fitted; querying an unfitted step
     raises :class:`NotFittedError`.  Evaluation broadcasts over leading axes
     of the state argument.  Value, gradient and Hessian are each one feature
-    evaluation times a coefficient block built from ``coeffs[i]`` on the call.
+    evaluation times a coefficient block built from ``coeffs[i]`` on the call;
+    :meth:`from_features` takes the features precomputed, to share them.
     """
 
     basis: BasisSpec
@@ -194,26 +195,40 @@ class ValueModel:
         slope = 2.0 / (self.basis.scale_hi[i] - self.basis.scale_lo[i])
         return slope.reshape((-1,) + (1,) * a.ndim) * (self.basis.derivative_operators @ a)
 
-    def eval(self, i: int, x) -> np.ndarray:
+    def features(self, i: int, x) -> np.ndarray:
+        """Feature matrix Phi(x) of step ``i``, the input of :meth:`from_features`."""
         self._require(i)
-        return basis_eval(self.basis, i, x) @ self.coeffs[i]
+        return basis_eval(self.basis, i, x)
 
-    def grad(self, i: int, x) -> np.ndarray:
+    def from_features(self, i: int, phi: np.ndarray, order: int = 0) -> np.ndarray:
+        """Value (order 0), gradient (1) or Hessian (2) at step ``i``: one product
+        of the step's features ``phi`` with the step's coefficient block."""
         self._require(i)
-        return basis_eval(self.basis, i, x) @ self._differentiate(i, self.coeffs[i]).T
-
-    def hessian(self, i: int, x) -> np.ndarray:
-        self._require(i)
+        block = self.coeffs[i]
+        if order == 0:
+            return phi @ block
+        block = self._differentiate(i, block).T
+        if order == 1:
+            return phi @ block
         n = self.basis.dim
-        grad_block = self._differentiate(i, self.coeffs[i]).T
         # (e, b, c) -> (b, c, e): column c * n + e holds d2/dx_c dx_e
-        block = self._differentiate(i, grad_block).transpose(1, 2, 0).reshape(-1, n * n)
-        phi = basis_eval(self.basis, i, x)
+        block = self._differentiate(i, block).transpose(1, 2, 0).reshape(-1, n * n)
         return (phi @ block).reshape(phi.shape[:-1] + (n, n))
 
+    def eval(self, i: int, x) -> np.ndarray:
+        return self.from_features(i, self.features(i, x))
 
-def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10) -> np.ndarray:
+    def grad(self, i: int, x) -> np.ndarray:
+        return self.from_features(i, self.features(i, x), 1)
+
+    def hessian(self, i: int, x) -> np.ndarray:
+        return self.from_features(i, self.features(i, x), 2)
+
+
+def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10, phi=None) -> np.ndarray:
     """Least-squares coefficients for targets ``ys`` observed at states ``xs``.
+
+    ``phi``, when given, is ``basis_eval(spec, i, xs)`` computed by the caller.
 
     Minimizes ``sum_k (y_k - Phi(x_k)^T a)^2 + ridge * ||a||^2`` through an
     orthogonal factorization (deterministic for fixed inputs).  With
@@ -226,7 +241,8 @@ def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10) -> np.ndarra
         raise ValueError("xs and ys must have the same number of rows")
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    phi = basis_eval(spec, i, xs)
+    if phi is None:
+        phi = basis_eval(spec, i, xs)
     if ridge > 0:
         a = np.vstack([phi, math.sqrt(ridge) * np.eye(spec.size)])
         b = np.concatenate([ys, np.zeros(spec.size)])

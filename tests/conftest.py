@@ -71,6 +71,41 @@ def make_scalar_lqr(
     )
 
 
+def make_linear_problem(dim, seed, state_sigma=False, horizon=1.0) -> ContinuousProblem:
+    """Random ``dim``-D linear problem with one control and quadratic costs.
+
+    The diffusion is a fixed well-conditioned matrix; with ``state_sigma`` it
+    is scaled by the smooth positive factor 1 + tanh(x_0)^2 / 2, so it stays
+    invertible everywhere.
+    """
+    rng = np.random.default_rng(seed)
+    a = 0.3 * rng.normal(size=(dim, dim))
+    b = rng.normal(size=(dim, 1))
+    s = 0.6 * np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
+    q = np.diag(rng.uniform(0.5, 1.5, dim))
+    g_mat = np.diag(rng.uniform(0.5, 1.5, dim))
+
+    def sig(t, x):
+        x = np.asarray(x, dtype=float)
+        base = np.broadcast_to(s, x.shape[:-1] + (dim, dim))
+        if not state_sigma:
+            return base.copy()
+        return base * (1.0 + 0.5 * np.tanh(x[..., :1, None]) ** 2)
+
+    return ContinuousProblem(
+        dim_x=dim,
+        dim_u=1,
+        horizon=horizon,
+        f=lambda t, x, u: np.asarray(x, dtype=float) @ a.T + np.asarray(u, dtype=float) @ b.T,
+        sigma=sig,
+        ell=lambda t, x, u: np.einsum("...i,ij,...j->...", x, q, x) + np.sum(u**2, axis=-1),
+        g=lambda x: np.einsum("...i,ij,...j->...", x, g_mat, x),
+        control_lower=np.array([-5.0]),
+        control_upper=np.array([5.0]),
+        x0=0.5 * rng.normal(size=dim),
+    )
+
+
 def model_from_truth(truth, dim, n_steps, degree=2, half_width=4.0, center=None):
     """Exact-in-span model reproducing a ground truth on every step.
 

@@ -1,15 +1,19 @@
 """Backward pass: terminal fit, per-step regression, end-to-end accuracy."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_lsmc import (
     ConstantPolicy,
     ContinuousProblem,
     DriftProcess,
     EstimatorKind,
+    FeedbackPolicy,
     backward_pass,
     confidence_region,
     discretize,
@@ -17,9 +21,11 @@ from fbsde_lsmc import (
     sample_forward,
     scaling_from_batch,
 )
+from fbsde_lsmc.backward import backward_sweep
 from fbsde_lsmc.errors import RankDeficientWarning
+from fbsde_lsmc.metrics import shared_rae
 
-from conftest import make_scalar_lqr
+from conftest import make_linear_problem, make_scalar_lqr
 
 
 def _constant_cost_problem(c=3.5):
@@ -141,3 +147,68 @@ class TestBackwardPass:
         with pytest.raises(FloatingPointError) as err:
             backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_REESTIMATE, spec)
         assert err.value.failing_step == 7
+
+
+class _BowlTruth:
+    """Ground truth |x|^2 + i, enough to score models against."""
+
+    def value(self, i, x):
+        return np.sum(np.asarray(x, dtype=float) ** 2, axis=-1) + i
+
+
+class TestBackwardSweep:
+    @given(
+        dim=st.integers(1, 4),
+        degree=st.integers(1, 4),
+        state_sigma=st.booleans(),
+        on_policy=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_lockstep_matches_one_estimator_passes_bit_for_bit(
+        self, dim, degree, state_sigma, on_policy, seed
+    ):
+        dp = discretize(make_linear_problem(dim, seed, state_sigma), 3)
+        mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
+        if on_policy:
+            drift = DriftProcess.on_policy(mu)
+        else:
+            drift = DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt)
+        batch = sample_forward(dp, mu, drift, 48, seed=seed, d_cap=np.inf)
+        spec = scaling_from_batch(batch, degree)
+        kinds = list(EstimatorKind)
+        fitted = backward_sweep(dp, mu, batch, kinds, spec, ridge=1e-8)
+        for kind in kinds:
+            alone = backward_pass(dp, mu, batch, kind, spec, ridge=1e-8)
+            assert np.array_equal(fitted[kind].coeffs, alone.coeffs), kind
+
+        models = [fitted[kind] for kind in kinds]
+        region = confidence_region(batch, points_per_axis=3)
+        for i in range(1, dp.n_steps + 1):
+            scores = shared_rae(models, _BowlTruth(), region, i)
+            assert scores == [rae(m, _BowlTruth(), region, i) for m in models]
+
+    def test_failure_is_isolated_to_the_failing_estimators(self):
+        dp, truth, mu, batch = _lqr_pieces()
+        # only the targets that read the noise W see the NaN
+        w = batch.w.copy()
+        w[3, 5] = np.nan
+        batch = dataclasses.replace(batch, w=w)
+        spec = scaling_from_batch(batch, 2)
+        fitted = backward_sweep(dp, mu, batch, list(EstimatorKind), spec)
+        for kind in (EstimatorKind.TAYLOR_REESTIMATE, EstimatorKind.EM_NOISY):
+            assert isinstance(fitted[kind], FloatingPointError)
+            assert fitted[kind].failing_step == 5
+        for kind in (EstimatorKind.TAYLOR_NOISELESS, EstimatorKind.EM_NOISELESS):
+            assert fitted[kind].fitted.all()
+            alone = backward_pass(dp, mu, batch, kind, spec)
+            np.testing.assert_array_equal(fitted[kind].coeffs, alone.coeffs)
+
+    def test_models_of_different_bases_are_not_scored_together(self):
+        dp, truth, mu, batch = _lqr_pieces(n_steps=4)
+        models = [
+            backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, scaling_from_batch(batch, d))
+            for d in (1, 2)
+        ]
+        with pytest.raises(ValueError, match="basis"):
+            shared_rae(models, truth, confidence_region(batch), 1)

@@ -99,8 +99,9 @@ class TestConfigParsing:
             "metrics.dx = 0",
             "metrics.points_per_axis = 1",
             "diagnose.cells = 0",
+            "diagnose.reps = 1",
         ],
-        ids=["both_metric_keys", "zero_dx", "one_point_per_axis", "zero_cells"],
+        ids=["both_metric_keys", "zero_dx", "one_point_per_axis", "zero_cells", "one_rep"],
     )
     def test_metric_and_diagnose_keys_validated(self, extra):
         with pytest.raises(ConfigError):
@@ -165,6 +166,25 @@ class TestRunExperiment:
         finished = [float(r["mean_rae"]) for r in rows if r["samples"] == "2"]
         assert escaped == ["inf"] * len(escaped)
         assert len(finished) == 8 and all(math.isfinite(v) for v in finished)
+
+    def test_failing_estimator_gets_its_own_inf_cell(self, tmp_path, monkeypatch):
+        from fbsde_lsmc import experiments
+
+        def poisoned(*args, **kwargs):
+            batch = sample_forward(*args, **kwargs)
+            batch.w[0, 3] = np.nan  # only the targets that read W see it
+            return batch
+
+        monkeypatch.setattr(experiments, "sample_forward", poisoned)
+        text = TINY_LQR.format(out=tmp_path).replace(
+            "taylor_noiseless,em_noisy",
+            "taylor_noiseless,taylor_reestimate,em_noiseless,em_noisy",
+        )
+        cfg = dataclasses.replace(parse_config_text(text), trials=1, degrees=[2], samples=[32])
+        results, _ = run_experiment(cfg)
+        got = {r["estimator"]: float(r["mean_rae"]) for r in _read_rows(results)}
+        assert got["taylor_reestimate"] == got["em_noisy"] == math.inf
+        assert math.isfinite(got["taylor_noiseless"]) and math.isfinite(got["em_noiseless"])
 
     def test_metric_grid_keys_reach_the_region(self, tmp_path):
         # either key applies to either problem; unset, the region's defaults hold

@@ -2,23 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_lsmc import (
     BasisSpec,
     DriftProcess,
     EstimatorKind,
+    FeedbackPolicy,
     ValueModel,
     delta_y_taylor,
     discretize,
     estimate_targets,
+    estimator_bias_variance,
     fit_function,
     sample_forward,
+    scaling_from_batch,
     taylor_triple,
 )
 from fbsde_lsmc.errors import NotFittedError
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import make_scalar_lqr, model_from_truth
+from conftest import make_linear_problem, make_scalar_lqr, model_from_truth
 
 
 def _square_model(n_steps=1, half=6.0):
@@ -304,3 +309,87 @@ class TestStatisticalProperties:
         )
         stderr = term.std(ddof=1) / np.sqrt(batch.n_samples)
         assert abs(term.mean()) < 3 * stderr
+
+
+def _random_setup(dim, seed, state_sigma, drift="feedback", n_samples=16):
+    """Two-step random linear problem, its policy and a batch under ``drift``."""
+    dp = discretize(make_linear_problem(dim, seed, state_sigma), 2)
+    mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
+    sqrt_dt = np.sqrt(dp.dt)
+    drifts = {
+        "on_policy": DriftProcess.on_policy(mu),
+        "feedback": DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt),
+        "randomized": DriftProcess.randomized(lambda i, x, xi: -0.2 * x * dp.dt + 0.3 * xi * sqrt_dt),
+    }
+    # no cap: large corrections are legitimate here and the claims still hold
+    return dp, mu, sample_forward(dp, mu, drifts[drift], n_samples, seed=seed, d_cap=np.inf)
+
+
+def _random_quadratic(dim, seed):
+    """(V, P) for a random quadratic V(x) = x^T P x + b.x + c with symmetric P."""
+    rng = np.random.default_rng(seed + 1)
+    p = rng.normal(size=(dim, dim))
+    p = 0.5 * (p + p.T)
+    b = rng.normal(size=dim)
+    c = rng.normal()
+    return (lambda x: np.einsum("...i,ij,...j->...", x, p, x) + x @ b + c), p
+
+
+_DIMS = st.integers(1, 4)
+_SEEDS = st.integers(0, 2**16)
+
+
+class TestExactnessProperties:
+    """The paper's exact claims over random dimensions, diffusions and drifts."""
+
+    @given(
+        dim=_DIMS,
+        state_sigma=st.booleans(),
+        drift=st.sampled_from(["on_policy", "feedback", "randomized"]),
+        seed=_SEEDS,
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_taylor_targets_are_the_reference_expectation_for_quadratics(
+        self, dim, state_sigma, drift, seed
+    ):
+        # E_ref[V(X_1) | X_0, K_0] for quadratic V: V(mean) + tr(Sigma^T P Sigma)
+        # with the reference mean X_0 + F_0(X_0, mu(X_0)), whatever drift sampled K_0
+        dp, mu, batch = _random_setup(dim, seed, state_sigma, drift)
+        value, p = _random_quadratic(dim, seed)
+        i = 1
+        spec = scaling_from_batch(batch, 2)
+        model = ValueModel.empty(spec, dp.n_steps)
+        model.set_coeffs(i + 1, fit_function(spec, i + 1, value))
+        x_i = batch.x[:, i]
+        sig = dp.Sigma(i, x_i)
+        u = mu(i, x_i)
+        expected = (
+            dp.L(i, x_i, u)
+            + value(x_i + dp.F(i, x_i, u))
+            + np.einsum("...ki,kl,...li->...", sig, p, sig)
+        )
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        for kind in (EstimatorKind.TAYLOR_NOISELESS, EstimatorKind.TAYLOR_REESTIMATE):
+            got = estimate_targets(kind, model, dp, mu, batch, i)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * scale)
+
+    @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
+    @settings(max_examples=15, deadline=None)
+    def test_noiseless_variance_at_a_pinned_pair_is_exactly_zero(self, dim, state_sigma, seed):
+        dp, mu, batch = _random_setup(dim, seed, state_sigma)
+        rng = np.random.default_rng(seed)
+        spec = scaling_from_batch(batch, 2)
+        model = ValueModel.empty(spec, dp.n_steps)
+        model.set_coeffs(1, rng.normal(size=spec.size))
+        x_pin, k_pin = rng.normal(size=dim), 0.1 * rng.normal(size=dim)
+        _, variance = estimator_bias_variance(
+            EstimatorKind.TAYLOR_NOISELESS, dp, mu, model, 0, x_pin, k_pin, n_rep=64, seed=seed
+        )
+        assert variance == 0.0
+
+    @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
+    @settings(max_examples=15, deadline=None)
+    def test_on_policy_sampling_has_exactly_zero_corrections(self, dim, state_sigma, seed):
+        _, _, batch = _random_setup(dim, seed, state_sigma, "on_policy")
+        assert np.all(batch.d == 0.0)
+        assert np.all(batch.log_theta == 0.0)

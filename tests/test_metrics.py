@@ -284,6 +284,17 @@ class TestBiasBoundCheck:
         with pytest.raises(ValueError, match="n_cells"):
             bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=0, n_rep=50)
 
+    def test_single_rep_rejected(self, lqr_setup_with_model):
+        # one rep leaves the standard error undefined (nan), so no cell holds
+        cp, dp, truth, mu, model = lqr_setup_with_model
+        batch = self._drifted_batch(dp, mu, 0.5)
+        with pytest.raises(ValueError, match="n_rep"):
+            bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=2, n_rep=1)
+        with pytest.raises(ValueError, match="n_rep"):
+            estimator_bias_variance(
+                EstimatorKind.EM_NOISY, dp, mu, model, 4, batch.x[0, 4], batch.k_drift[0, 4], 1, 0
+            )
+
     def test_csv_serialization(self, lqr_setup_with_model, tmp_path):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
