@@ -47,13 +47,7 @@ from .problems import (
     build_nonlinear_1d,
     discretize,
 )
-from .sampling import (
-    DriftProcess,
-    TrajectoryBatch,
-    drift_correction,
-    girsanov_weights,
-    sample_forward,
-)
+from .sampling import DriftProcess, TrajectoryBatch, sample_forward
 from .value_model import (
     BasisSpec,
     ValueModel,
@@ -100,8 +94,6 @@ __all__ = [
     "discretize",
     "DriftProcess",
     "TrajectoryBatch",
-    "drift_correction",
-    "girsanov_weights",
     "sample_forward",
     "BasisSpec",
     "ValueModel",

@@ -31,10 +31,18 @@ from .value_model import scaling_from_batch
 _INVALID_INPUT = (ConfigError, SchemaError, ValueError)
 
 
-def _cmd_run(args) -> int:
+def _load(args):
+    """Load the command's config, apply ``--output`` and create that directory."""
     cfg = load_config(args.config)
     if args.output is not None:
         cfg.output_dir = args.output
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, out_dir
+
+
+def _cmd_run(args) -> int:
+    cfg, _ = _load(args)
     results, manifest = run_experiment(cfg, jobs=args.jobs)
     print(f"wrote {results}")
     print(f"wrote {manifest}")
@@ -49,11 +57,7 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
-    if args.output is not None:
-        cfg.output_dir = args.output
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _load(args)
     setup = build_setup(cfg)
     if isinstance(setup.truth, GridTruth):
         path = out_dir / "grid_truth.csv"
@@ -66,11 +70,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg = load_config(args.config)
-    if args.output is not None:
-        cfg.output_dir = args.output
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _load(args)
     setup = build_setup(cfg)
 
     samples = max(cfg.samples)

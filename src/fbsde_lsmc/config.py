@@ -83,8 +83,6 @@ class ExperimentConfig:
         for name in ("estimators", "degrees", "samples"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep.{name} must be nonempty")
-        if self.trials < 1:
-            raise ConfigError("run.trials must be >= 1")
         if self.n_steps is None:
             self.n_steps = 200 if self.problem == "nonlinear1d" else 100
         if self.horizon is None:
@@ -93,18 +91,26 @@ class ExperimentConfig:
             # corrections on the linear benchmark's ill-conditioned diffusion
             # are legitimately large; the scalar benchmark keeps the tight cap
             self.d_cap = 10.0 if self.problem == "nonlinear1d" else 1e9
-        if self.n_steps < 1:
-            raise ConfigError("run.n_steps must be >= 1")
+        for key, value, low in (
+            ("run.trials", self.trials, 1),
+            ("run.n_steps", self.n_steps, 1),
+            ("sweep.degrees", min(self.degrees), 0),
+            ("sweep.samples", min(self.samples), 1),
+            ("sampling.reference_samples", self.reference_samples, 1),
+            ("oracle.state_nodes", self.oracle_state_nodes, 2),
+            ("oracle.control_nodes", self.oracle_control_nodes, 1),
+            ("oracle.quad_nodes", self.oracle_quad_nodes, 1),
+            ("diagnose.cells", self.diagnose_cells, 1),
+            ("diagnose.reps", self.diagnose_reps, 2),
+        ):
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
         if self.metrics_dx is not None and self.metrics_points_per_axis is not None:
             raise ConfigError("set at most one of metrics.dx and metrics.points_per_axis")
         if self.metrics_dx is not None and not self.metrics_dx > 0:
             raise ConfigError("metrics.dx must be > 0")
         if self.metrics_points_per_axis is not None and self.metrics_points_per_axis < 2:
             raise ConfigError("metrics.points_per_axis must be >= 2")
-        if self.diagnose_cells < 1:
-            raise ConfigError("diagnose.cells must be >= 1")
-        if self.diagnose_reps < 2:
-            raise ConfigError("diagnose.reps must be >= 2")
 
     def resolved(self) -> dict:
         out = {}
@@ -114,7 +120,6 @@ class ExperimentConfig:
         return out
 
 
-# key -> (attribute, parser)
 def _parse_bool(s: str) -> bool:
     s = s.strip().lower()
     if s in ("true", "1", "yes", "on"):
@@ -136,6 +141,7 @@ def _parse_str_list(s: str) -> list:
     return [v.strip() for v in s.split(",") if v.strip()]
 
 
+# key -> (attribute, parser)
 _KEYS = {
     "problem.name": ("problem", str),
     "problem.u_max": ("u_max", float),

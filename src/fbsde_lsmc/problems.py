@@ -50,14 +50,14 @@ class ControlStructure:
     """Decomposition of drift and cost as functions of the control.
 
     Declares that ``f(t, x, u) = drift_state(t, x) + drift_gain(t, x) @ u``
-    and ``ell(t, x, u) = cost_state(t, x) + u^T cost_quad u + cost_l1^T |u|``.
+    and ``ell(t, x, u) = c(t, x) + u^T cost_quad u + cost_l1^T |u|``; the
+    minimization over u never needs the state-only cost ``c``.
     Policy-improvement code uses this to minimize over controls in closed
     form; problems without the decomposition fall back to grid search.
     """
 
     drift_state: Callable[[float, np.ndarray], np.ndarray]
     drift_gain: Callable[[float, np.ndarray], np.ndarray]
-    cost_state: Callable[[float, np.ndarray], np.ndarray]
     cost_quad: np.ndarray
     cost_l1: np.ndarray
 
@@ -261,7 +261,6 @@ def build_nonlinear_1d(u_max: float = 20.0) -> ContinuousProblem:
     structure = ControlStructure(
         drift_state=lambda t, x: 0.1 * (np.asarray(x, dtype=float) - 3.0) ** 2,
         drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), 0.2),
-        cost_state=lambda t, x: 12.0 * np.abs(np.asarray(x, dtype=float)[..., 0] - 6.0),
         cost_quad=np.array([[0.4]]),
         cost_l1=np.zeros(1),
     )
@@ -401,9 +400,6 @@ def build_cartpole_lqr(params: Optional[LqrParams] = None) -> ContinuousProblem:
     structure = ControlStructure(
         drift_state=lambda t, x: np.asarray(x, dtype=float) @ a.T,
         drift_gain=lambda t, x: np.broadcast_to(b, np.shape(x)[:-1] + (4, 1)).copy(),
-        cost_state=lambda t, x: np.einsum(
-            "...i,ij,...j->...", np.asarray(x, dtype=float), q, np.asarray(x, dtype=float)
-        ),
         cost_quad=r,
         cost_l1=np.zeros(1),
     )

@@ -16,6 +16,9 @@ relative to the batch's reference policy ``mu`` and the positive weights
 which convert sampled expectations back to the reference-policy measure.
 Weights are accumulated in log space to avoid premature overflow.
 
+Pinned batches for the conditional diagnostics advance through the same step:
+their one live step starts every trajectory at a pinned state and increment.
+
 Randomness uses counter-based streams keyed by ``(seed, trajectory)`` with a
 separate substream per purpose, so batches are bit-reproducible regardless of
 how generation is ordered or parallelized.
@@ -36,8 +39,6 @@ __all__ = [
     "TrajectoryBatch",
     "sample_forward",
     "pinned_step_batch",
-    "drift_correction",
-    "girsanov_weights",
 ]
 
 # Largest exponent for which exp() stays finite in float64.
@@ -134,15 +135,24 @@ def _solve_diffusion(sig: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularDiffusionError(f"diffusion matrix is singular: {exc}") from exc
 
 
-def drift_correction(f_val, k_val, sigma_val) -> np.ndarray:
-    """Noise-space correction ``sigma_val^{-1} (f_val - k_val)``.
+def _normals(seed: int, n_samples: int, purpose: int, shape: tuple) -> np.ndarray:
+    """Standard normals of ``shape`` for each trajectory, from its own substream."""
+    out = np.empty((n_samples,) + shape)
+    for k in range(n_samples):
+        out[k] = _stream(seed, k, purpose).standard_normal(shape)
+    return out
 
-    Accepts single vectors/matrices or batches with leading axes.
-    """
-    f_val = np.asarray(f_val, dtype=float)
-    k_val = np.asarray(k_val, dtype=float)
-    sigma_val = np.asarray(sigma_val, dtype=float)
-    return _solve_diffusion(sigma_val, f_val - k_val)
+
+def _zero_batch(w: np.ndarray) -> TrajectoryBatch:
+    """All-zero batch around the noise ``w`` of shape (M, N, n), to be stepped."""
+    m, n_steps, n = w.shape
+    return TrajectoryBatch(
+        x=np.zeros((m, n_steps + 1, n)),
+        w=w,
+        k_drift=np.zeros_like(w),
+        d=np.zeros_like(w),
+        log_theta=np.zeros((m, n_steps + 1)),
+    )
 
 
 def sample_forward(
@@ -181,49 +191,35 @@ def sample_forward(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    n = dp.dim_x
-    n_steps = dp.n_steps
-
-    w = np.empty((n_samples, n_steps, n))
-    for k in range(n_samples):
-        w[k] = _stream(seed, k, _PURPOSE_BROWNIAN).standard_normal((n_steps, n))
-    xi = None
-    if drift.needs_aux:
-        xi = np.empty((n_samples, n_steps, n))
-        for k in range(n_samples):
-            xi[k] = _stream(seed, k, _PURPOSE_AUX).standard_normal((n_steps, n))
-
-    x = np.empty((n_samples, n_steps + 1, n))
-    x[:, 0] = dp.x0
-    k_drift = np.empty((n_samples, n_steps, n))
-    d = np.empty((n_samples, n_steps, n))
-    log_theta = np.zeros((n_samples, n_steps + 1))
-
-    for i in range(n_steps):
-        xi_step = xi[:, i] if xi is not None else None
-        _advance_step(dp, mu, drift, i, x, w, k_drift, d, log_theta, xi_step, d_cap)
-
-    return TrajectoryBatch(x=x, w=w, k_drift=k_drift, d=d, log_theta=log_theta)
+    w = _normals(seed, n_samples, _PURPOSE_BROWNIAN, (dp.n_steps, dp.dim_x))
+    xi = _normals(seed, n_samples, _PURPOSE_AUX, w.shape[1:]) if drift.needs_aux else None
+    batch = _zero_batch(w)
+    batch.x[:, 0] = dp.x0
+    for i in range(dp.n_steps):
+        _advance_step(dp, mu, drift, i, batch, None if xi is None else xi[:, i], d_cap)
+    return batch
 
 
-def _advance_step(dp, mu, drift, i, x, w, k_drift, d, log_theta, xi_step, d_cap):
-    """One forward step over the whole batch, in place."""
-    x_cur = x[:, i]
+def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, xi_step, d_cap):
+    """Fill step ``i`` of ``batch`` from its state and noise at step ``i``, in place."""
+    x_cur = batch.x[:, i]
+    w_cur = batch.w[:, i]
     sig = dp.Sigma(i, x_cur)
     f_ref = dp.F(i, x_cur, mu(i, x_cur))
     k_cur = np.asarray(drift.increments(dp, i, x_cur, xi_step), dtype=float)
-    k_drift[:, i] = k_cur
+    batch.k_drift[:, i] = k_cur
     d_cur = _solve_diffusion(sig, f_ref - k_cur)
-    d[:, i] = d_cur
+    batch.d[:, i] = d_cur
 
     norms = np.linalg.norm(d_cur, axis=-1)
     if np.any(norms > d_cap):
         bad = int(np.argmax(norms > d_cap))
         raise DriftUnboundedError(traj=bad, step=i, norm=float(norms[bad]), cap=d_cap)
 
-    x[:, i + 1] = x_cur + k_cur + np.einsum("mij,mj->mi", sig, w[:, i])
+    batch.x[:, i + 1] = x_cur + k_cur + np.einsum("mij,mj->mi", sig, w_cur)
+    log_theta = batch.log_theta
     log_theta[:, i + 1] = log_theta[:, i] + (
-        -0.5 * np.einsum("mi,mi->m", d_cur, d_cur) + np.einsum("mi,mi->m", d_cur, w[:, i])
+        -0.5 * np.einsum("mi,mi->m", d_cur, d_cur) + np.einsum("mi,mi->m", d_cur, w_cur)
     )
     over = log_theta[:, i + 1] > _LOG_MAX
     if np.any(over):
@@ -244,7 +240,8 @@ def pinned_step_batch(
 
     Every trajectory starts step ``i`` at ``x_pin`` with drift increment
     ``k_pin`` and only the noise W_i is resampled; earlier steps are frozen
-    placeholders.  Used for conditional bias/variance diagnostics.
+    placeholders.  Used for conditional bias/variance diagnostics.  The
+    correction norm is not capped, but weight overflow is still reported.
     """
     if not 0 <= i < dp.n_steps:
         raise ValueError(f"step {i} out of range [0, {dp.n_steps})")
@@ -252,54 +249,10 @@ def pinned_step_batch(
     x_pin = np.asarray(x_pin, dtype=float).reshape(n)
     k_pin = np.asarray(k_pin, dtype=float).reshape(n)
 
-    w = np.empty((n_samples, 1, n))
-    for k in range(n_samples):
-        w[k, 0] = _stream(seed, k, _PURPOSE_BROWNIAN).standard_normal(n)
-
-    x = np.zeros((n_samples, i + 2, n))
-    x[:, : i + 1] = x_pin
-    k_drift = np.zeros((n_samples, i + 1, n))
-    k_drift[:, i] = k_pin
-    d = np.zeros((n_samples, i + 1, n))
-    log_theta = np.zeros((n_samples, i + 2))
-
-    sig = dp.Sigma(i, x[:, i])
-    f_ref = dp.F(i, x[:, i], mu(i, x[:, i]))
-    d[:, i] = _solve_diffusion(sig, f_ref - k_drift[:, i])
-    x[:, i + 1] = x[:, i] + k_drift[:, i] + np.einsum("mij,mj->mi", sig, w[:, 0])
-    log_theta[:, i + 1] = -0.5 * np.einsum("mi,mi->m", d[:, i], d[:, i]) + np.einsum(
-        "mi,mi->m", d[:, i], w[:, 0]
-    )
-
-    full_w = np.zeros((n_samples, i + 1, n))
-    full_w[:, i] = w[:, 0]
-    return TrajectoryBatch(x=x, w=full_w, k_drift=k_drift, d=d, log_theta=log_theta)
-
-
-def girsanov_weights(batch: TrajectoryBatch) -> np.ndarray:
-    """Recompute the weights from the stored corrections and noises.
-
-    Updates ``batch.log_theta`` in place and returns the weight array
-    ``Theta`` of shape (M, N+1) with ``Theta[:, 0] == 1``.
-
-    Raises
-    ------
-    WeightOverflowError
-        Naming the first (trajectory, step) whose weight leaves float64 range.
-    """
-    increments = -0.5 * np.einsum("mki,mki->mk", batch.d, batch.d) + np.einsum(
-        "mki,mki->mk", batch.d, batch.w
-    )
-    log_theta = np.concatenate(
-        [np.zeros((batch.n_samples, 1)), np.cumsum(increments, axis=1)], axis=1
-    )
-    over = log_theta > _LOG_MAX
-    if np.any(over):
-        flat = int(np.argmax(over))
-        traj, step = divmod(flat, log_theta.shape[1])
-        raise WeightOverflowError(
-            traj=traj, step=step - 1, log_weight=float(log_theta[traj, step])
-        )
-    batch.log_theta = log_theta
-    return np.exp(log_theta)
-
+    w = np.zeros((n_samples, i + 1, n))
+    w[:, i] = _normals(seed, n_samples, _PURPOSE_BROWNIAN, (n,))
+    batch = _zero_batch(w)
+    batch.x[:, : i + 1] = x_pin
+    drift = DriftProcess.feedback(lambda j, x: np.broadcast_to(k_pin, x.shape))
+    _advance_step(dp, mu, drift, i, batch, None, np.inf)
+    return batch

@@ -44,7 +44,6 @@ def make_scalar_lqr(
     structure = ControlStructure(
         drift_state=lambda t, x: a * np.asarray(x, dtype=float),
         drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), b),
-        cost_state=lambda t, x: q * np.asarray(x, dtype=float)[..., 0] ** 2,
         cost_quad=np.array([[r]]),
         cost_l1=np.zeros(1),
     )

@@ -100,8 +100,26 @@ class TestConfigParsing:
             "metrics.points_per_axis = 1",
             "diagnose.cells = 0",
             "diagnose.reps = 1",
+            "oracle.state_nodes = 1",
+            "oracle.control_nodes = 0",
+            "oracle.quad_nodes = 0",
+            "sweep.samples = 16,0",
+            "sweep.degrees = -1,2",
+            "sampling.reference_samples = 0",
         ],
-        ids=["both_metric_keys", "zero_dx", "one_point_per_axis", "zero_cells", "one_rep"],
+        ids=[
+            "both_metric_keys",
+            "zero_dx",
+            "one_point_per_axis",
+            "zero_cells",
+            "one_rep",
+            "one_state_node",
+            "zero_control_nodes",
+            "zero_quad_nodes",
+            "zero_samples",
+            "negative_degree",
+            "zero_reference_samples",
+        ],
     )
     def test_metric_and_diagnose_keys_validated(self, extra):
         with pytest.raises(ConfigError):
@@ -308,6 +326,15 @@ class TestCliEntry:
         cfg_path.write_text(TINY_LQR.format(out=tmp_path / "out") + "diagnose.cells = 0\n")
         assert main(["diagnose", str(cfg_path)]) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_one_state_node_exits_1_without_traceback(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        extra = "run.n_steps = 2\noracle.state_nodes = 1\n"
+        cfg_path.write_text(ESCAPING_SCALAR.format(out=tmp_path / "out") + extra)
+        assert main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "oracle.state_nodes must be >= 2" in err
+        assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2

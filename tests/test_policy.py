@@ -235,7 +235,6 @@ class TestImprovePolicy:
         structure = ControlStructure(
             drift_state=lambda t, x: -0.2 * np.asarray(x, dtype=float),
             drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), 1.0),
-            cost_state=lambda t, x: np.zeros(np.shape(x)[:-1]),
             cost_quad=np.array([[0.5]]),
             cost_l1=np.array([lam]),
         )

@@ -8,8 +8,6 @@ from fbsde_lsmc import (
     ContinuousProblem,
     DriftProcess,
     discretize,
-    drift_correction,
-    girsanov_weights,
     sample_forward,
 )
 from fbsde_lsmc.errors import (
@@ -17,6 +15,7 @@ from fbsde_lsmc.errors import (
     SingularDiffusionError,
     WeightOverflowError,
 )
+import fbsde_lsmc.sampling as sampling_module
 from fbsde_lsmc.sampling import pinned_step_batch
 
 from conftest import make_scalar_lqr
@@ -95,9 +94,8 @@ class TestSampleForward:
                 batch.x[:, i + 1],
                 batch.x[:, i] + batch.k_drift[:, i] + np.einsum("mij,mj->mi", sig, batch.w[:, i]),
             )
-            expected_d = drift_correction(
-                dp.F(i, batch.x[:, i], mu(i, batch.x[:, i])), batch.k_drift[:, i], sig
-            )
+            f = dp.F(i, batch.x[:, i], mu(i, batch.x[:, i]))
+            expected_d = np.linalg.solve(sig, (f - batch.k_drift[:, i])[..., None])[..., 0]
             np.testing.assert_array_equal(batch.d[:, i], expected_d)
         increments = -0.5 * np.einsum("mki,mki->mk", batch.d, batch.d) + np.einsum(
             "mki,mki->mk", batch.d, batch.w
@@ -143,40 +141,44 @@ def _scalar_setup():
     return cp, dp, truth, mu
 
 
+def _pinned_d(sigma, k_pin):
+    """D at the live step of a one-step pinned batch; F = 0 and dt = 1."""
+    k_pin = np.asarray(k_pin, dtype=float)
+    dp = discretize(_driftless_problem(sigma=sigma, dim=k_pin.size), 1)
+    batch = pinned_step_batch(dp, _zero_policy(dp), 0, np.zeros(k_pin.size), k_pin, 3, seed=0)
+    return batch.d[:, 0]
+
+
 class TestDriftCorrection:
+    # D = Sigma^{-1} (F - K) with F = 0, so K = -F_wanted
     def test_zero_when_equal(self):
-        out = drift_correction(np.array([2.0, 1.0]), np.array([2.0, 1.0]), np.eye(2))
-        np.testing.assert_array_equal(out, [0.0, 0.0])
+        np.testing.assert_array_equal(_pinned_d(1.0, [0.0, 0.0]), 0.0)
 
     def test_scalar_case(self):
-        out = drift_correction(np.array([3.0]), np.array([1.0]), np.array([[2.0]]))
-        np.testing.assert_allclose(out, [1.0])
+        np.testing.assert_allclose(_pinned_d(2.0, [-2.0]), 1.0)
 
     def test_diagonal_solve(self):
-        out = drift_correction(
-            np.array([2.0, 8.0]), np.array([0.0, 0.0]), np.diag([2.0, 4.0])
-        )
-        np.testing.assert_allclose(out, [1.0, 2.0])
+        out = _pinned_d(np.diag([2.0, 4.0]), [-2.0, -8.0])
+        np.testing.assert_allclose(out, np.broadcast_to([1.0, 2.0], out.shape))
 
     def test_singular_matrix(self):
         with pytest.raises(SingularDiffusionError):
-            drift_correction(np.ones(2), np.zeros(2), np.zeros((2, 2)))
+            _pinned_d(0.0, [-1.0, 0.0])
 
 
 class TestGirsanovWeights:
     def test_zero_corrections_give_unit_weights(self):
         cp, dp, truth, mu = _scalar_setup()
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 5, seed=1)
-        theta = girsanov_weights(batch)
-        assert np.all(theta == 1.0)
+        assert np.all(batch.d == 0.0)
+        assert np.all(batch.theta == 1.0)
 
     def test_single_step_value(self):
-        cp, dp, truth, mu = _scalar_setup()
-        batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 1, seed=1)
-        batch.d[0, 0, 0] = 1.0
-        batch.w[0, 0, 0] = 1.0
-        theta = girsanov_weights(batch)
-        assert theta[0, 1] == pytest.approx(np.exp(0.5), rel=1e-15)
+        # D = 1 at the pinned step, so Theta_1 = exp(-1/2 + W_0)
+        dp = discretize(_driftless_problem(sigma=2.0), 1)
+        batch = pinned_step_batch(dp, _zero_policy(dp), 0, [0.0], [-2.0], 5, seed=1)
+        np.testing.assert_array_equal(batch.d, 1.0)
+        np.testing.assert_allclose(batch.theta[:, 1], np.exp(-0.5 + batch.w[:, 0, 0]), rtol=1e-15)
 
     def test_weights_are_a_martingale(self):
         # E[Theta_i] = 1 at every step, Monte Carlo oracle
@@ -188,15 +190,25 @@ class TestGirsanovWeights:
             stderr = theta[:, i].std(ddof=1) / np.sqrt(batch.n_samples)
             assert abs(theta[:, i].mean() - 1.0) < 3 * stderr
 
-    def test_overflow_reported_with_location(self):
-        cp, dp, truth, mu = _scalar_setup()
-        batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 2, seed=1)
-        batch.d[1, 3, 0] = 40.0
-        batch.w[1, 3, 0] = 60.0  # increment = -800 + 2400 > 709
+    @pytest.mark.parametrize("builder", ["sample_forward", "pinned_step_batch"])
+    def test_overflow_reported_with_location(self, builder, monkeypatch):
+        # D = 40 at step 3 and W = 60 on trajectory 1 give the increment
+        # -800 + 2400 > 709 there only; normal draws never reach |W| = 60
+        def normals(seed, n_samples, purpose, shape):
+            w = np.zeros((n_samples,) + shape)
+            w[1] = 60.0
+            return w
+
+        monkeypatch.setattr(sampling_module, "_normals", normals)
+        dp = discretize(_driftless_problem(sigma=1.0, horizon=6.0), 6)  # Sigma_i = 1
+        mu = _zero_policy(dp)
         with pytest.raises(WeightOverflowError) as err:
-            girsanov_weights(batch)
-        assert err.value.traj == 1
-        assert err.value.step == 3
+            if builder == "sample_forward":
+                drift = DriftProcess.feedback(lambda i, x: np.full_like(x, -40.0 * (i == 3)))
+                sample_forward(dp, mu, drift, 3, seed=0, d_cap=np.inf)
+            else:
+                pinned_step_batch(dp, mu, 3, [0.0], [-40.0], 3, seed=0)
+        assert (err.value.traj, err.value.step) == (1, 3)
 
 
 class TestPinnedBatch:
@@ -210,9 +222,17 @@ class TestPinnedBatch:
             batch.x[:, 4] + batch.k_drift[:, 4] + np.einsum("mij,mj->mi", sig, batch.w[:, 4]),
             rtol=1e-14,
         )
-        expected_d = drift_correction(
-            dp.F(4, batch.x[:, 4], mu(4, batch.x[:, 4])), batch.k_drift[:, 4], sig
-        )
+        f = dp.F(4, batch.x[:, 4], mu(4, batch.x[:, 4]))
+        expected_d = np.linalg.solve(sig, (f - batch.k_drift[:, 4])[..., None])[..., 0]
         np.testing.assert_allclose(batch.d[:, 4], expected_d, rtol=1e-14)
         assert np.all(batch.log_theta[:, :5] == 0.0)
+
+    def test_noise_is_the_first_draw_of_each_sampled_stream(self):
+        # pins the per-trajectory layout of the Brownian draws
+        dp = discretize(_driftless_problem(sigma=0.5, dim=3), 6)
+        mu = _zero_policy(dp)
+        seed = 2**63 + 11
+        pinned = pinned_step_batch(dp, mu, 4, np.ones(3), np.zeros(3), 40, seed)
+        sampled = sample_forward(dp, mu, DriftProcess.on_policy(mu), 40, seed)
+        np.testing.assert_array_equal(pinned.w[:, 4], sampled.w[:, 0])
 
