@@ -149,8 +149,8 @@ def _zero_batch(w: np.ndarray) -> TrajectoryBatch:
     return TrajectoryBatch(
         x=np.zeros((m, n_steps + 1, n)),
         w=w,
-        k_drift=np.zeros_like(w),
-        d=np.zeros_like(w),
+        k_drift=np.zeros(w.shape),
+        d=np.zeros(w.shape),
         log_theta=np.zeros((m, n_steps + 1)),
     )
 
