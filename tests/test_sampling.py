@@ -150,7 +150,7 @@ def _pinned_d(sigma, k_pin):
 
 
 class TestDriftCorrection:
-    # D = Sigma^{-1} (F - K) with F = 0, so K = -F_wanted
+    # D = Sigma^{-1} (F - K) with F = 0, so D = -Sigma^{-1} K
     def test_zero_when_equal(self):
         np.testing.assert_array_equal(_pinned_d(1.0, [0.0, 0.0]), 0.0)
 
