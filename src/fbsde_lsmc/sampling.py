@@ -21,7 +21,12 @@ their one live step starts every trajectory at a pinned state and increment.
 
 Randomness uses counter-based streams keyed by ``(seed, trajectory)`` with a
 separate substream per purpose, so batches are bit-reproducible regardless of
-how generation is ordered or parallelized.
+how generation is ordered or parallelized.  Trajectory ``k``'s stream for
+``purpose`` (0 for the Brownian noise W, 1 for the auxiliary noise xi of a
+randomized drift) is the Philox4x64 stream with key
+``[seed % 2**64, (2 k + purpose) % 2**64]`` (a ``uint64`` array) and a zero
+counter, read from its first draw: row ``k`` equals
+``Generator(Philox(key=key)).standard_normal(shape)``.
 """
 
 from __future__ import annotations
@@ -46,12 +51,6 @@ _LOG_MAX = 709.0
 
 _PURPOSE_BROWNIAN = 0
 _PURPOSE_AUX = 1
-
-
-def _stream(seed: int, traj: int, purpose: int) -> np.random.Generator:
-    """Counter-based generator for one (trajectory, purpose) substream."""
-    key = np.array([seed % 2**64, (traj * 2 + purpose) % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 class DriftProcess:
@@ -136,10 +135,30 @@ def _solve_diffusion(sig: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _normals(seed: int, n_samples: int, purpose: int, shape: tuple) -> np.ndarray:
-    """Standard normals of ``shape`` for each trajectory, from its own substream."""
+    """Standard normals of ``shape`` for each trajectory, from its own substream.
+
+    A Philox stream is fixed by its key and counter, so one bit generator is
+    re-keyed per trajectory, with a zero counter and an empty buffer, instead
+    of building a generator per stream.  The generator is local to the call so
+    that concurrent calls share no state.
+    """
     out = np.empty((n_samples,) + shape)
+    # an explicit seed skips the OS-entropy draw that the first re-key overwrites
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for k in range(n_samples):
-        out[k] = _stream(seed, k, purpose).standard_normal(shape)
+        key[1] = (2 * k + purpose) % 2**64
+        bitgen.state = state
+        gen.standard_normal(out=out[k])
     return out
 
 
@@ -185,9 +204,12 @@ def sample_forward(
     SingularDiffusionError
         If Sigma_i is singular at a visited state.
     DriftUnboundedError
-        Naming the offending (trajectory, step) when ``||D|| > d_cap``.
+        Naming the offending (trajectory, step) when ``||D|| > d_cap`` or a
+        correction is NaN.
+    FloatingPointError
+        Naming the (trajectory, step) whose next state is not finite.
     WeightOverflowError
-        If a weight exceeds the float64 range.
+        If a weight exceeds the float64 range or is NaN.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -211,17 +233,24 @@ def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, xi_step, d_cap):
     d_cur = _solve_diffusion(sig, f_ref - k_cur)
     batch.d[:, i] = d_cur
 
+    # the negated comparisons also reject NaN, which compares false
     norms = np.linalg.norm(d_cur, axis=-1)
-    if np.any(norms > d_cap):
-        bad = int(np.argmax(norms > d_cap))
+    over = ~(norms <= d_cap)
+    if np.any(over):
+        bad = int(np.argmax(over))
         raise DriftUnboundedError(traj=bad, step=i, norm=float(norms[bad]), cap=d_cap)
 
-    batch.x[:, i + 1] = x_cur + k_cur + np.einsum("mij,mj->mi", sig, w_cur)
+    x_next = batch.x[:, i + 1]
+    x_next[...] = x_cur + k_cur + np.einsum("mij,mj->mi", sig, w_cur)
+    blown = ~np.isfinite(x_next).all(axis=-1)
+    if np.any(blown):
+        bad = int(np.argmax(blown))
+        raise FloatingPointError(f"non-finite state at trajectory {bad}, step {i}")
     log_theta = batch.log_theta
     log_theta[:, i + 1] = log_theta[:, i] + (
         -0.5 * np.einsum("mi,mi->m", d_cur, d_cur) + np.einsum("mi,mi->m", d_cur, w_cur)
     )
-    over = log_theta[:, i + 1] > _LOG_MAX
+    over = ~(log_theta[:, i + 1] <= _LOG_MAX)
     if np.any(over):
         bad = int(np.argmax(over))
         raise WeightOverflowError(traj=bad, step=i, log_weight=float(log_theta[bad, i + 1]))
@@ -241,10 +270,13 @@ def pinned_step_batch(
     Every trajectory starts step ``i`` at ``x_pin`` with drift increment
     ``k_pin`` and only the noise W_i is resampled; earlier steps are frozen
     placeholders.  Used for conditional bias/variance diagnostics.  The
-    correction norm is not capped, but weight overflow is still reported.
+    correction norm is not capped, but NaN corrections, non-finite states and
+    weight overflow are still reported, as in :func:`sample_forward`.
     """
     if not 0 <= i < dp.n_steps:
         raise ValueError(f"step {i} out of range [0, {dp.n_steps})")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     n = dp.dim_x
     x_pin = np.asarray(x_pin, dtype=float).reshape(n)
     k_pin = np.asarray(k_pin, dtype=float).reshape(n)

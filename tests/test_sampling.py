@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_lsmc import (
     ConstantPolicy,
     ContinuousProblem,
     DriftProcess,
+    build_nonlinear_1d,
     discretize,
     sample_forward,
 )
@@ -113,6 +116,33 @@ class TestSampleForward:
             sample_forward(dp, mu, drift, 3, seed=0, d_cap=10.0)
         assert err.value.step == 0
         assert err.value.traj == 0
+
+    def test_nan_correction_is_reported(self):
+        # the quadratic drift 0.1 (x - 3)^2 from x0 = 7 overflows before
+        # t = 2.5 under a zero control, so F - K becomes inf - inf = NaN
+        dp = discretize(build_nonlinear_1d(), 50)
+        mu = _zero_policy(dp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DriftUnboundedError) as err:
+                sample_forward(dp, mu, DriftProcess.on_policy(mu), 64, seed=5)
+        assert np.isnan(err.value.norm)
+        assert "trajectory" in str(err.value) and "step" in str(err.value)
+
+    def test_non_finite_state_is_reported(self):
+        # an infinite increment under an infinite cap gives an infinite
+        # correction norm, which the cap allows, so the state check fires
+        cp = _driftless_problem(sigma=1.0, horizon=4.0)
+        dp = discretize(cp, 4)
+
+        def fn(i, x):
+            k = np.zeros_like(x)
+            k[2] = np.inf if i == 1 else 0.0
+            return k
+
+        drift = DriftProcess.feedback(fn)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="trajectory 2, step 1"):
+                sample_forward(dp, _zero_policy(dp), drift, 4, seed=0, d_cap=np.inf)
 
     def test_randomized_drift_uses_auxiliary_stream(self):
         cp = _driftless_problem(sigma=1.0, horizon=0.5)
@@ -227,6 +257,11 @@ class TestPinnedBatch:
         np.testing.assert_allclose(batch.d[:, 4], expected_d, rtol=1e-14)
         assert np.all(batch.log_theta[:, :5] == 0.0)
 
+    def test_no_samples_rejected(self):
+        dp = discretize(_driftless_problem(), 4)
+        with pytest.raises(ValueError, match="n_samples"):
+            pinned_step_batch(dp, _zero_policy(dp), 2, [0.0], [0.0], 0, seed=0)
+
     def test_noise_is_the_first_draw_of_each_sampled_stream(self):
         # pins the per-trajectory layout of the Brownian draws
         dp = discretize(_driftless_problem(sigma=0.5, dim=3), 6)
@@ -236,3 +271,26 @@ class TestPinnedBatch:
         sampled = sample_forward(dp, mu, DriftProcess.on_policy(mu), 40, seed)
         np.testing.assert_array_equal(pinned.w[:, 4], sampled.w[:, 0])
 
+
+class TestStreams:
+    # The stream contract: row k of _normals(seed, M, purpose, shape) is the
+    # first draw of the Philox stream keyed [seed mod 2**64, 2k + purpose].
+    @given(
+        seed=st.one_of(
+            st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1), st.integers(2**64, 2**80)
+        ),
+        n_samples=st.integers(1, 6),
+        purpose=st.sampled_from([0, 1]),
+        shape=st.sampled_from([(1,), (3,), (5,), (7, 4)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_fresh_philox_streams(self, seed, n_samples, purpose, shape):
+        # a call with other arguments first must leave this one unaffected
+        sampling_module._normals(seed + 1, 3, 1 - purpose, (2,))
+        out = sampling_module._normals(seed, n_samples, purpose, shape)
+        assert out.shape == (n_samples,) + shape
+        for k in range(n_samples):
+            # a list key holding a word >= 2**63 would pass through float64
+            key = np.array([seed % 2**64, 2 * k + purpose], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+            assert np.array_equal(out[k], expected)
