@@ -105,6 +105,8 @@ class ExperimentConfig:
         ):
             if value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if not self.d_cap > 0:
+            raise ConfigError(f"sampling.d_cap must be > 0 (inf allowed), got {self.d_cap}")
         if self.metrics_dx is not None and self.metrics_points_per_axis is not None:
             raise ConfigError("set at most one of metrics.dx and metrics.points_per_axis")
         if self.metrics_dx is not None and not self.metrics_dx > 0:

@@ -64,6 +64,7 @@ class TestConfigParsing:
         assert cfg.n_steps == 200 and cfg.horizon == 10.0 and cfg.d_cap == 10.0
         cfg = parse_config_text("problem.name = cartpole_lqr")
         assert cfg.n_steps == 100 and cfg.horizon == 5.0 and cfg.d_cap == 1e9
+        assert parse_config_text("sampling.d_cap = inf").d_cap == float("inf")
 
     def test_lists_and_booleans(self):
         cfg = parse_config_text(
@@ -106,6 +107,9 @@ class TestConfigParsing:
             "sweep.samples = 16,0",
             "sweep.degrees = -1,2",
             "sampling.reference_samples = 0",
+            "sampling.d_cap = nan",
+            "sampling.d_cap = 0",
+            "sampling.d_cap = -1",
         ],
         ids=[
             "both_metric_keys",
@@ -119,6 +123,9 @@ class TestConfigParsing:
             "zero_samples",
             "negative_degree",
             "zero_reference_samples",
+            "nan_d_cap",
+            "zero_d_cap",
+            "negative_d_cap",
         ],
     )
     def test_metric_and_diagnose_keys_validated(self, extra):
