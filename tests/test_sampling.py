@@ -126,7 +126,7 @@ class TestSampleForward:
             with pytest.raises(DriftUnboundedError) as err:
                 sample_forward(dp, mu, DriftProcess.on_policy(mu), 64, seed=5)
         assert np.isnan(err.value.norm)
-        assert "trajectory" in str(err.value) and "step" in str(err.value)
+        assert (err.value.traj, err.value.step) == (0, 20)
 
     def test_non_finite_state_is_reported(self):
         # an infinite increment under an infinite cap gives an infinite
