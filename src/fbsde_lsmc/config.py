@@ -81,8 +81,11 @@ class ExperimentConfig:
             if est not in _VALID_ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}")
         for name in ("estimators", "degrees", "samples"):
-            if not getattr(self, name):
+            entries = getattr(self, name)
+            if not entries:
                 raise ConfigError(f"sweep.{name} must be nonempty")
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"sweep.{name} entries must be distinct, got {entries}")
         if self.n_steps is None:
             self.n_steps = 200 if self.problem == "nonlinear1d" else 100
         if self.horizon is None:
@@ -105,6 +108,11 @@ class ExperimentConfig:
         ):
             if value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if self.diagnose_step is not None and not 0 <= self.diagnose_step < self.n_steps:
+            raise ConfigError(
+                f"diagnose.step must be in [0, run.n_steps) = [0, {self.n_steps}), "
+                f"got {self.diagnose_step}"
+            )
         if not self.d_cap > 0:
             raise ConfigError(f"sampling.d_cap must be > 0 (inf allowed), got {self.d_cap}")
         if self.metrics_dx is not None and self.metrics_points_per_axis is not None:

@@ -23,6 +23,11 @@ The noiseless target uses no W at all, so for pinned (X_i, K_i) it is a
 deterministic function with exactly zero sampling variance.  Trace products
 against rank-one updates are accumulated as quadratic forms, never by forming
 the product matrix.
+
+Mbar is formed as two stacked matrix products, (Sigma^T H) Sigma, and then
+symmetrized.  In n dimensions it differs from the single contraction
+sum_kl Sigma_ki H_kl Sigma_lj by rounding only, elementwise within
+4 n eps (|Sigma|^T |H| |Sigma|); in one dimension the two are bit-identical.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ def taylor_triple(m: ValueModel, i: int, x_i, k_i, sigma_i, phi=None) -> TaylorT
     grad = m.from_features(i + 1, phi, 1)
     hess = m.from_features(i + 1, phi, 2)
     zbar = np.einsum("...ji,...j->...i", sigma_i, grad)
-    mbar = np.einsum("...ki,...kl,...lj->...ij", sigma_i, hess, sigma_i)
+    mbar = np.swapaxes(sigma_i, -1, -2) @ hess @ sigma_i
     mbar = 0.5 * (mbar + np.swapaxes(mbar, -1, -2))
     return TaylorTriple(ybar=ybar, zbar=zbar, mbar=mbar, xbar=xbar)
 

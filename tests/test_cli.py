@@ -110,6 +110,12 @@ class TestConfigParsing:
             "sampling.d_cap = nan",
             "sampling.d_cap = 0",
             "sampling.d_cap = -1",
+            "sweep.estimators = taylor_noiseless,taylor_noiseless,em_noisy",
+            "sweep.degrees = 2,2",
+            "sweep.samples = 64,64",
+            "diagnose.step = -1",
+            "diagnose.step = 100",
+            "run.n_steps = 10\ndiagnose.step = 10",
         ],
         ids=[
             "both_metric_keys",
@@ -126,11 +132,20 @@ class TestConfigParsing:
             "nan_d_cap",
             "zero_d_cap",
             "negative_d_cap",
+            "repeated_estimator",
+            "repeated_degree",
+            "repeated_samples",
+            "negative_step",
+            "step_at_default_n_steps",
+            "step_at_n_steps",
         ],
     )
     def test_metric_and_diagnose_keys_validated(self, extra):
         with pytest.raises(ConfigError):
             parse_config_text("problem.name = cartpole_lqr\n" + extra)
+
+    def test_last_diagnose_step_accepted(self):
+        assert parse_config_text("run.n_steps = 10\ndiagnose.step = 9").diagnose_step == 9
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "c.cfg"
@@ -334,6 +349,22 @@ class TestCliEntry:
         assert main(["diagnose", str(cfg_path)]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, extra, key",
+        [
+            ("run", "sweep.degrees = 2,2\n", "sweep.degrees"),
+            ("diagnose", "sweep.estimators = em_noisy,em_noisy\n", "sweep.estimators"),
+            ("diagnose", "diagnose.step = 8\n", "diagnose.step"),
+        ],
+        ids=["repeated_degree", "repeated_estimator", "step_past_horizon"],
+    )
+    def test_rejected_before_any_work_exits_1(self, tmp_path, capsys, command, extra, key):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_LQR.format(out=tmp_path / "out") + extra)
+        assert main([command, str(cfg_path)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_one_state_node_exits_1_without_traceback(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         extra = "run.n_steps = 2\noracle.state_nodes = 1\n"
@@ -356,3 +387,15 @@ class TestCliEntry:
         lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
         assert lines[0].startswith("step,kind,cell")
         assert len(lines) == 1 + 2 * 2  # two estimators x two cells
+
+    def test_diagnose_is_deterministic(self, tmp_path):
+        written = []
+        for name in ("a", "b"):
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(
+                TINY_LQR.format(out=tmp_path / name)
+                + "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
+            )
+            assert main(["diagnose", str(cfg_path)]) == 0
+            written.append((tmp_path / name / "diagnostics.csv").read_bytes())
+        assert written[0] == written[1]

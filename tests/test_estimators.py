@@ -393,3 +393,53 @@ class TestExactnessProperties:
         _, _, batch = _random_setup(dim, seed, state_sigma, "on_policy")
         assert np.all(batch.d == 0.0)
         assert np.all(batch.log_theta == 0.0)
+
+    @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
+    @settings(max_examples=15, deadline=None)
+    def test_on_policy_delta_y_reduces_bit_for_bit(self, dim, state_sigma, seed):
+        dp, mu, batch = _random_setup(dim, seed, state_sigma, "on_policy")
+        i = 1
+        spec = scaling_from_batch(batch, 2)
+        model = ValueModel.empty(spec, dp.n_steps)
+        model.set_coeffs(i + 1, np.random.default_rng(seed).normal(size=spec.size))
+        drifted = delta_y_taylor(model, dp, mu, batch, i)
+        x_i, w = batch.x[:, i], batch.w[:, i]
+        tri = taylor_triple(model, i, x_i, batch.k_drift[:, i], dp.Sigma(i, x_i))
+        undrifted = (
+            -dp.L(i, x_i, mu(i, x_i))
+            + np.einsum("mi,mi->m", tri.zbar, w)
+            + 0.5
+            * (
+                np.einsum("mi,mij,mj->m", w, tri.mbar, w)
+                - np.trace(tri.mbar, axis1=-2, axis2=-1)
+            )
+        )
+        np.testing.assert_array_equal(drifted, undrifted)
+
+
+class TestMbarRounding:
+    """Mbar = Sigma^T H Sigma as two matrix products stays within rounding of
+    the single three-operand contraction."""
+
+    @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
+    @settings(max_examples=25, deadline=None)
+    def test_within_rounding_of_the_three_operand_einsum(self, dim, state_sigma, seed):
+        dp, _, batch = _random_setup(dim, seed, state_sigma)
+        i = 1
+        spec = scaling_from_batch(batch, 2)
+        model = ValueModel.empty(spec, dp.n_steps)
+        model.set_coeffs(i + 1, np.random.default_rng(seed).normal(size=spec.size))
+        x_i, k_i = batch.x[:, i], batch.k_drift[:, i]
+        sig = dp.Sigma(i, x_i)
+        if not state_sigma:
+            sig = sig[0]  # one 2-D diffusion broadcast against the batched Hessian
+        mbar = taylor_triple(model, i, x_i, k_i, sig).mbar
+        hess = model.hessian(i + 1, x_i + k_i)
+        ref = np.einsum("...ki,...kl,...lj->...ij", sig, hess, sig)
+        ref = 0.5 * (ref + np.swapaxes(ref, -1, -2))
+        scale = np.einsum("...ki,...kl,...lj->...ij", np.abs(sig), np.abs(hess), np.abs(sig))
+        assert mbar.shape == ref.shape == (batch.n_samples, dim, dim)
+        assert np.all(np.abs(mbar - ref) <= 4 * dim * np.finfo(float).eps * scale)
+        np.testing.assert_array_equal(mbar, np.swapaxes(mbar, -1, -2))
+        if dim == 1:
+            np.testing.assert_array_equal(mbar, ref)
