@@ -9,6 +9,7 @@ The environment variable ``FBSDE_SEED`` overrides ``run.seed``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -94,6 +95,10 @@ class ExperimentConfig:
             # corrections on the linear benchmark's ill-conditioned diffusion
             # are legitimately large; the scalar benchmark keeps the tight cap
             self.d_cap = 10.0 if self.problem == "nonlinear1d" else 1e9
+        if self.problem == "nonlinear1d" and self.oracle_state_lo is None:
+            self.oracle_state_lo = [-5.0]
+        if self.problem == "nonlinear1d" and self.oracle_state_hi is None:
+            self.oracle_state_hi = [12.0]
         for key, value, low in (
             ("run.trials", self.trials, 1),
             ("run.n_steps", self.n_steps, 1),
@@ -115,10 +120,23 @@ class ExperimentConfig:
             )
         if not self.d_cap > 0:
             raise ConfigError(f"sampling.d_cap must be > 0 (inf allowed), got {self.d_cap}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ConfigError(f"run.ridge must be finite and >= 0, got {self.ridge}")
+        for key, value in (
+            ("run.horizon", self.horizon),
+            ("problem.u_max", self.u_max),
+            ("metrics.dx", self.metrics_dx),
+        ):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and > 0, got {value}")
+        lo, hi = self.oracle_state_lo, self.oracle_state_hi
+        for key, span in (("oracle.state_lo", lo), ("oracle.state_hi", hi)):
+            if span is not None and not (len(span) == 1 and math.isfinite(span[0])):
+                raise ConfigError(f"{key} must be one finite value, got {span}")
+        if lo is not None and hi is not None and not lo[0] < hi[0]:
+            raise ConfigError(f"oracle.state_lo must be < oracle.state_hi, got {lo} / {hi}")
         if self.metrics_dx is not None and self.metrics_points_per_axis is not None:
             raise ConfigError("set at most one of metrics.dx and metrics.points_per_axis")
-        if self.metrics_dx is not None and not self.metrics_dx > 0:
-            raise ConfigError("metrics.dx must be > 0")
         if self.metrics_points_per_axis is not None and self.metrics_points_per_axis < 2:
             raise ConfigError("metrics.points_per_axis must be >= 2")
 

@@ -6,8 +6,10 @@ mean state Xbar = X_i + K_i produces the triple
     Ybar = V~(Xbar),   Zbar = Sigma^T grad V~(Xbar),
     Mbar = Sigma^T hess V~(Xbar) Sigma,
 
-from which four per-trajectory regression targets are formed (L is the stage
-cost, D the drift correction, W the sampled noise):
+:func:`taylor_triple` forms it for every second-order use: the targets
+here, the remainder-bias check in :mod:`metrics` and the second-order policy
+improvement in :mod:`policy`.  From it four per-trajectory regression targets
+are formed (L is the stage cost, D the drift correction, W the sampled noise):
 
     taylor_noiseless:  L + Ybar + Zbar.D + tr(Mbar (I + D D^T)) / 2
     taylor_reestimate: V~(X_{i+1}) + L - Zbar.W + Zbar.D
@@ -67,7 +69,7 @@ class EstimatorKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class TaylorTriple:
-    """Second-order expansion data of the next-step model at ``xbar``.
+    """Second-order expansion data of the next-step model at X + K.
 
     Fields broadcast with the shape of the pinned state: scalars become
     arrays when evaluated for a whole batch at once.
@@ -76,29 +78,27 @@ class TaylorTriple:
     ybar: np.ndarray
     zbar: np.ndarray
     mbar: np.ndarray
-    xbar: np.ndarray
 
 
 def taylor_triple(m: ValueModel, i: int, x_i, k_i, sigma_i, phi=None) -> TaylorTriple:
     """Expansion of the step-(i+1) model at the pre-noise mean ``x_i + k_i``.
 
-    ``sigma_i`` is the diffusion matrix evaluated at ``x_i``; arguments may
-    carry leading batch axes.  ``phi``, when given, is the step-(i+1) feature
-    matrix at ``x_i + k_i`` computed by the caller.
+    ``sigma_i`` is a (..., n, k) matrix evaluated at ``x_i``: the diffusion
+    for the backward targets, the control gain for policy improvement.
+    Arguments may carry leading batch axes.  ``phi``, when given, is the
+    step-(i+1) feature matrix at ``x_i + k_i`` computed by the caller.
     """
-    x_i = np.asarray(x_i, dtype=float)
-    k_i = np.asarray(k_i, dtype=float)
     sigma_i = np.asarray(sigma_i, dtype=float)
-    xbar = x_i + k_i
     if phi is None:
-        phi = m.features(i + 1, xbar)
+        xbar = np.asarray(x_i, dtype=float) + np.asarray(k_i, dtype=float)
+        phi = basis_eval(m.basis, i + 1, xbar)
     ybar = m.from_features(i + 1, phi)
     grad = m.from_features(i + 1, phi, 1)
     hess = m.from_features(i + 1, phi, 2)
     zbar = np.einsum("...ji,...j->...i", sigma_i, grad)
     mbar = np.swapaxes(sigma_i, -1, -2) @ hess @ sigma_i
     mbar = 0.5 * (mbar + np.swapaxes(mbar, -1, -2))
-    return TaylorTriple(ybar=ybar, zbar=zbar, mbar=mbar, xbar=xbar)
+    return TaylorTriple(ybar=ybar, zbar=zbar, mbar=mbar)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,18 +204,13 @@ def delta_y_taylor(
     mu,
     batch: TrajectoryBatch,
     i: int,
-    k: Optional[int] = None,
-):
-    """Taylor-form backward difference estimate for step ``i``.
+) -> np.ndarray:
+    """Taylor-form backward difference estimate for step ``i``, shape (M,).
 
         -L + Zbar.W - Zbar.D + tr(Mbar (W W^T - I - D D^T)) / 2
 
     With on-policy sampling the stored corrections are exactly zero and the
-    expression reduces bit-for-bit to its undrifted form.  Returns the full
-    per-trajectory array, or a scalar when ``k`` selects one trajectory.
+    expression reduces bit-for-bit to its undrifted form.
     """
     _, stage, zw, zd, tr_m, dmd, wmw = _taylor_pieces(m, _Step(m.basis, dp, mu, batch, i))
-    delta = -stage + zw - zd + 0.5 * (wmw - tr_m - dmd)
-    if k is None:
-        return delta
-    return float(delta[k])
+    return -stage + zw - zd + 0.5 * (wmw - tr_m - dmd)

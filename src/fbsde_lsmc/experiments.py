@@ -98,7 +98,7 @@ def _build_problem(cfg: ExperimentConfig):
         if cfg.g_diag is not None:
             kwargs["g_mat"] = np.diag(cfg.g_diag)
         cp = build_cartpole_lqr(LqrParams(**kwargs))
-    if cfg.horizon is not None and cp.horizon != cfg.horizon:
+    if cp.horizon != cfg.horizon:
         cp = dataclasses.replace(cp, horizon=cfg.horizon)
     return cp, discretize(cp, cfg.n_steps)
 
@@ -161,9 +161,7 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
         mu = truth.policy(dp.control_lower, dp.control_upper)
         region = _reference_region(cfg, dp, mu)
     else:
-        lo = cfg.oracle_state_lo if cfg.oracle_state_lo is not None else [-5.0]
-        hi = cfg.oracle_state_hi if cfg.oracle_state_hi is not None else [12.0]
-        spec = _grid_spec_from_cfg(cfg, lo, hi)
+        spec = _grid_spec_from_cfg(cfg, cfg.oracle_state_lo, cfg.oracle_state_hi)
         truth = grid_bellman(dp, spec)
         mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
         region = _reference_region(cfg, dp, mu)

@@ -29,11 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDenominatorError
-from .estimators import EstimatorKind, estimate_targets, taylor_triple
+from .estimators import EstimatorKind, _dot, _quad, _Step, estimate_targets, taylor_triple
 from .oracles import GroundTruth
 from .problems import DiscreteProblem
 from .sampling import TrajectoryBatch, pinned_step_batch
-from .value_model import ValueModel
+from .value_model import ValueModel, _step_box, basis_eval
 
 __all__ = [
     "ConfidenceRegion",
@@ -96,17 +96,13 @@ def confidence_region(
     default grid uses dx = 0.01 in one dimension and 9 points per axis
     otherwise.
     """
-    mean = reference_batch.x.mean(axis=0)
-    std = reference_batch.x.std(axis=0)
-    half = np.maximum(3.0 * std, 1.0)
     if dx is None and points_per_axis is None:
         if reference_batch.dim == 1:
             dx = 1e-2
         else:
             points_per_axis = 9
-    return ConfidenceRegion(
-        lower=mean - half, upper=mean + half, dx=dx, points_per_axis=points_per_axis
-    )
+    lower, upper = _step_box(reference_batch)
+    return ConfidenceRegion(lower=lower, upper=upper, dx=dx, points_per_axis=points_per_axis)
 
 
 def rae(m: ValueModel, gt: GroundTruth, region: ConfidenceRegion, i: int) -> float:
@@ -131,7 +127,7 @@ def shared_rae(models, gt: GroundTruth, region: ConfidenceRegion, i: int) -> lis
     if any(m.basis is not models[0].basis for m in models):
         raise ValueError("scored models must share one basis")
     pts = region.grid_points(i)
-    phi = models[0].features(i, pts)
+    phi = basis_eval(models[0].basis, i, pts)
     v_true = np.asarray(gt.value(i, pts), dtype=float)
     denominator = float(np.sum(np.abs(v_true.mean() - v_true)))
     scale = max(1.0, float(np.sum(np.abs(v_true))))
@@ -169,16 +165,16 @@ def estimator_bias_variance(
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
     batch = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed)
-    return _pinned_bias_variance(kind, dp, mu, m, batch, i, truth)
+    return _pinned_bias_variance(kind, m, batch, _Step(m.basis, dp, mu, batch, i), truth)
 
 
-def _pinned_bias_variance(kind, dp, mu, m, pinned, i, truth):
-    """(bias, variance) of a target over a batch pinned at step ``i``."""
-    yhat = estimate_targets(kind, m, dp, mu, pinned, i)
+def _pinned_bias_variance(kind, m, pinned, step: _Step, truth):
+    """(bias, variance) of a target over a batch pinned at ``step.i``."""
+    yhat = estimate_targets(kind, m, step.dp, step.mu, pinned, step.i, step)
     variance = _centered_variance(yhat)
     if truth is None:
         return None, variance
-    v_true = float(truth.value(i, pinned.x[0, i]))
+    v_true = float(truth.value(step.i, step.x_i[0]))
     return float(yhat.mean() - v_true), variance
 
 
@@ -246,39 +242,15 @@ def bias_bound_check(
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
-    n_cells = min(n_cells, batch.n_samples)
     cells = []
-    for cell_idx in range(n_cells):
-        x_pin = batch.x[cell_idx, i]
-        k_pin = batch.k_drift[cell_idx, i]
-        pinned = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed + cell_idx)
+    for cell_idx in range(min(n_cells, batch.n_samples)):
+        pinned = pinned_step_batch(
+            dp, mu, i, batch.x[cell_idx, i], batch.k_drift[cell_idx, i], n_rep, seed + cell_idx
+        )
+        cell, stats = _bound_cell(dp, mu, m, pinned, i, truth, kind if cell_idx == 0 else None)
         if cell_idx == 0:
-            bias, variance = _pinned_bias_variance(kind, dp, mu, m, pinned, i, truth)
-        tri = taylor_triple(m, i, pinned.x[:, i], pinned.k_drift[:, i], dp.Sigma(i, pinned.x[:, i]))
-        w = pinned.w[:, i]
-        expansion = (
-            tri.ybar
-            + np.einsum("mi,mi->m", tri.zbar, w)
-            + 0.5 * np.einsum("mi,mij,mj->m", w, tri.mbar, w)
-        )
-        delta = np.asarray(truth.value(i + 1, pinned.x[:, i + 1]), dtype=float) - expansion
-
-        weighted = np.exp(pinned.log_theta[:, i + 1]) * delta
-        lhs = float(np.abs(weighted.mean()))
-        stderr = float(np.std(weighted, ddof=1) / np.sqrt(n_rep))
-        d_norm = float(np.linalg.norm(pinned.d[0, i]))
-        with np.errstate(over="ignore"):
-            # an infinite bound is the honest value for very large drifts
-            rhs = float(np.exp(0.5 * d_norm**2) * np.sqrt(np.mean(delta**2)))
-        cells.append(
-            BoundCell(
-                d_norm=d_norm,
-                lhs=lhs,
-                rhs=rhs,
-                stderr=stderr,
-                holds=bool(lhs <= rhs + 3.0 * stderr),
-            )
-        )
+            bias, variance = stats
+        cells.append(cell)
 
     resid = np.abs(
         np.asarray(m.eval(i + 1, batch.x[:, i + 1]), dtype=float)
@@ -293,6 +265,28 @@ def bias_bound_check(
         fit_residual_mean=float(resid.mean()),
         fit_residual_max=float(resid.max()),
     )
+
+
+def _bound_cell(dp, mu, m: ValueModel, pinned: TrajectoryBatch, i: int, truth, kind=None):
+    """One pinned cell: its :class:`BoundCell` and, when ``kind`` is given, that
+    target's (bias, variance), both from one step's Sigma and Phi(X + K)."""
+    step = _Step(m.basis, dp, mu, pinned, i)
+    stats = None if kind is None else _pinned_bias_variance(kind, m, pinned, step, truth)
+    tri = taylor_triple(m, i, step.x_i, step.k, step.sigma, step.phi_bar)
+    expansion = tri.ybar + _dot(tri.zbar, step.w) + 0.5 * _quad(tri.mbar, step.w)
+    delta = np.asarray(truth.value(i + 1, step.x_next), dtype=float) - expansion
+
+    weighted = np.exp(pinned.log_theta[:, i + 1]) * delta
+    lhs = float(np.abs(weighted.mean()))
+    stderr = float(np.std(weighted, ddof=1) / np.sqrt(delta.shape[0]))
+    d_norm = float(np.linalg.norm(step.d[0]))
+    with np.errstate(over="ignore"):
+        # an infinite bound is the honest value for very large drifts
+        rhs = float(np.exp(0.5 * d_norm**2) * np.sqrt(np.mean(delta**2)))
+    cell = BoundCell(
+        d_norm=d_norm, lhs=lhs, rhs=rhs, stderr=stderr, holds=bool(lhs <= rhs + 3.0 * stderr)
+    )
+    return cell, stats
 
 
 def report_to_csv(reports, path) -> None:

@@ -12,7 +12,8 @@ state-action value
                  + tr(Sigma_i^T hess V~_{i+1}(x + F_i(x, u)) Sigma_i) / 2,
 
 which is exact for quadratic models, where it reproduces the optimal
-linear-quadratic feedback.
+linear-quadratic feedback.  Q~ and its closed-form minimizer expand the
+model through :func:`estimators.taylor_triple`, as the backward targets do.
 
 Both solvers use a closed form when the problem declares a control-affine
 drift with a separable (diagonal) quadratic-plus-L1 control cost over an
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .estimators import taylor_triple
 from .problems import DiscreteProblem
 from .value_model import ValueModel
 
@@ -130,11 +132,8 @@ def taylor_q(m: ValueModel, dp: DiscreteProblem, i: int, x, u):
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    x_next = x + dp.F(i, x, u)
-    sig = dp.Sigma(i, x)
-    hess = m.hessian(i + 1, x_next)
-    trace = 0.5 * np.einsum("...ki,...kl,...li->...", sig, hess, sig)
-    return dp.L(i, x, u) + m.eval(i + 1, x_next) + trace
+    tri = taylor_triple(m, i, x, dp.F(i, x, u), dp.Sigma(i, x))
+    return dp.L(i, x, u) + tri.ybar + 0.5 * np.trace(tri.mbar, axis1=-2, axis2=-1)
 
 
 def improve_policy(
@@ -146,27 +145,22 @@ def improve_policy(
     structure, the model has total degree <= 2 (its expansion is exact and
     the trace term constant in u) and the combined quadratic term
 
-        R dt + drift_gain^T hess V~ drift_gain dt^2 / 2
+        R dt + Mbar / 2,   linear term Zbar,
 
-    is diagonal.  Otherwise the control box is grid searched once per state.
-    Either way the result broadcasts over leading axes of ``x``.
+    is diagonal, with (Zbar, Mbar) the expansion at x + drift_state dt
+    against the matrix drift_gain dt.  Otherwise the control box is grid
+    searched once per state.  Either way the result broadcasts over leading
+    axes of ``x``.
     """
     x = np.asarray(x, dtype=float)
     st = dp.structure
     if st is not None and m.basis.max_total_degree <= 2:
         t, dt = dp.t(i), dp.dt
-        x_bar = x + st.drift_state(t, x) * dt
-        gain = st.drift_gain(t, x) * dt
-        grad = m.grad(i + 1, x_bar)
-        hess = m.hessian(i + 1, x_bar)
-        quad = st.cost_quad * dt + 0.5 * np.einsum(
-            "...nj,...nl,...lk->...jk", gain, hess, gain
-        )
-        diag, ok = _diagonal_part(quad, dp.dim_u)
+        tri = taylor_triple(m, i, x, st.drift_state(t, x) * dt, st.drift_gain(t, x) * dt)
+        diag, ok = _diagonal_part(st.cost_quad * dt + 0.5 * tri.mbar, dp.dim_u)
         if ok:
-            lin = np.einsum("...nj,...n->...j", gain, grad)
             return _separable_argmin(
-                diag, lin, st.cost_l1 * dt, dp.control_lower, dp.control_upper
+                diag, tri.zbar, st.cost_l1 * dt, dp.control_lower, dp.control_upper
             )
 
     return _grid_search(dp, grid_points, x, lambda xs, us: taylor_q(m, dp, i, xs, us))

@@ -161,7 +161,8 @@ class ValueModel:
     raises :class:`NotFittedError`.  Evaluation broadcasts over leading axes
     of the state argument.  Value, gradient and Hessian are each one feature
     evaluation times a coefficient block built from ``coeffs[i]`` on the call;
-    :meth:`from_features` takes the features precomputed, to share them.
+    :meth:`from_features` takes the features precomputed by :func:`basis_eval`,
+    to share them.
     """
 
     basis: BasisSpec
@@ -195,11 +196,6 @@ class ValueModel:
         slope = 2.0 / (self.basis.scale_hi[i] - self.basis.scale_lo[i])
         return slope.reshape((-1,) + (1,) * a.ndim) * (self.basis.derivative_operators @ a)
 
-    def features(self, i: int, x) -> np.ndarray:
-        """Feature matrix Phi(x) of step ``i``, the input of :meth:`from_features`."""
-        self._require(i)
-        return basis_eval(self.basis, i, x)
-
     def from_features(self, i: int, phi: np.ndarray, order: int = 0) -> np.ndarray:
         """Value (order 0), gradient (1) or Hessian (2) at step ``i``: one product
         of the step's features ``phi`` with the step's coefficient block."""
@@ -216,13 +212,13 @@ class ValueModel:
         return (phi @ block).reshape(phi.shape[:-1] + (n, n))
 
     def eval(self, i: int, x) -> np.ndarray:
-        return self.from_features(i, self.features(i, x))
+        return self.from_features(i, basis_eval(self.basis, i, x))
 
     def grad(self, i: int, x) -> np.ndarray:
-        return self.from_features(i, self.features(i, x), 1)
+        return self.from_features(i, basis_eval(self.basis, i, x), 1)
 
     def hessian(self, i: int, x) -> np.ndarray:
-        return self.from_features(i, self.features(i, x), 2)
+        return self.from_features(i, basis_eval(self.basis, i, x), 2)
 
 
 def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10, phi=None) -> np.ndarray:
@@ -239,8 +235,8 @@ def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10, phi=None) ->
     ys = np.asarray(ys, dtype=float).reshape(-1)
     if xs.shape[0] != ys.shape[0]:
         raise ValueError("xs and ys must have the same number of rows")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     if phi is None:
         phi = basis_eval(spec, i, xs)
     if ridge > 0:
@@ -266,15 +262,17 @@ def scaling_from_batch(batch, max_total_degree: int) -> BasisSpec:
     samples lands inside [-1, 1] and the design matrix stays conditioned even
     for nearly deterministic steps.
     """
-    mean = batch.x.mean(axis=0)
-    std = batch.x.std(axis=0)
-    half = np.maximum(3.0 * std, 1.0)
+    lo, hi = _step_box(batch)
     return BasisSpec(
-        dim=batch.dim,
-        max_total_degree=max_total_degree,
-        scale_lo=mean - half,
-        scale_hi=mean + half,
+        dim=batch.dim, max_total_degree=max_total_degree, scale_lo=lo, scale_hi=hi
     )
+
+
+def _step_box(batch) -> tuple:
+    """Per-step, per-coordinate box mean +/- max(3 std, 1) of ``batch.x``."""
+    mean = batch.x.mean(axis=0)
+    half = np.maximum(3.0 * batch.x.std(axis=0), 1.0)
+    return mean - half, mean + half
 
 
 def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:

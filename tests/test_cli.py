@@ -116,6 +116,21 @@ class TestConfigParsing:
             "diagnose.step = -1",
             "diagnose.step = 100",
             "run.n_steps = 10\ndiagnose.step = 10",
+            "run.ridge = nan",
+            "run.ridge = inf",
+            "run.ridge = -1",
+            "run.horizon = nan",
+            "run.horizon = inf",
+            "run.horizon = 0",
+            "metrics.dx = inf",
+            "metrics.dx = nan",
+            "problem.u_max = 0",
+            "problem.u_max = inf",
+            "oracle.state_lo = 12\noracle.state_hi = -5",
+            "oracle.state_lo = 3\noracle.state_hi = 3",
+            "oracle.state_lo = -5,0\noracle.state_hi = 12,1",
+            "oracle.state_lo =\noracle.state_hi = 12",
+            "oracle.state_lo = nan\noracle.state_hi = 12",
         ],
         ids=[
             "both_metric_keys",
@@ -138,11 +153,33 @@ class TestConfigParsing:
             "negative_step",
             "step_at_default_n_steps",
             "step_at_n_steps",
+            "nan_ridge",
+            "inf_ridge",
+            "negative_ridge",
+            "nan_horizon",
+            "inf_horizon",
+            "zero_horizon",
+            "inf_dx",
+            "nan_dx",
+            "zero_u_max",
+            "inf_u_max",
+            "reversed_span",
+            "empty_span",
+            "two_entry_span",
+            "missing_lo",
+            "nan_lo",
         ],
     )
     def test_metric_and_diagnose_keys_validated(self, extra):
         with pytest.raises(ConfigError):
             parse_config_text("problem.name = cartpole_lqr\n" + extra)
+
+    def test_scalar_span_checked_against_its_default(self):
+        cfg = parse_config_text("problem.name = nonlinear1d")
+        assert (cfg.oracle_state_lo, cfg.oracle_state_hi) == ([-5.0], [12.0])
+        assert parse_config_text("problem.name = cartpole_lqr").oracle_state_lo is None
+        with pytest.raises(ConfigError, match="oracle.state_lo"):
+            parse_config_text("problem.name = nonlinear1d\noracle.state_lo = 12")
 
     def test_last_diagnose_step_accepted(self):
         assert parse_config_text("run.n_steps = 10\ndiagnose.step = 9").diagnose_step == 9
@@ -355,8 +392,22 @@ class TestCliEntry:
             ("run", "sweep.degrees = 2,2\n", "sweep.degrees"),
             ("diagnose", "sweep.estimators = em_noisy,em_noisy\n", "sweep.estimators"),
             ("diagnose", "diagnose.step = 8\n", "diagnose.step"),
+            ("run", "run.ridge = nan\n", "run.ridge"),
+            ("run", "run.ridge = -1\n", "run.ridge"),
+            ("run", "run.horizon = inf\n", "run.horizon"),
+            ("diagnose", "metrics.dx = inf\n", "metrics.dx"),
+            ("oracle", "problem.name = nonlinear1d\noracle.state_lo = 12\n", "oracle.state_lo"),
         ],
-        ids=["repeated_degree", "repeated_estimator", "step_past_horizon"],
+        ids=[
+            "repeated_degree",
+            "repeated_estimator",
+            "step_past_horizon",
+            "nan_ridge",
+            "negative_ridge",
+            "inf_horizon",
+            "inf_dx",
+            "scalar_span_past_default_hi",
+        ],
     )
     def test_rejected_before_any_work_exits_1(self, tmp_path, capsys, command, extra, key):
         cfg_path = tmp_path / "exp.cfg"

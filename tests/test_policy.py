@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde_lsmc import (
     BasisSpec,
@@ -9,20 +11,23 @@ from fbsde_lsmc import (
     ContinuousProblem,
     DriftProcess,
     EstimatorKind,
+    LqrParams,
     ValueModel,
     backward_pass,
+    build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
     fit_function,
     hamiltonian_policy,
     improve_policy,
+    riccati_from_lqr,
     sample_forward,
     scaling_from_batch,
     taylor_q,
 )
 from fbsde_lsmc.problems import ControlStructure
 
-from conftest import make_scalar_lqr, model_from_truth
+from conftest import make_linear_problem, make_scalar_lqr, model_from_truth
 
 
 def _model_1d(fn, n_steps, degree=2, half=8.0):
@@ -169,6 +174,28 @@ class TestTaylorQ:
             q = taylor_q(model, dp, i, np.array([x]), np.array([u]))
             assert q == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
+    @given(dim=st.integers(1, 4), state_sigma=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_within_rounding_of_the_three_operand_trace(self, dim, state_sigma, seed):
+        # the expansion's Mbar replaced sum_ikl Sigma_ki H_kl Sigma_li
+        dp = discretize(make_linear_problem(dim, seed, state_sigma), 2)
+        rng = np.random.default_rng(seed)
+        spec = BasisSpec.with_unit_scaling(dim, 2, 2)
+        model = ValueModel.empty(spec, 2)
+        model.set_coeffs(1, rng.normal(size=spec.size))
+        x, u = rng.normal(size=(8, dim)), rng.normal(size=(8, 1))
+        x_next, sig = x + dp.F(0, x, u), dp.Sigma(0, x)
+        hess = model.hessian(1, x_next)
+        stage, value = dp.L(0, x, u), model.eval(1, x_next)
+        ref = stage + value + 0.5 * np.einsum("...ki,...kl,...li->...", sig, hess, sig)
+        abs_trace = np.einsum("...ki,...kl,...li->...", np.abs(sig), np.abs(hess), np.abs(sig))
+        scale = np.abs(stage) + np.abs(value) + 0.5 * abs_trace
+        q = taylor_q(model, dp, 0, x, u)
+        assert q.shape == (8,)
+        assert np.all(np.abs(q - ref) <= 4 * dim * np.finfo(float).eps * scale)
+        if dim == 1:
+            np.testing.assert_array_equal(q, ref)
+
 
 class TestImprovePolicy:
     def test_matches_riccati_gain(self, scalar_lqr_setup):
@@ -181,6 +208,18 @@ class TestImprovePolicy:
             u = improve_policy(model, dp, i, x)
             expect = -truth.gain[i] @ x
             np.testing.assert_allclose(u, expect, atol=1e-8)
+
+    def test_matches_riccati_gain_on_cartpole(self):
+        cp = build_cartpole_lqr(LqrParams())
+        dp = discretize(cp, 100)
+        truth = riccati_from_lqr(cp.lqr, cp.horizon, 100)
+        model = model_from_truth(truth, 4, dp.n_steps)
+        rng = np.random.default_rng(17)
+        for i in (0, 50, 98):
+            xs = rng.uniform(-1, 1, size=(16, 4))
+            u = improve_policy(model, dp, i, xs)
+            assert u.shape == (16, 1)
+            np.testing.assert_allclose(u, -xs @ truth.gain[i].T, rtol=1e-11, atol=1e-11)
 
     def test_decoupled_control_minimizes_cost_alone(self):
         # drift ignores u entirely: the quadratic control cost picks u = 0

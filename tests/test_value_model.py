@@ -190,6 +190,12 @@ class TestLsmcFit:
         with pytest.raises(ValueError):
             lsmc_fit(np.zeros((2, 1)), np.zeros(2), spec, 0, ridge=-1.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, ridge):
+        spec = BasisSpec.with_unit_scaling(1, 1, 0)
+        with pytest.raises(ValueError, match="ridge"):
+            lsmc_fit(np.zeros((2, 1)), np.zeros(2), spec, 0, ridge=ridge)
+
 
 class TestScaling:
     def test_equivariance_of_represented_function(self):
