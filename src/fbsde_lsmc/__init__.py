@@ -42,7 +42,6 @@ from .problems import (
     ContinuousProblem,
     DiscreteProblem,
     FeedbackPolicy,
-    LqrParams,
     build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
@@ -88,7 +87,6 @@ __all__ = [
     "ContinuousProblem",
     "DiscreteProblem",
     "FeedbackPolicy",
-    "LqrParams",
     "build_cartpole_lqr",
     "build_nonlinear_1d",
     "discretize",

@@ -54,11 +54,6 @@ class ExperimentConfig:
     reference_samples: int = 1024
 
     u_max: float = 20.0
-    sigma_patch: bool = False
-    lqr_overrides: dict = field(default_factory=dict)
-    q_diag: Optional[list] = None
-    r_diag: Optional[list] = None
-    g_diag: Optional[list] = None
 
     oracle_state_lo: Optional[list] = None
     oracle_state_hi: Optional[list] = None
@@ -113,6 +108,10 @@ class ExperimentConfig:
         ):
             if value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if self.drift == "custom":
+            gains, dim_x = self.drift_custom_gains or [], 1 if self.problem == "nonlinear1d" else 4
+            if len(gains) != dim_x or not all(map(math.isfinite, gains)):
+                raise ConfigError(f"drift.gains must be {dim_x} finite values, got {gains}")
         if self.diagnose_step is not None and not 0 <= self.diagnose_step < self.n_steps:
             raise ConfigError(
                 f"diagnose.step must be in [0, run.n_steps) = [0, {self.n_steps}), "
@@ -148,15 +147,6 @@ class ExperimentConfig:
         return out
 
 
-def _parse_bool(s: str) -> bool:
-    s = s.strip().lower()
-    if s in ("true", "1", "yes", "on"):
-        return True
-    if s in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
 def _parse_int_list(s: str) -> list:
     return [int(v) for v in s.split(",") if v.strip()]
 
@@ -173,10 +163,6 @@ def _parse_str_list(s: str) -> list:
 _KEYS = {
     "problem.name": ("problem", str),
     "problem.u_max": ("u_max", float),
-    "problem.sigma_patch": ("sigma_patch", _parse_bool),
-    "problem.q_diag": ("q_diag", _parse_float_list),
-    "problem.r_diag": ("r_diag", _parse_float_list),
-    "problem.g_diag": ("g_diag", _parse_float_list),
     "run.horizon": ("horizon", float),
     "run.n_steps": ("n_steps", int),
     "run.seed": ("seed", int),
@@ -204,15 +190,21 @@ _KEYS = {
     "diagnose.reps": ("diagnose_reps", int),
 }
 
-# the eight linearization constants are forwarded into LqrParams
-for _name in ("a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2"):
-    _KEYS[f"problem.{_name}"] = (f"lqr:{_name}", float)
+# keys that only some problems or drift kinds read: key -> (problems, kinds);
+# setting one anywhere else would do nothing, so it is rejected
+_SCOPES = {
+    "problem.u_max": (("nonlinear1d",), _VALID_DRIFTS),
+    "drift.k1": (("cartpole_lqr",), ("suboptimal",)),
+    "drift.k2": (("cartpole_lqr",), ("suboptimal",)),
+    "drift.gains": (_VALID_PROBLEMS, ("custom",)),
+    **{key: (("nonlinear1d",), _VALID_DRIFTS) for key in _KEYS if key.startswith("oracle.")},
+}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse configuration text into a validated :class:`ExperimentConfig`."""
     kwargs = {}
-    lqr_overrides = {}
+    given = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -224,21 +216,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         attr, parser = _KEYS[key]
         try:
-            parsed = parser(value)
-        except ConfigError:
-            raise
+            kwargs[attr] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        if attr.startswith("lqr:"):
-            lqr_overrides[attr.split(":", 1)[1]] = parsed
-        else:
-            kwargs[attr] = parsed
-    if lqr_overrides:
-        kwargs["lqr_overrides"] = lqr_overrides
+        given[key] = lineno
     try:
-        return ExperimentConfig(**kwargs)
+        cfg = ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    for key, lineno in given.items():
+        problems, kinds = _SCOPES.get(key, (_VALID_PROBLEMS, _VALID_DRIFTS))
+        if cfg.problem not in problems:
+            raise ConfigError(f"line {lineno}: {key} is not read by problem.name = {cfg.problem}")
+        if cfg.drift not in kinds:
+            raise ConfigError(f"line {lineno}: {key} is not read with drift.kind = {cfg.drift}")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

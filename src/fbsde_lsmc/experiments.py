@@ -44,7 +44,6 @@ from .oracles import (
 )
 from .problems import (
     FeedbackPolicy,
-    LqrParams,
     build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
@@ -88,18 +87,8 @@ def _build_problem(cfg: ExperimentConfig):
     if cfg.problem == "nonlinear1d":
         cp = build_nonlinear_1d(u_max=cfg.u_max)
     else:
-        kwargs = dict(cfg.lqr_overrides)
-        kwargs["sigma_patch"] = cfg.sigma_patch
-        kwargs["horizon"] = cfg.horizon
-        if cfg.q_diag is not None:
-            kwargs["q"] = np.diag(cfg.q_diag)
-        if cfg.r_diag is not None:
-            kwargs["r"] = np.diag(cfg.r_diag)
-        if cfg.g_diag is not None:
-            kwargs["g_mat"] = np.diag(cfg.g_diag)
-        cp = build_cartpole_lqr(LqrParams(**kwargs))
-    if cp.horizon != cfg.horizon:
-        cp = dataclasses.replace(cp, horizon=cfg.horizon)
+        cp = build_cartpole_lqr()
+    cp = dataclasses.replace(cp, horizon=cfg.horizon)
     return cp, discretize(cp, cfg.n_steps)
 
 
@@ -118,8 +107,6 @@ def build_drift(cfg: ExperimentConfig, dp, mu) -> DriftProcess:
     if cfg.drift == "optimal":
         return DriftProcess.on_policy(mu)
     if cfg.drift == "custom":
-        if cfg.drift_custom_gains is None:
-            raise ValueError("drift.gains required for drift.kind = custom")
         gains = np.asarray(cfg.drift_custom_gains, dtype=float).reshape(1, dp.dim_x)
         pol = FeedbackPolicy(gains, dp.control_lower, dp.control_upper)
         return DriftProcess.on_policy(pol)

@@ -47,13 +47,16 @@ __all__ = [
 ]
 
 
+# fraction of the state span past each edge where the grid extrapolates
+# linearly; beyond it escapes are counted and ground-truth queries fail
+_MARGIN_FRACTION = 0.10
+
+
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """Node layout for the gridded dynamic program.
 
-    ``lo``/``hi`` bound the state box; ``margin_fraction`` of the span is the
-    linear-extrapolation margin beyond which escapes are counted (and beyond
-    which ground-truth queries fail).
+    ``lo``/``hi`` bound the state box.
     """
 
     lo: np.ndarray
@@ -61,7 +64,6 @@ class GridSpec:
     n_state_nodes: int = 2001
     n_control_nodes: int = 201
     n_quad_nodes: int = 21
-    margin_fraction: float = 0.10
 
     @classmethod
     def from_region(cls, region, widen: float = 0.5, **kwargs) -> "GridSpec":
@@ -238,7 +240,7 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
         z = np.stack([za.ravel(), zb.ravel()], axis=-1)
         w = np.outer(w1, w1).ravel()
 
-    margin = grid.margin_fraction * (grid.hi - grid.lo)
+    margin = _MARGIN_FRACTION * (grid.hi - grid.lo)
     n_states, n_controls, n_quad = states.shape[0], controls.shape[0], z.shape[0]
     values = np.empty((dp.n_steps + 1,) + node_shape)
     u_star = np.empty((dp.n_steps,) + node_shape + (dp.dim_u,))
@@ -246,6 +248,12 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
     escape_count = 0
 
     du = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in u_axes])
+
+    # Freeing one untouched mapped array larger than a row block's temporaries
+    # raises glibc's mmap and trim thresholds (mallopt(3)), so the blocks reuse
+    # heap pages instead of faulting in fresh ones; the cost of a run then no
+    # longer depends on what the process allocated before.
+    np.empty(8 * n * min(max(_BUDGET, n_controls * n_quad), n_states * n_controls * n_quad))
 
     for i in reversed(range(dp.n_steps)):
         vtab = values[i + 1]

@@ -25,7 +25,7 @@ cart-pole balancing problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,13 +33,11 @@ import numpy as np
 __all__ = [
     "ControlStructure",
     "LqrStructure",
-    "LqrParams",
     "ContinuousProblem",
     "DiscreteProblem",
     "ConstantPolicy",
     "FeedbackPolicy",
     "discretize",
-    "cartpole_linearization",
     "build_nonlinear_1d",
     "build_cartpole_lqr",
 ]
@@ -279,88 +277,31 @@ def build_nonlinear_1d(u_max: float = 20.0) -> ContinuousProblem:
     )
 
 
-def cartpole_linearization(
-    cart_mass: float = 1.0,
-    pole_mass: float = 0.1,
-    half_length: float = 0.5,
-    gravity: float = 9.81,
-) -> tuple:
-    """Constants of the upright cart-pole linearization (point-mass pole).
-
-    Returns (a1, ..., a6, b1, b2) for the state [cart position, cart
-    velocity, pole angle, pole angular velocity] with a force input:
-
-        x_ddot     = a1 x_dot + a2 theta + a3 theta_dot + b1 u
-        theta_ddot = a4 x_dot + a5 theta + a6 theta_dot + b2 u
-    """
-    a1 = 0.0
-    a2 = pole_mass * gravity / cart_mass
-    a3 = 0.0
-    a4 = 0.0
-    a5 = (cart_mass + pole_mass) * gravity / (cart_mass * half_length)
-    a6 = 0.0
-    b1 = 1.0 / cart_mass
-    b2 = 1.0 / (cart_mass * half_length)
-    return a1, a2, a3, a4, a5, a6, b1, b2
-
-
-_CARTPOLE_DEFAULTS = cartpole_linearization()
-
-
-@dataclass(frozen=True, eq=False)
-class LqrParams:
-    """Parameters of the linearized cart-pole benchmark.
-
-    The linearization constants default to a cart of 1.0 kg, a 0.1 kg pole of
-    half-length 0.5 m and g = 9.81 m/s^2; cost matrices default to identities
-    and the horizon to 5 s.  ``sigma_patch`` zeroes the single off-diagonal
-    diffusion entry (row 1, column 3) for sensitivity runs.
-    """
-
-    a1: float = _CARTPOLE_DEFAULTS[0]
-    a2: float = _CARTPOLE_DEFAULTS[1]
-    a3: float = _CARTPOLE_DEFAULTS[2]
-    a4: float = _CARTPOLE_DEFAULTS[3]
-    a5: float = _CARTPOLE_DEFAULTS[4]
-    a6: float = _CARTPOLE_DEFAULTS[5]
-    b1: float = _CARTPOLE_DEFAULTS[6]
-    b2: float = _CARTPOLE_DEFAULTS[7]
-    q: np.ndarray = field(default_factory=lambda: np.eye(4))
-    r: np.ndarray = field(default_factory=lambda: np.eye(1))
-    g_mat: np.ndarray = field(default_factory=lambda: np.eye(4))
-    horizon: float = 5.0
-    sigma_patch: bool = False
-
-
-def _check_psd(mat: np.ndarray, name: str, strict: bool) -> None:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if strict:
-        if np.min(eigs) <= 0:
-            raise ValueError(f"{name} must be positive definite")
-    elif np.min(eigs) < -1e-12 * max(1.0, np.max(np.abs(eigs))):
-        raise ValueError(f"{name} must be positive semidefinite")
-
-
-def build_cartpole_lqr(params: Optional[LqrParams] = None) -> ContinuousProblem:
+def build_cartpole_lqr() -> ContinuousProblem:
     """Linearized 4-D cart-pole balancing problem with additive noise.
 
-    Drift f(t, x, u) = A x + B u with the sparsity pattern of the upright
-    linearization, a constant 4x4 diffusion matrix, quadratic running and
-    terminal costs, and initial state [0, 0, pi/9, 0].
+    The state is [cart position, cart velocity, pole angle, pole angular
+    velocity] and the control a force on the cart.  Linearizing a point-mass
+    pole about the upright position, for a cart of mass M = 1.0 kg, a pole of
+    mass m = 0.1 kg and half-length l = 0.5 m under g = 9.81 m/s^2, gives
+
+        x_ddot     = (m g / M) theta + u / M
+        theta_ddot = ((M + m) g / (M l)) theta + u / (M l)
+
+    so the drift is f(t, x, u) = A x + B u.  The diffusion is a constant 4x4
+    matrix, the running cost x^T x + u^2, the terminal cost x^T x, the
+    horizon 5 s and the initial state [0, 0, pi/9, 0].
     """
-    p = params or LqrParams()
+    cart_mass, pole_mass, half_length, gravity = 1.0, 0.1, 0.5, 9.81
     a = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
-            [0.0, p.a1, p.a2, p.a3],
+            [0.0, 0.0, pole_mass * gravity / cart_mass, 0.0],
             [0.0, 0.0, 0.0, 1.0],
-            [0.0, p.a4, p.a5, p.a6],
+            [0.0, 0.0, (cart_mass + pole_mass) * gravity / (cart_mass * half_length), 0.0],
         ]
     )
-    b = np.array([[0.0], [p.b1], [0.0], [p.b2]])
+    b = np.array([[0.0], [1.0 / cart_mass], [0.0], [1.0 / (cart_mass * half_length)]])
     sigma_mat = np.array(
         [
             [0.01, 0.0, 0.0, 0.0],
@@ -369,15 +310,7 @@ def build_cartpole_lqr(params: Optional[LqrParams] = None) -> ContinuousProblem:
             [0.0, 0.0, 0.0, 0.1],
         ]
     )
-    if p.sigma_patch:
-        sigma_mat[1, 3] = 0.0
-
-    q = np.asarray(p.q, dtype=float)
-    r = np.asarray(p.r, dtype=float)
-    g_mat = np.asarray(p.g_mat, dtype=float)
-    _check_psd(q, "q", strict=False)
-    _check_psd(g_mat, "g_mat", strict=False)
-    _check_psd(r, "r", strict=True)
+    q, r, g_mat = np.eye(4), np.eye(1), np.eye(4)
 
     def f(t, x, u):
         return np.asarray(x, dtype=float) @ a.T + np.asarray(u, dtype=float) @ b.T
@@ -406,7 +339,7 @@ def build_cartpole_lqr(params: Optional[LqrParams] = None) -> ContinuousProblem:
     return ContinuousProblem(
         dim_x=4,
         dim_u=1,
-        horizon=p.horizon,
+        horizon=5.0,
         f=f,
         sigma=sigma,
         ell=ell,

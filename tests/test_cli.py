@@ -2,12 +2,17 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fbsde_lsmc import config
 from fbsde_lsmc.cli import main
 from fbsde_lsmc.config import load_config, parse_config_text
 from fbsde_lsmc.errors import ConfigError, GridEscapeWarning, OutOfDomainError, SchemaError
@@ -58,6 +63,30 @@ def _read_rows(path):
         return list(csv.DictReader(fh))
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_key_table():
+    """{key: read-by cell} from the README table, group rows expanded."""
+    table = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("| `") or len(cells) != 4:
+            continue
+        names = [n.strip(" `") for n in re.split("[,/]", cells[0])]
+        section = names[0].split(".")[0]
+        for name in names:
+            table[name if "." in name else f"{section}.{name}"] = cells[2]
+    return table
+
+
+def _scope_cell(key):
+    problems, kinds = config._SCOPES.get(key, (config._VALID_PROBLEMS, config._VALID_DRIFTS))
+    names = [p for p in problems if problems != config._VALID_PROBLEMS]
+    names += [k for k in kinds if kinds != config._VALID_DRIFTS]
+    return " + ".join(f"`{n}`" for n in names) or "any"
+
+
 class TestConfigParsing:
     def test_defaults_per_problem(self):
         cfg = parse_config_text("problem.name = nonlinear1d")
@@ -69,17 +98,78 @@ class TestConfigParsing:
     def test_lists_and_booleans(self):
         cfg = parse_config_text(
             "problem.name = cartpole_lqr\n"
-            "problem.sigma_patch = true\n"
             "sweep.degrees = 2, 3\n"
             "sweep.samples = 16\n"
         )
-        assert cfg.sigma_patch is True
         assert cfg.degrees == [2, 3]
         assert cfg.samples == [16]
 
-    def test_lqr_constant_overrides(self):
-        cfg = parse_config_text("problem.name = cartpole_lqr\nproblem.a5 = 7.0\n")
-        assert cfg.lqr_overrides == {"a5": 7.0}
+    def test_fixed_cartpole_keys_are_unknown(self):
+        # the cart-pole instance is fixed: its constants, cost diagonals and
+        # diffusion patch are not configurable
+        for name in ("a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2",
+                     "q_diag", "r_diag", "g_diag", "sigma_patch"):
+            key = f"problem.{name}"
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config_text(f"problem.name = cartpole_lqr\n{key} = 1")
+
+    @pytest.mark.parametrize(
+        "head, extra, named",
+        [
+            ("problem.name = cartpole_lqr", "problem.u_max = 5", "cartpole_lqr"),
+            ("problem.name = cartpole_lqr", "oracle.state_lo = -5", "cartpole_lqr"),
+            ("problem.name = cartpole_lqr", "oracle.state_nodes = 11", "cartpole_lqr"),
+            ("problem.name = cartpole_lqr", "oracle.quad_nodes = 5", "cartpole_lqr"),
+            ("problem.name = nonlinear1d\ndrift.kind = suboptimal", "drift.k1 = -25", "nonlinear1d"),
+            ("problem.name = cartpole_lqr\ndrift.kind = optimal", "drift.k2 = -5", "optimal"),
+            ("problem.name = cartpole_lqr\ndrift.kind = optimal", "drift.gains = 0,0,-25,-5", "optimal"),
+            ("problem.name = nonlinear1d\ndrift.kind = suboptimal", "drift.gains = -1", "suboptimal"),
+        ],
+        ids=["u_max_on_cartpole", "state_lo_on_cartpole", "state_nodes_on_cartpole",
+             "quad_nodes_on_cartpole", "k1_on_scalar", "k2_under_optimal",
+             "gains_under_optimal", "gains_under_suboptimal"],
+    )
+    def test_key_outside_its_scope_rejected(self, head, extra, named):
+        key = extra.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"{re.escape(key)} is not read .* = {named}$"):
+            parse_config_text(f"{head}\n{extra}")
+
+    @pytest.mark.parametrize(
+        "problem, gains",
+        [("nonlinear1d", None), ("nonlinear1d", "-1,2"), ("cartpole_lqr", "-1"),
+         ("cartpole_lqr", "0,0,nan,-5"), ("nonlinear1d", "inf")],
+        ids=["missing", "long", "short", "nan", "inf"],
+    )
+    def test_custom_drift_needs_dim_x_finite_gains(self, problem, gains):
+        text = f"problem.name = {problem}\ndrift.kind = custom\n"
+        if gains is not None:
+            text += f"drift.gains = {gains}\n"
+        with pytest.raises(ConfigError, match="drift.gains"):
+            parse_config_text(text)
+
+    def test_custom_drift_gains_accepted(self):
+        text = "problem.name = cartpole_lqr\ndrift.kind = custom\ndrift.gains = 0,0,-25,-5"
+        assert parse_config_text(text).drift_custom_gains == [0.0, 0.0, -25.0, -5.0]
+
+    def test_shipped_configs_and_workloads_parse(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FBSDE_SEED", raising=False)
+        shipped = sorted((ROOT / "configs").glob("*.cfg"))
+        assert len(shipped) == 2
+        for path in shipped:
+            load_config(path)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+        spec.loader.exec_module(workloads)
+        assert len(workloads.WORKLOADS) == 3
+        for w in workloads.WORKLOADS.values():
+            cfg = parse_config_text(w.config_text(w.default_seed, str(tmp_path)))
+            assert (cfg.seed, cfg.output_dir) == (w.default_seed, str(tmp_path))
+
+    def test_readme_key_table_matches_the_parser(self):
+        assert _readme_key_table() == {key: _scope_cell(key) for key in config._KEYS}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -171,8 +261,11 @@ class TestConfigParsing:
         ],
     )
     def test_metric_and_diagnose_keys_validated(self, extra):
-        with pytest.raises(ConfigError):
-            parse_config_text("problem.name = cartpole_lqr\n" + extra)
+        # the control box and the oracle grid are read by the scalar problem only
+        scalar = extra.startswith(("problem.u_max", "oracle."))
+        problem = "nonlinear1d" if scalar else "cartpole_lqr"
+        with pytest.raises(ConfigError, match=re.escape(extra.split(" =")[0])):
+            parse_config_text(f"problem.name = {problem}\n" + extra)
 
     def test_scalar_span_checked_against_its_default(self):
         cfg = parse_config_text("problem.name = nonlinear1d")
@@ -397,6 +490,8 @@ class TestCliEntry:
             ("run", "run.horizon = inf\n", "run.horizon"),
             ("diagnose", "metrics.dx = inf\n", "metrics.dx"),
             ("oracle", "problem.name = nonlinear1d\noracle.state_lo = 12\n", "oracle.state_lo"),
+            ("oracle", "problem.u_max = 5\n", "problem.u_max"),
+            ("run", "drift.kind = custom\ndrift.gains = 1,2\n", "drift.gains"),
         ],
         ids=[
             "repeated_degree",
@@ -407,6 +502,8 @@ class TestCliEntry:
             "inf_horizon",
             "inf_dx",
             "scalar_span_past_default_hi",
+            "u_max_on_cartpole",
+            "short_custom_gains",
         ],
     )
     def test_rejected_before_any_work_exits_1(self, tmp_path, capsys, command, extra, key):

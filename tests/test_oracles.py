@@ -274,7 +274,7 @@ class TestInterp:
         nodes = np.linspace(lo, lo + span, n_nodes)
         columns = rng.normal(scale=rng.uniform(0.1, 100.0), size=(n_nodes, 3))
         # points inside the axis and up to one grid margin beyond both edges
-        margin = GridSpec.margin_fraction * span
+        margin = oracles._MARGIN_FRACTION * span
         x = rng.uniform(lo - margin, lo + span + margin, size=(40, 1))
         x[:2, 0] = lo - margin, lo + span + margin
         # a strided column view, as GridTruth.control passes, and a plain table

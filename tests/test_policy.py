@@ -11,7 +11,6 @@ from fbsde_lsmc import (
     ContinuousProblem,
     DriftProcess,
     EstimatorKind,
-    LqrParams,
     ValueModel,
     backward_pass,
     build_cartpole_lqr,
@@ -210,7 +209,7 @@ class TestImprovePolicy:
             np.testing.assert_allclose(u, expect, atol=1e-8)
 
     def test_matches_riccati_gain_on_cartpole(self):
-        cp = build_cartpole_lqr(LqrParams())
+        cp = build_cartpole_lqr()
         dp = discretize(cp, 100)
         truth = riccati_from_lqr(cp.lqr, cp.horizon, 100)
         model = model_from_truth(truth, 4, dp.n_steps)

@@ -11,7 +11,6 @@ from fbsde_lsmc import (
     ConstantPolicy,
     ContinuousProblem,
     FeedbackPolicy,
-    LqrParams,
     build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
@@ -112,10 +111,6 @@ class TestCartpoleLqr:
         assert sig[1, 3] == 1.0
         assert sig[2, 2] == 0.01
 
-    def test_sigma_patch_zeroes_off_diagonal(self):
-        cp = build_cartpole_lqr(LqrParams(sigma_patch=True))
-        assert cp.sigma(0.0, np.zeros(4))[1, 3] == 0.0
-
     def test_initial_state(self):
         cp = build_cartpole_lqr()
         np.testing.assert_allclose(cp.x0, [0.0, 0.0, math.pi / 9.0, 0.0])
@@ -125,6 +120,14 @@ class TestCartpoleLqr:
         np.testing.assert_array_equal(cp.lqr.a[0], [0.0, 1.0, 0.0, 0.0])
         np.testing.assert_array_equal(cp.lqr.a[2], [0.0, 0.0, 0.0, 1.0])
 
+    def test_linearization_rows_and_input_matrix(self):
+        # cart 1.0 kg, pole 0.1 kg of half-length 0.5 m, g = 9.81:
+        # m g / M = 0.981, (M + m) g / (M l) = 21.582, 1 / M = 1, 1 / (M l) = 2
+        lqr = build_cartpole_lqr().lqr
+        np.testing.assert_allclose(lqr.a[1], [0.0, 0.0, 0.981, 0.0], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(lqr.a[3], [0.0, 0.0, 21.582, 0.0], rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(lqr.b, [[0.0], [1.0], [0.0], [2.0]])
+
     def test_drift_is_linear(self):
         cp = build_cartpole_lqr()
         rng = np.random.default_rng(1)
@@ -133,14 +136,6 @@ class TestCartpoleLqr:
         np.testing.assert_allclose(
             cp.f(0.0, x, u), x @ cp.lqr.a.T + u @ cp.lqr.b.T, rtol=1e-13
         )
-
-    def test_indefinite_terminal_cost_rejected(self):
-        with pytest.raises(ValueError):
-            build_cartpole_lqr(LqrParams(g_mat=np.diag([1.0, 1.0, 1.0, -1.0])))
-
-    def test_singular_control_cost_rejected(self):
-        with pytest.raises(ValueError):
-            build_cartpole_lqr(LqrParams(r=np.zeros((1, 1))))
 
 
 class TestPolicies:
