@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
@@ -31,7 +31,11 @@ _VALID_ESTIMATORS = ("taylor_noiseless", "taylor_reestimate", "em_noiseless", "e
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment settings; see the README for the full key table."""
+    """Resolved experiment settings; see the README for the full key table.
+
+    A field whose key has a scope (``_SCOPES``) is ``None`` under the problems
+    and drift kinds that do not read it, and defaults where they do.
+    """
 
     problem: str = "nonlinear1d"
     horizon: Optional[float] = None
@@ -42,8 +46,8 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     drift: str = "optimal"
-    drift_k1: float = -25.0
-    drift_k2: float = -5.0
+    drift_k1: Optional[float] = None
+    drift_k2: Optional[float] = None
     drift_custom_gains: Optional[list] = None
 
     estimators: list = field(default_factory=lambda: list(DEFAULT_SWEEP["estimators"]))
@@ -53,13 +57,13 @@ class ExperimentConfig:
     d_cap: Optional[float] = None
     reference_samples: int = 1024
 
-    u_max: float = 20.0
+    u_max: Optional[float] = None
 
-    oracle_state_lo: Optional[list] = None
-    oracle_state_hi: Optional[list] = None
-    oracle_state_nodes: int = 2001
-    oracle_control_nodes: int = 201
-    oracle_quad_nodes: int = 21
+    oracle_state_lo: Optional[float] = None
+    oracle_state_hi: Optional[float] = None
+    oracle_state_nodes: Optional[int] = None
+    oracle_control_nodes: Optional[int] = None
+    oracle_quad_nodes: Optional[int] = None
 
     metrics_dx: Optional[float] = None
     metrics_points_per_axis: Optional[int] = None
@@ -82,6 +86,15 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep.{name} must be nonempty")
             if len(set(entries)) < len(entries):
                 raise ConfigError(f"sweep.{name} entries must be distinct, got {entries}")
+        for key, (problems, kinds) in _SCOPES.items():
+            attr = _KEYS[key][0]
+            if self._reads(key):
+                if getattr(self, attr) is None:
+                    setattr(self, attr, _SCOPED_DEFAULTS.get(key))
+            elif getattr(self, attr) is not None:
+                if self.problem not in problems:
+                    raise ConfigError(f"{key} is not read by problem.name = {self.problem}")
+                raise ConfigError(f"{key} is not read with drift.kind = {self.drift}")
         if self.n_steps is None:
             self.n_steps = 200 if self.problem == "nonlinear1d" else 100
         if self.horizon is None:
@@ -90,10 +103,6 @@ class ExperimentConfig:
             # corrections on the linear benchmark's ill-conditioned diffusion
             # are legitimately large; the scalar benchmark keeps the tight cap
             self.d_cap = 10.0 if self.problem == "nonlinear1d" else 1e9
-        if self.problem == "nonlinear1d" and self.oracle_state_lo is None:
-            self.oracle_state_lo = [-5.0]
-        if self.problem == "nonlinear1d" and self.oracle_state_hi is None:
-            self.oracle_state_hi = [12.0]
         for key, value, low in (
             ("run.trials", self.trials, 1),
             ("run.n_steps", self.n_steps, 1),
@@ -106,7 +115,7 @@ class ExperimentConfig:
             ("diagnose.cells", self.diagnose_cells, 1),
             ("diagnose.reps", self.diagnose_reps, 2),
         ):
-            if value < low:
+            if value is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
         if self.drift == "custom":
             gains, dim_x = self.drift_custom_gains or [], 1 if self.problem == "nonlinear1d" else 4
@@ -129,22 +138,23 @@ class ExperimentConfig:
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and > 0, got {value}")
         lo, hi = self.oracle_state_lo, self.oracle_state_hi
-        for key, span in (("oracle.state_lo", lo), ("oracle.state_hi", hi)):
-            if span is not None and not (len(span) == 1 and math.isfinite(span[0])):
-                raise ConfigError(f"{key} must be one finite value, got {span}")
-        if lo is not None and hi is not None and not lo[0] < hi[0]:
-            raise ConfigError(f"oracle.state_lo must be < oracle.state_hi, got {lo} / {hi}")
+        if lo is not None and not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError(
+                f"oracle.state_lo / oracle.state_hi must be finite with lo < hi, got {lo} / {hi}"
+            )
         if self.metrics_dx is not None and self.metrics_points_per_axis is not None:
             raise ConfigError("set at most one of metrics.dx and metrics.points_per_axis")
         if self.metrics_points_per_axis is not None and self.metrics_points_per_axis < 2:
             raise ConfigError("metrics.points_per_axis must be >= 2")
 
+    def _reads(self, key: str) -> bool:
+        """Whether this problem and drift kind read the config ``key``."""
+        problems, kinds = _SCOPES.get(key, (_VALID_PROBLEMS, _VALID_DRIFTS))
+        return self.problem in problems and self.drift in kinds
+
     def resolved(self) -> dict:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            out[f.name] = val
-        return out
+        """The settings this run reads, by attribute name."""
+        return {attr: getattr(self, attr) for key, (attr, _) in _KEYS.items() if self._reads(key)}
 
 
 def _parse_int_list(s: str) -> list:
@@ -178,8 +188,8 @@ _KEYS = {
     "sweep.samples": ("samples", _parse_int_list),
     "sampling.d_cap": ("d_cap", float),
     "sampling.reference_samples": ("reference_samples", int),
-    "oracle.state_lo": ("oracle_state_lo", _parse_float_list),
-    "oracle.state_hi": ("oracle_state_hi", _parse_float_list),
+    "oracle.state_lo": ("oracle_state_lo", float),
+    "oracle.state_hi": ("oracle_state_hi", float),
     "oracle.state_nodes": ("oracle_state_nodes", int),
     "oracle.control_nodes": ("oracle_control_nodes", int),
     "oracle.quad_nodes": ("oracle_quad_nodes", int),
@@ -200,11 +210,22 @@ _SCOPES = {
     **{key: (("nonlinear1d",), _VALID_DRIFTS) for key in _KEYS if key.startswith("oracle.")},
 }
 
+# values of scoped keys where they are read and not set; drift.gains has none
+_SCOPED_DEFAULTS = {
+    "problem.u_max": 20.0,
+    "drift.k1": -25.0,
+    "drift.k2": -5.0,
+    "oracle.state_lo": -5.0,
+    "oracle.state_hi": 12.0,
+    "oracle.state_nodes": 2001,
+    "oracle.control_nodes": 201,
+    "oracle.quad_nodes": 21,
+}
+
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse configuration text into a validated :class:`ExperimentConfig`."""
     kwargs = {}
-    given = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -219,18 +240,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             kwargs[attr] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        given[key] = lineno
     try:
-        cfg = ExperimentConfig(**kwargs)
+        return ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    for key, lineno in given.items():
-        problems, kinds = _SCOPES.get(key, (_VALID_PROBLEMS, _VALID_DRIFTS))
-        if cfg.problem not in problems:
-            raise ConfigError(f"line {lineno}: {key} is not read by problem.name = {cfg.problem}")
-        if cfg.drift not in kinds:
-            raise ConfigError(f"line {lineno}: {key} is not read with drift.kind = {cfg.drift}")
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

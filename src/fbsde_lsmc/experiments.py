@@ -92,10 +92,10 @@ def _build_problem(cfg: ExperimentConfig):
     return cp, discretize(cp, cfg.n_steps)
 
 
-def _grid_spec_from_cfg(cfg: ExperimentConfig, lo, hi) -> GridSpec:
+def _grid_spec_from_cfg(cfg: ExperimentConfig, lo: float, hi: float) -> GridSpec:
     return GridSpec(
-        lo=np.asarray(lo, dtype=float),
-        hi=np.asarray(hi, dtype=float),
+        lo=np.array([lo], dtype=float),
+        hi=np.array([hi], dtype=float),
         n_state_nodes=cfg.oracle_state_nodes,
         n_control_nodes=cfg.oracle_control_nodes,
         n_quad_nodes=cfg.oracle_quad_nodes,
@@ -153,10 +153,9 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
         mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
         region = _reference_region(cfg, dp, mu)
         want = GridSpec.from_region(region, widen=0.5)
-        if np.any(want.lo < spec.lo) or np.any(want.hi > spec.hi):
-            merged = _grid_spec_from_cfg(
-                cfg, np.minimum(want.lo, spec.lo), np.maximum(want.hi, spec.hi)
-            )
+        lo, hi = cfg.oracle_state_lo, cfg.oracle_state_hi
+        if want.lo[0] < lo or want.hi[0] > hi:
+            merged = _grid_spec_from_cfg(cfg, min(want.lo[0], lo), max(want.hi[0], hi))
             truth = grid_bellman(dp, merged)
             mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
             region = _reference_region(cfg, dp, mu)

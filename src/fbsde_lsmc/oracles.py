@@ -1,11 +1,11 @@
 """Ground-truth value functions for error measurement.
 
-Low-dimensional problems get a gridded stochastic dynamic program: values are
-tabulated on state nodes, expectations over the Gaussian step noise use
-normalized Gauss-Hermite quadrature, next-step values are interpolated
-multilinearly with linear extrapolation at the edges, and the control
-minimization runs over a grid followed by one parabolic refinement of the
-argmin (exact for objectives quadratic in the control).
+Problems with one state and one control get a gridded stochastic dynamic
+program: values are tabulated on uniform state nodes, expectations over the
+Gaussian step noise use normalized Gauss-Hermite quadrature, next-step values
+are interpolated linearly with linear extrapolation at the edges, and the
+control minimization runs over a grid followed by one parabolic refinement of
+the argmin (exact for objectives quadratic in the control).
 
 Linear-quadratic problems get the exact backward Riccati recursion
 
@@ -22,6 +22,7 @@ feedback u_i = -gain_i x.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import GridEscapeWarning, OutOfDomainError, SingularRecursionError
 from .problems import DiscreteProblem, FeedbackPolicy, LqrStructure
@@ -56,7 +56,7 @@ _MARGIN_FRACTION = 0.10
 class GridSpec:
     """Node layout for the gridded dynamic program.
 
-    ``lo``/``hi`` bound the state box.
+    ``lo``/``hi`` are length-1 arrays bounding the state interval.
     """
 
     lo: np.ndarray
@@ -83,11 +83,11 @@ class GridSpec:
 class GridTruth:
     """Tabulated value function and minimizing control per timestep.
 
-    ``values`` has shape (N+1,) + node grid; ``u_star`` additionally carries
-    a trailing control axis and covers steps 0..N-1.
+    ``values`` has shape (N+1, nodes); ``u_star`` has shape (N, nodes) and
+    covers steps 0..N-1.
     """
 
-    axes: list
+    nodes: np.ndarray
     values: np.ndarray
     u_star: np.ndarray
     lo: np.ndarray
@@ -96,35 +96,23 @@ class GridTruth:
     escape_count: int = 0
 
     @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
 
     def _check_domain(self, x: np.ndarray) -> None:
-        below = x < (self.lo - self.margin)
-        above = x > (self.hi + self.margin)
-        if np.any(below | above):
-            raise OutOfDomainError(
-                "query outside the tabulated grid plus extrapolation margin"
-            )
+        if np.any((x < self.lo - self.margin) | (x > self.hi + self.margin)):
+            raise OutOfDomainError("query outside the tabulated grid plus extrapolation margin")
 
     def value(self, i: int, x) -> np.ndarray:
         """Interpolated value at step ``i``; linear extrapolation at edges."""
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
-        return _interp(self.axes, self.values[i], x)
+        return _interp(self.nodes, self.values[i], x)
 
     def control(self, i: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
-        cols = [
-            _interp(self.axes, self.u_star[i][..., j], x)
-            for j in range(self.u_star.shape[-1])
-        ]
-        return np.stack(cols, axis=-1)
+        return _interp(self.nodes, self.u_star[i], x)[..., None]
 
 
 class GridPolicy:
@@ -166,43 +154,31 @@ GroundTruth = Union[GridTruth, RiccatiTruth]
 _BUDGET = 65536
 
 
-def _interp(axes, table, x):
-    """Multilinear interpolation with linear extrapolation outside the axes.
+def _interp(nodes, table, x):
+    """Linear interpolation in ``x[..., 0]`` with linear extrapolation outside.
 
-    The 1-D fast path exploits the uniform node spacing: cell index and
-    fraction come from one division, and letting the fraction leave [0, 1]
-    in the edge cells is exactly linear extrapolation.  It works in place and
-    gathers each cell's slope from ``np.diff(table)``: the same IEEE
-    subtraction ``table[cell + 1] - table[cell]``, done once per node rather
-    than once per point, so the result is bit-identical.
+    The uniform node spacing gives cell index and fraction from one
+    division, and letting the fraction leave [0, 1] in the edge cells is
+    exactly linear extrapolation.  It works in place and gathers each cell's
+    slope from ``np.diff(table)``: the same IEEE subtraction
+    ``table[cell + 1] - table[cell]``, done once per node rather than once per
+    point, so the result is bit-identical.
     """
-    if len(axes) == 1:
-        nodes = axes[0]
-        xi = x[..., 0]
-        # an explicit output keeps a single-point query's 0-d position an array
-        pos = np.subtract(xi, nodes[0], out=np.empty(xi.shape))
-        pos /= nodes[1] - nodes[0]
-        cell = pos.astype(np.intp)
-        np.clip(cell, 0, len(nodes) - 2, out=cell)
-        pos -= cell
-        pos *= np.diff(table).take(cell)
-        out = table.take(cell)
-        out += pos
-        return out
-    interp = RegularGridInterpolator(
-        axes, table, method="linear", bounds_error=False, fill_value=None
-    )
-    return interp(x)
-
-
-def _normalized_hermite(n_nodes: int) -> tuple:
-    """Nodes and weights integrating against the standard normal density."""
-    h, w = np.polynomial.hermite.hermgauss(n_nodes)
-    return h * math.sqrt(2.0), w / math.sqrt(math.pi)
+    xi = x[..., 0]
+    # an explicit output keeps a single-point query's 0-d position an array
+    pos = np.subtract(xi, nodes[0], out=np.empty(xi.shape))
+    pos /= nodes[1] - nodes[0]
+    cell = pos.astype(np.intp)
+    np.clip(cell, 0, len(nodes) - 2, out=cell)
+    pos -= cell
+    pos *= np.diff(table).take(cell)
+    out = table.take(cell)
+    out += pos
+    return out
 
 
 def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
-    """Dynamic-programming ground truth on a state grid (dim_x <= 2).
+    """Dynamic-programming ground truth on a state grid (one state, one control).
 
     Requires the problem callables to broadcast (they do for instances built
     by this package).  Each step is evaluated in blocks of state rows holding
@@ -213,57 +189,40 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
     :class:`GridEscapeWarning` once per run; they are still evaluated by
     linear extrapolation.
     """
-    n = dp.dim_x
-    if n > 2:
-        raise ValueError("gridded ground truth supports at most 2 state dimensions")
+    if dp.dim_x != 1 or dp.dim_u != 1:
+        raise ValueError("gridded ground truth needs one state and one control dimension")
     if not (np.all(np.isfinite(dp.control_lower)) and np.all(np.isfinite(dp.control_upper))):
         raise ValueError("gridded ground truth needs a finite control box")
 
-    axes = [np.linspace(grid.lo[c], grid.hi[c], grid.n_state_nodes) for c in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    states = np.stack([g.ravel() for g in mesh], axis=-1)
-    node_shape = mesh[0].shape
-
-    u_axes = [
-        np.linspace(dp.control_lower[j], dp.control_upper[j], grid.n_control_nodes)
-        for j in range(dp.dim_u)
-    ]
-    u_mesh = np.meshgrid(*u_axes, indexing="ij")
-    controls = np.stack([g.ravel() for g in u_mesh], axis=-1)
-
-    z1, w1 = _normalized_hermite(grid.n_quad_nodes)
-    if n == 1:
-        z = z1[:, None]
-        w = w1
-    else:
-        za, zb = np.meshgrid(z1, z1, indexing="ij")
-        z = np.stack([za.ravel(), zb.ravel()], axis=-1)
-        w = np.outer(w1, w1).ravel()
+    nodes = np.linspace(grid.lo[0], grid.hi[0], grid.n_state_nodes)
+    u_nodes = np.linspace(dp.control_lower[0], dp.control_upper[0], grid.n_control_nodes)
+    states, controls = nodes[:, None], u_nodes[:, None]
+    # Gauss-Hermite nodes and weights normalized to the standard normal density
+    h, w = np.polynomial.hermite.hermgauss(grid.n_quad_nodes)
+    z, w = h * math.sqrt(2.0), w / math.sqrt(math.pi)
 
     margin = _MARGIN_FRACTION * (grid.hi - grid.lo)
-    n_states, n_controls, n_quad = states.shape[0], controls.shape[0], z.shape[0]
-    values = np.empty((dp.n_steps + 1,) + node_shape)
-    u_star = np.empty((dp.n_steps,) + node_shape + (dp.dim_u,))
-    values[dp.n_steps] = dp.g(states).reshape(node_shape)
+    n_states, n_controls, n_quad = len(nodes), len(u_nodes), len(w)
+    rows_all = np.arange(n_states)
+    values = np.empty((dp.n_steps + 1, n_states))
+    u_star = np.empty((dp.n_steps, n_states))
+    values[dp.n_steps] = dp.g(states)
     escape_count = 0
-
-    du = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in u_axes])
 
     # Freeing one untouched mapped array larger than a row block's temporaries
     # raises glibc's mmap and trim thresholds (mallopt(3)), so the blocks reuse
     # heap pages instead of faulting in fresh ones; the cost of a run then no
     # longer depends on what the process allocated before.
-    np.empty(8 * n * min(max(_BUDGET, n_controls * n_quad), n_states * n_controls * n_quad))
+    np.empty(8 * min(max(_BUDGET, n_controls * n_quad), n_states * n_controls * n_quad))
 
     for i in reversed(range(dp.n_steps)):
         vtab = values[i + 1]
-        sig = dp.Sigma(i, states)
-        sig_z = np.einsum("scd,qd->sqc", sig, z)
+        sig_z = np.einsum("scd,qd->sqc", dp.Sigma(i, states), z[:, None])
 
         def expected(xs, us):
             """Stage cost plus expected next value for paired (xs, us).
 
-            ``xs`` and ``us`` share shape (n_states, U, .); returns (n_states, U).
+            ``xs`` and ``us`` share shape (n_states, U, 1); returns (n_states, U).
             """
             nonlocal escape_count
             out = np.empty(xs.shape[:2])
@@ -273,40 +232,36 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
                 stage = dp.L(i, xc, uc)
                 x_next = (xc + dp.F(i, xc, uc))[:, :, None, :] + sig_z[r : r + rows, None]
                 escaped = (x_next < grid.lo - margin) | (x_next > grid.hi + margin)
-                escape_count += int(np.count_nonzero(np.any(escaped, axis=-1)))
-                vals = _interp(axes, vtab, x_next.reshape(-1, n)).reshape(x_next.shape[:-1])
-                np.add(stage, vals @ w, out=out[r : r + rows])
+                escape_count += int(np.count_nonzero(escaped))
+                np.add(stage, _interp(nodes, vtab, x_next) @ w, out=out[r : r + rows])
             return out
 
-        xs_all = np.broadcast_to(states[:, None, :], (n_states, n_controls, n))
-        us_all = np.broadcast_to(controls[None, :, :], (n_states, n_controls, dp.dim_u))
+        xs_all = np.broadcast_to(states[:, None, :], (n_states, n_controls, 1))
+        us_all = np.broadcast_to(controls[None, :, :], (n_states, n_controls, 1))
         obj = expected(xs_all, us_all)
         best = np.argmin(obj, axis=1)
-        u_best = controls[best]
-        v_best = np.take_along_axis(obj, best[:, None], axis=1)[:, 0]
+        u_best = u_nodes[best]
+        v_best = obj[rows_all, best]
 
-        if dp.dim_u == 1 and grid.n_control_nodes >= 3:
+        if n_controls >= 3:
             # one parabolic refinement around the grid argmin; exact when the
             # objective is quadratic in u
+            du = u_nodes[1] - u_nodes[0]
             j0 = np.clip(best, 1, n_controls - 2)
-            y_m = np.take_along_axis(obj, (j0 - 1)[:, None], axis=1)[:, 0]
-            y_0 = np.take_along_axis(obj, j0[:, None], axis=1)[:, 0]
-            y_p = np.take_along_axis(obj, (j0 + 1)[:, None], axis=1)[:, 0]
+            y_m, y_0, y_p = (obj[rows_all, j0 + k] for k in (-1, 0, 1))
             denom = y_m - 2.0 * y_0 + y_p
             with np.errstate(divide="ignore", invalid="ignore"):
-                shift = 0.5 * (y_m - y_p) / denom * du[0]
+                shift = 0.5 * (y_m - y_p) / denom * du
             ok = np.isfinite(shift) & (denom > 0)
-            shift = np.where(ok, np.clip(shift, -du[0], du[0]), 0.0)
-            u_ref = np.clip(
-                controls[j0, 0] + shift, dp.control_lower[0], dp.control_upper[0]
-            )
+            shift = np.where(ok, np.clip(shift, -du, du), 0.0)
+            u_ref = np.clip(u_nodes[j0] + shift, dp.control_lower[0], dp.control_upper[0])
             v_ref = expected(states[:, None, :], u_ref[:, None, None])[:, 0]
             better = v_ref < v_best
             v_best = np.where(better, v_ref, v_best)
-            u_best = np.where(better[:, None], u_ref[:, None], u_best)
+            u_best = np.where(better, u_ref, u_best)
 
-        values[i] = v_best.reshape(node_shape)
-        u_star[i] = u_best.reshape(node_shape + (dp.dim_u,))
+        values[i] = v_best
+        u_star[i] = u_best
 
     if escape_count:
         warnings.warn(
@@ -315,7 +270,7 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
             stacklevel=2,
         )
     return GridTruth(
-        axes=axes,
+        nodes=nodes,
         values=values,
         u_star=u_star,
         lo=grid.lo,
@@ -378,31 +333,14 @@ def riccati_from_lqr(lqr: LqrStructure, horizon: float, n_steps: int) -> Riccati
 
 
 def export_grid_csv(gt: GridTruth, path) -> None:
-    """Write (step, x_0.., value, u_star_0..) rows for every node and step."""
-    mesh = np.meshgrid(*gt.axes, indexing="ij")
-    states = np.stack([g.ravel() for g in mesh], axis=-1)
-    n = states.shape[1]
-    m = gt.u_star.shape[-1]
+    """Write (step, x_0, value, u_star_0) rows, one block per step; u_star_0 is nan at step N."""
+    xs = list(map(repr, gt.nodes.tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["step"]
-            + [f"x_{c}" for c in range(n)]
-            + ["value"]
-            + [f"u_star_{j}" for j in range(m)]
-        )
+        writer.writerow(["step", "x_0", "value", "u_star_0"])
         for i in range(gt.n_steps + 1):
-            vflat = gt.values[i].ravel()
-            uflat = (
-                gt.u_star[i].reshape(-1, m) if i < gt.n_steps else np.full((len(vflat), m), np.nan)
-            )
-            for row in range(len(vflat)):
-                writer.writerow(
-                    [i]
-                    + [repr(float(v)) for v in states[row]]
-                    + [repr(float(vflat[row]))]
-                    + [repr(float(u)) for u in uflat[row]]
-                )
+            us = map(repr, gt.u_star[i].tolist()) if i < gt.n_steps else itertools.repeat("nan")
+            writer.writerows(zip(itertools.repeat(i), xs, map(repr, gt.values[i].tolist()), us))
 
 
 def export_riccati_json(gt: RiccatiTruth, path) -> None:

@@ -35,6 +35,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here loads it with the
+# package instead of inside the first sampling call
+from numpy.random import Generator, Philox
 
 from .errors import DriftUnboundedError, SingularDiffusionError, WeightOverflowError
 from .problems import DiscreteProblem
@@ -144,8 +147,8 @@ def _normals(seed: int, n_samples: int, purpose: int, shape: tuple) -> np.ndarra
     """
     out = np.empty((n_samples,) + shape)
     # an explicit seed skips the OS-entropy draw that the first re-key overwrites
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    bitgen = Philox(0)
+    gen = Generator(bitgen)
     key = np.array([seed % 2**64, 0], dtype=np.uint64)
     state = {
         "bit_generator": "Philox",

@@ -5,7 +5,9 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +32,22 @@ sweep.estimators = taylor_noiseless,em_noisy
 sweep.degrees = 1,2
 sweep.samples = 32,64
 sampling.reference_samples = 64
+"""
+
+
+# The smallest scalar run that builds, exports and samples through the grid.
+TINY_SCALAR = """
+problem.name = nonlinear1d
+run.n_steps = 20
+run.seed = 99
+run.output_dir = {out}
+sweep.estimators = taylor_noiseless,em_noisy
+sweep.degrees = 2
+sweep.samples = 64
+sampling.reference_samples = 256
+oracle.state_nodes = 401
+oracle.control_nodes = 41
+oracle.quad_nodes = 11
 """
 
 
@@ -269,10 +287,42 @@ class TestConfigParsing:
 
     def test_scalar_span_checked_against_its_default(self):
         cfg = parse_config_text("problem.name = nonlinear1d")
-        assert (cfg.oracle_state_lo, cfg.oracle_state_hi) == ([-5.0], [12.0])
+        assert (cfg.oracle_state_lo, cfg.oracle_state_hi) == (-5.0, 12.0)
         assert parse_config_text("problem.name = cartpole_lqr").oracle_state_lo is None
         with pytest.raises(ConfigError, match="oracle.state_lo"):
             parse_config_text("problem.name = nonlinear1d\noracle.state_lo = 12")
+
+    def test_scope_checked_on_every_construction_path(self):
+        cart = parse_config_text("problem.name = cartpole_lqr")
+        with pytest.raises(ConfigError, match="problem.u_max is not read by .* = cartpole_lqr"):
+            dataclasses.replace(cart, u_max=5.0, oracle_state_nodes=7)
+        with pytest.raises(ConfigError, match="oracle.state_nodes is not read by"):
+            config.ExperimentConfig(problem="cartpole_lqr", oracle_state_nodes=7)
+        with pytest.raises(ConfigError, match="drift.k1 is not read with drift.kind = optimal"):
+            dataclasses.replace(cart, drift_k1=-25.0)
+        # in scope, an unset key takes its default
+        assert dataclasses.replace(cart, drift="suboptimal").drift_k1 == -25.0
+        assert config.ExperimentConfig().u_max == 20.0
+
+    @pytest.mark.parametrize(
+        "text, unread",
+        [
+            ("problem.name = cartpole_lqr",
+             {"u_max", "drift_k1", "drift_k2", "drift_custom_gains", "oracle_state_lo",
+              "oracle_state_hi", "oracle_state_nodes", "oracle_control_nodes",
+              "oracle_quad_nodes"}),
+            ("problem.name = cartpole_lqr\ndrift.kind = suboptimal",
+             {"u_max", "drift_custom_gains", "oracle_state_lo", "oracle_state_hi",
+              "oracle_state_nodes", "oracle_control_nodes", "oracle_quad_nodes"}),
+            ("problem.name = nonlinear1d", {"drift_k1", "drift_k2", "drift_custom_gains"}),
+        ],
+        ids=["cartpole_optimal", "cartpole_suboptimal", "scalar_optimal"],
+    )
+    def test_resolved_leaves_out_unread_keys(self, text, unread):
+        cfg = parse_config_text(text)
+        out = cfg.resolved()
+        assert set(out) == {f.name for f in dataclasses.fields(cfg)} - unread
+        assert config.ExperimentConfig(**out) == cfg
 
     def test_last_diagnose_step_accepted(self):
         assert parse_config_text("run.n_steps = 10\ndiagnose.step = 9").diagnose_step == 9
@@ -376,6 +426,7 @@ class TestRunExperiment:
         data = json.loads(open(manifest).read())
         assert data["config"]["seed"] == 99
         assert data["config"]["estimators"] == ["taylor_noiseless", "em_noisy"]
+        assert data["config"]["drift_k1"] == -25.0 and "u_max" not in data["config"]
 
     def test_rerun_is_deterministic_outside_runtime(self, tiny_run, tmp_path):
         cfg, results, _ = tiny_run
@@ -521,6 +572,28 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "oracle.state_nodes must be >= 2" in err
         assert "Traceback" not in err
+
+    def test_oracle_and_run_without_scipy(self, tmp_path):
+        # scipy is a test dependency only; a None entry makes any import of it fail
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_SCALAR.format(out=tmp_path / "out"))
+        code = (
+            "import sys, warnings\n"
+            "sys.modules['scipy'] = None\n"
+            "warnings.simplefilter('ignore')\n"
+            "from fbsde_lsmc import cli\n"
+            f"cfg = {str(cfg_path)!r}\n"
+            "sys.exit(cli.main(['oracle', cfg]) or cli.main(['run', cfg]))\n"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("FBSDE_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = (tmp_path / "out" / "grid_truth.csv").read_text().splitlines()
+        assert lines[0] == "step,x_0,value,u_star_0"
+        assert len(lines) == 21 * 401 + 1
+        assert len(_read_rows(tmp_path / "out" / "results.csv")) == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2

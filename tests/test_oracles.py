@@ -1,6 +1,8 @@
 """Ground-truth oracles: gridded dynamic programming and Riccati recursion."""
 
+import csv
 import dataclasses
+import io
 import json
 import tracemalloc
 import warnings
@@ -90,18 +92,18 @@ class TestRiccati:
             )
 
 
-def _uncontrolled_problem(g_fn, sigma=0.5, horizon=0.5, dim=1):
+def _uncontrolled_problem(g_fn, sigma=0.5, horizon=0.5):
     return ContinuousProblem(
-        dim_x=dim,
+        dim_x=1,
         dim_u=1,
         horizon=horizon,
         f=lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=lambda t, x: sigma * np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim)),
+        sigma=lambda t, x: sigma * np.broadcast_to(np.eye(1), np.shape(x)[:-1] + (1, 1)),
         ell=lambda t, x, u: np.zeros(np.shape(x)[:-1]),
         g=g_fn,
         control_lower=np.array([-1.0]),
         control_upper=np.array([1.0]),
-        x0=np.zeros(dim),
+        x0=np.zeros(1),
     )
 
 
@@ -157,22 +159,25 @@ class TestGridBellman:
         np.testing.assert_allclose(values(2001, 42), base, atol=1e-6)
         np.testing.assert_allclose(values(4001, 21), base, atol=1e-4)
 
-    def test_three_dimensions_rejected(self):
+    @pytest.mark.parametrize(
+        "dim_x, dim_u", [(2, 1), (3, 1), (1, 2)], ids=["dim_x=2", "dim_x=3", "dim_u=2"]
+    )
+    def test_unsupported_dimensions_rejected(self, dim_x, dim_u):
         cp = ContinuousProblem(
-            dim_x=3,
-            dim_u=1,
+            dim_x=dim_x,
+            dim_u=dim_u,
             horizon=1.0,
             f=lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float)),
-            sigma=lambda t, x: np.broadcast_to(np.eye(3), np.shape(x)[:-1] + (3, 3)),
+            sigma=lambda t, x: np.broadcast_to(np.eye(dim_x), np.shape(x)[:-1] + (dim_x, dim_x)),
             ell=lambda t, x, u: np.zeros(np.shape(x)[:-1]),
             g=lambda x: np.zeros(np.shape(x)[:-1]),
-            control_lower=np.array([-1.0]),
-            control_upper=np.array([1.0]),
-            x0=np.zeros(3),
+            control_lower=-np.ones(dim_u),
+            control_upper=np.ones(dim_u),
+            x0=np.zeros(dim_x),
         )
         dp = discretize(cp, 2)
-        with pytest.raises(ValueError):
-            grid_bellman(dp, GridSpec(lo=-np.ones(3), hi=np.ones(3)))
+        with pytest.raises(ValueError, match="one state and one control"):
+            grid_bellman(dp, GridSpec(lo=-np.ones(dim_x), hi=np.ones(dim_x)))
 
     def test_escape_counter_warns_on_tight_grid(self):
         cp = _uncontrolled_problem(lambda x: np.asarray(x, dtype=float)[..., 0] ** 2, sigma=2.0)
@@ -183,66 +188,28 @@ class TestGridBellman:
             truth = grid_bellman(dp, grid)
         assert truth.escape_count > 0
 
-    def test_two_dimensional_linear_terminal_is_preserved(self):
-        # E[c.(x + Sigma W)] = c.x, and multilinear interpolation with linear
-        # extrapolation reproduces a linear table exactly
-        c = np.array([1.0, -2.0])
-        cp = _uncontrolled_problem(lambda x: np.asarray(x, dtype=float) @ c, sigma=0.01, dim=2)
-        dp = discretize(cp, 5)
-        grid = GridSpec(lo=np.array([-2.0, -2.0]), hi=np.array([2.0, 2.0]), n_state_nodes=41,
-                        n_control_nodes=3, n_quad_nodes=5)
-        truth = grid_bellman(dp, grid)
-        assert truth.values.shape == (6, 41, 41)
-        assert truth.escape_count == 0
-        mesh = np.stack(np.meshgrid(*truth.axes, indexing="ij"), axis=-1)
-        probe = np.random.default_rng(0).uniform(-2.1, 2.1, size=(50, 2))
-        for i in range(6):
-            np.testing.assert_allclose(truth.values[i], mesh @ c, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(truth.value(i, probe), probe @ c, rtol=0, atol=1e-12)
-
-    def test_two_dimensional_escape_counter_warns_on_tight_grid(self):
-        cp = _uncontrolled_problem(
-            lambda x: np.asarray(x, dtype=float) @ np.array([1.0, -2.0]), sigma=2.0, dim=2
+    @pytest.mark.parametrize("budget", [1, 4 * 5 * 7])
+    def test_tables_do_not_depend_on_the_chunk_budget(self, budget, monkeypatch):
+        # budgets giving 1-row blocks and blocks that do not divide the state
+        # count (main pass and one-control refinement), against one block for
+        # all; the diffusion depends on the state, so each block needs its rows
+        cp = dataclasses.replace(
+            make_scalar_lqr(u_max=2.0), sigma=lambda t, x: 0.5 + 0.3 * np.abs(x)[..., None]
         )
-        dp = discretize(cp, 3)
-        grid = GridSpec(lo=np.array([-0.5, -0.5]), hi=np.array([0.5, 0.5]), n_state_nodes=11,
-                        n_control_nodes=3, n_quad_nodes=5)
-        with pytest.warns(GridEscapeWarning):
-            truth = grid_bellman(dp, grid)
-        assert truth.escape_count > 0
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_tables_do_not_depend_on_the_chunk_budget(self, dim, monkeypatch):
-        # budgets giving 1-row blocks, blocks that do not divide the state
-        # count (main pass and one-control refinement), and one block for all;
-        # the 1-D diffusion depends on the state, so each block needs its rows
-        if dim == 1:
-            cp = dataclasses.replace(
-                make_scalar_lqr(u_max=2.0), sigma=lambda t, x: 0.5 + 0.3 * np.abs(x)[..., None]
-            )
-            dp = discretize(cp, 4)
-            grid = GridSpec(lo=np.array([-1.0]), hi=np.array([1.0]), n_state_nodes=37,
-                            n_control_nodes=5, n_quad_nodes=7)
-        else:
-            cp = _uncontrolled_problem(
-                lambda x: np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), sigma=1.5, dim=2
-            )
-            dp = discretize(cp, 2)
-            grid = GridSpec(lo=np.array([-2.0, -2.0]), hi=np.array([2.0, 2.0]),
-                            n_state_nodes=41, n_control_nodes=3, n_quad_nodes=5)
-        n_quad = grid.n_quad_nodes**dim
+        dp = discretize(cp, 4)
+        grid = GridSpec(lo=np.array([-1.0]), hi=np.array([1.0]), n_state_nodes=37,
+                        n_control_nodes=5, n_quad_nodes=7)
         tables = []
-        for budget in (1, 4 * grid.n_control_nodes * n_quad, 10**9):
-            monkeypatch.setattr(oracles, "_BUDGET", budget)
+        for b in (budget, 10**9):
+            monkeypatch.setattr(oracles, "_BUDGET", b)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", GridEscapeWarning)
                 tables.append(grid_bellman(dp, grid))
-        ref = tables[0]
+        truth, ref = tables
         assert ref.escape_count > 0
-        for truth in tables[1:]:
-            np.testing.assert_array_equal(truth.values, ref.values)
-            np.testing.assert_array_equal(truth.u_star, ref.u_star)
-            assert truth.escape_count == ref.escape_count
+        np.testing.assert_array_equal(truth.values, ref.values)
+        np.testing.assert_array_equal(truth.u_star, ref.u_star)
+        assert truth.escape_count == ref.escape_count
 
     def test_shipped_grid_step_memory_is_bounded(self):
         # 2001 x 201 x 21 points per step: a whole-step pass holds several
@@ -277,16 +244,16 @@ class TestInterp:
         margin = oracles._MARGIN_FRACTION * span
         x = rng.uniform(lo - margin, lo + span + margin, size=(40, 1))
         x[:2, 0] = lo - margin, lo + span + margin
-        # a strided column view, as GridTruth.control passes, and a plain table
+        # a strided column view and a plain table
         for table in (columns[:, 1], np.ascontiguousarray(columns[:, 1])):
             ref = RegularGridInterpolator(
                 (nodes,), table, method="linear", bounds_error=False, fill_value=None
             )
             tol = 1e-12 * np.max(np.abs(table))
-            got = oracles._interp([nodes], table, x)
+            got = oracles._interp(nodes, table, x)
             assert got.shape == (40,)
             assert np.max(np.abs(got - ref(x))) <= tol
-            one = oracles._interp([nodes], table, x[0])
+            one = oracles._interp(nodes, table, x[0])
             assert np.shape(one) == ()
             assert abs(one - ref(x[:1])[0]) <= tol
 
@@ -303,7 +270,7 @@ class TestGtEval:
         grid = GridSpec(lo=np.array([-1.0]), hi=np.array([1.0]), n_state_nodes=11,
                         n_control_nodes=3, n_quad_nodes=7)
         truth = grid_bellman(dp, grid)
-        nodes = truth.axes[0]
+        nodes = truth.nodes
         # node query returns the table entry (up to one ulp from the index
         # division)
         k = 3
@@ -336,6 +303,32 @@ class TestExports:
         export_grid_csv(truth, path)
         header = path.read_text().splitlines()[0]
         assert header == "step,x_0,value,u_star_0"
+
+    def test_grid_csv_bytes_match_a_per_row_writer(self, tmp_path):
+        # reference: one writerow per node, the terminal step's control nan
+        cp = make_scalar_lqr(u_max=2.0)
+        dp = discretize(cp, 3)
+        grid = GridSpec(lo=np.array([-1.0]), hi=np.array([1.0]), n_state_nodes=7,
+                        n_control_nodes=5, n_quad_nodes=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridEscapeWarning)
+            truth = grid_bellman(dp, grid)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["step", "x_0", "value", "u_star_0"])
+        for i in range(truth.n_steps + 1):
+            uflat = truth.u_star[i] if i < truth.n_steps else np.full(len(truth.nodes), np.nan)
+            for row, x in enumerate(truth.nodes):
+                writer.writerow(
+                    [i, repr(float(x)), repr(float(truth.values[i, row])), repr(float(uflat[row]))]
+                )
+        path = tmp_path / "grid.csv"
+        export_grid_csv(truth, path)
+        written = path.read_bytes()
+        assert written == buf.getvalue().encode()
+        lines = written.decode().splitlines()
+        assert len(lines) == 1 + 4 * 7
+        assert lines[-1] == "3,1.0," + repr(float(truth.values[3, -1])) + ",nan"
 
     def test_riccati_json_round_trip(self, tmp_path):
         cp = make_scalar_lqr()
