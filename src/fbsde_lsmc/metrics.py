@@ -165,7 +165,16 @@ def estimator_bias_variance(
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
     batch = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed)
-    return _pinned_bias_variance(kind, m, batch, _Step(m.basis, dp, mu, batch, i), truth)
+    return _pinned_bias_variance(kind, m, batch, _pinned_step(m, dp, mu, batch, i), truth)
+
+
+def _pinned_step(m: ValueModel, dp, mu, pinned: TrajectoryBatch, i: int) -> _Step:
+    """Step ``i`` of a pinned batch with Phi(X + K) on one row: every row shares
+    (X_i, K_i), and a product over all rows rounds its tail rows differently,
+    which would make the noiseless target vary between rows."""
+    step = _Step(m.basis, dp, mu, pinned, i)
+    step.phi_bar = basis_eval(m.basis, i + 1, step.x_i[:1] + step.k[:1])
+    return step
 
 
 def _pinned_bias_variance(kind, m, pinned, step: _Step, truth):
@@ -240,10 +249,12 @@ def bias_bound_check(
         raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    if n_cells > batch.n_samples:
+        raise ValueError(f"n_cells = {n_cells} exceeds the batch size of {batch.n_samples}")
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
     cells = []
-    for cell_idx in range(min(n_cells, batch.n_samples)):
+    for cell_idx in range(n_cells):
         pinned = pinned_step_batch(
             dp, mu, i, batch.x[cell_idx, i], batch.k_drift[cell_idx, i], n_rep, seed + cell_idx
         )
@@ -270,7 +281,7 @@ def bias_bound_check(
 def _bound_cell(dp, mu, m: ValueModel, pinned: TrajectoryBatch, i: int, truth, kind=None):
     """One pinned cell: its :class:`BoundCell` and, when ``kind`` is given, that
     target's (bias, variance), both from one step's Sigma and Phi(X + K)."""
-    step = _Step(m.basis, dp, mu, pinned, i)
+    step = _pinned_step(m, dp, mu, pinned, i)
     stats = None if kind is None else _pinned_bias_variance(kind, m, pinned, step, truth)
     tri = taylor_triple(m, i, step.x_i, step.k, step.sigma, step.phi_bar)
     expansion = tri.ybar + _dot(tri.zbar, step.w) + 0.5 * _quad(tri.mbar, step.w)

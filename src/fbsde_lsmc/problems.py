@@ -48,8 +48,8 @@ class ControlStructure:
     """Decomposition of drift and cost as functions of the control.
 
     Declares that ``f(t, x, u) = drift_state(t, x) + drift_gain(t, x) @ u``
-    and ``ell(t, x, u) = c(t, x) + u^T cost_quad u + cost_l1^T |u|``; the
-    minimization over u never needs the state-only cost ``c``.
+    and ``ell(t, x, u) = c(t, x) + u^T cost_quad u``; the minimization over
+    u never needs the state-only cost ``c``.
     Policy-improvement code uses this to minimize over controls in closed
     form; problems without the decomposition fall back to grid search.
     """
@@ -57,7 +57,6 @@ class ControlStructure:
     drift_state: Callable[[float, np.ndarray], np.ndarray]
     drift_gain: Callable[[float, np.ndarray], np.ndarray]
     cost_quad: np.ndarray
-    cost_l1: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +259,6 @@ def build_nonlinear_1d(u_max: float = 20.0) -> ContinuousProblem:
         drift_state=lambda t, x: 0.1 * (np.asarray(x, dtype=float) - 3.0) ** 2,
         drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), 0.2),
         cost_quad=np.array([[0.4]]),
-        cost_l1=np.zeros(1),
     )
     return ContinuousProblem(
         dim_x=1,
@@ -334,7 +332,6 @@ def build_cartpole_lqr() -> ContinuousProblem:
         drift_state=lambda t, x: np.asarray(x, dtype=float) @ a.T,
         drift_gain=lambda t, x: np.broadcast_to(b, np.shape(x)[:-1] + (4, 1)).copy(),
         cost_quad=r,
-        cost_l1=np.zeros(1),
     )
     return ContinuousProblem(
         dim_x=4,

@@ -19,14 +19,14 @@ Weights are accumulated in log space to avoid premature overflow.
 Pinned batches for the conditional diagnostics advance through the same step:
 their one live step starts every trajectory at a pinned state and increment.
 
-Randomness uses counter-based streams keyed by ``(seed, trajectory)`` with a
-separate substream per purpose, so batches are bit-reproducible regardless of
-how generation is ordered or parallelized.  Trajectory ``k``'s stream for
-``purpose`` (0 for the Brownian noise W, 1 for the auxiliary noise xi of a
-randomized drift) is the Philox4x64 stream with key
-``[seed % 2**64, (2 k + purpose) % 2**64]`` (a ``uint64`` array) and a zero
+Randomness uses counter-based streams keyed by ``(seed, trajectory)``, so
+batches are bit-reproducible regardless of how generation is ordered or
+parallelized.  Trajectory ``k``'s Brownian noise W is the Philox4x64 stream
+with key ``[seed % 2**64, 2 k % 2**64]`` (a ``uint64`` array) and a zero
 counter, read from its first draw: row ``k`` equals
-``Generator(Philox(key=key)).standard_normal(shape)``.
+``Generator(Philox(key=key)).standard_normal(shape)``.  The odd keys once
+held a second noise stream; the factor 2 stays so that every batch, and
+every result computed from one, keeps its bits.
 """
 
 from __future__ import annotations
@@ -52,40 +52,27 @@ __all__ = [
 # Largest exponent for which exp() stays finite in float64.
 _LOG_MAX = 709.0
 
-_PURPOSE_BROWNIAN = 0
-_PURPOSE_AUX = 1
-
 
 class DriftProcess:
-    """Source of forward drift increments K_i = increments(dp, i, X_i, xi_i).
+    """Source of forward drift increments K_i = increments(dp, i, X_i).
 
-    ``xi_i`` is auxiliary standard normal noise, drawn from a stream
-    independent of the Brownian one only when ``needs_aux`` is set (it is
-    ``None`` otherwise).  The constructors cover the three usual drifts:
+    The two constructors cover the drifts in use:
 
     - ``on_policy(policy)``: K_i = F_i(X_i, policy(i, X_i)); when ``policy``
       is the batch's reference policy the corrections D vanish identically.
     - ``feedback(fn)``: K_i = fn(i, X_i), a deterministic state feedback.
-    - ``randomized(fn)``: K_i = fn(i, X_i, xi_i).
     """
 
-    def __init__(self, increments: Callable, needs_aux: bool = False):
+    def __init__(self, increments: Callable):
         self.increments = increments
-        self.needs_aux = needs_aux
 
     @classmethod
     def on_policy(cls, policy) -> "DriftProcess":
-        return cls(lambda dp, i, x, xi: dp.F(i, x, policy(i, x)))
+        return cls(lambda dp, i, x: dp.F(i, x, policy(i, x)))
 
     @classmethod
     def feedback(cls, fn: Callable[[int, np.ndarray], np.ndarray]) -> "DriftProcess":
-        return cls(lambda dp, i, x, xi: fn(i, x))
-
-    @classmethod
-    def randomized(
-        cls, fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    ) -> "DriftProcess":
-        return cls(lambda dp, i, x, xi: fn(i, x, xi), needs_aux=True)
+        return cls(lambda dp, i, x: fn(i, x))
 
 
 @dataclass(eq=False)
@@ -137,8 +124,8 @@ def _solve_diffusion(sig: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularDiffusionError(f"diffusion matrix is singular: {exc}") from exc
 
 
-def _normals(seed: int, n_samples: int, purpose: int, shape: tuple) -> np.ndarray:
-    """Standard normals of ``shape`` for each trajectory, from its own substream.
+def _normals(seed: int, n_samples: int, shape: tuple) -> np.ndarray:
+    """Standard normals of ``shape`` for each trajectory, from its own stream.
 
     A Philox stream is fixed by its key and counter, so one bit generator is
     re-keyed per trajectory, with a zero counter and an empty buffer, instead
@@ -159,7 +146,7 @@ def _normals(seed: int, n_samples: int, purpose: int, shape: tuple) -> np.ndarra
         "uinteger": 0,
     }
     for k in range(n_samples):
-        key[1] = (2 * k + purpose) % 2**64
+        key[1] = (2 * k) % 2**64
         bitgen.state = state
         gen.standard_normal(out=out[k])
     return out
@@ -216,22 +203,20 @@ def sample_forward(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    w = _normals(seed, n_samples, _PURPOSE_BROWNIAN, (dp.n_steps, dp.dim_x))
-    xi = _normals(seed, n_samples, _PURPOSE_AUX, w.shape[1:]) if drift.needs_aux else None
-    batch = _zero_batch(w)
+    batch = _zero_batch(_normals(seed, n_samples, (dp.n_steps, dp.dim_x)))
     batch.x[:, 0] = dp.x0
     for i in range(dp.n_steps):
-        _advance_step(dp, mu, drift, i, batch, None if xi is None else xi[:, i], d_cap)
+        _advance_step(dp, mu, drift, i, batch, d_cap)
     return batch
 
 
-def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, xi_step, d_cap):
+def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, d_cap):
     """Fill step ``i`` of ``batch`` from its state and noise at step ``i``, in place."""
     x_cur = batch.x[:, i]
     w_cur = batch.w[:, i]
     sig = dp.Sigma(i, x_cur)
     f_ref = dp.F(i, x_cur, mu(i, x_cur))
-    k_cur = np.asarray(drift.increments(dp, i, x_cur, xi_step), dtype=float)
+    k_cur = np.asarray(drift.increments(dp, i, x_cur), dtype=float)
     batch.k_drift[:, i] = k_cur
     d_cur = _solve_diffusion(sig, f_ref - k_cur)
     batch.d[:, i] = d_cur
@@ -285,9 +270,9 @@ def pinned_step_batch(
     k_pin = np.asarray(k_pin, dtype=float).reshape(n)
 
     w = np.zeros((n_samples, i + 1, n))
-    w[:, i] = _normals(seed, n_samples, _PURPOSE_BROWNIAN, (n,))
+    w[:, i] = _normals(seed, n_samples, (n,))
     batch = _zero_batch(w)
     batch.x[:, : i + 1] = x_pin
     drift = DriftProcess.feedback(lambda j, x: np.broadcast_to(k_pin, x.shape))
-    _advance_step(dp, mu, drift, i, batch, None, np.inf)
+    _advance_step(dp, mu, drift, i, batch, np.inf)
     return batch

@@ -45,7 +45,6 @@ def make_scalar_lqr(
         drift_state=lambda t, x: a * np.asarray(x, dtype=float),
         drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), b),
         cost_quad=np.array([[r]]),
-        cost_l1=np.zeros(1),
     )
     return ContinuousProblem(
         dim_x=1,

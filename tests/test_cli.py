@@ -530,6 +530,15 @@ class TestCliEntry:
         assert main(["diagnose", str(cfg_path)]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_diagnose_with_more_cells_than_samples_exits_1(self, tmp_path, capsys):
+        # the default diagnose.cells = 5 pins one trajectory per cell
+        cfg_path = tmp_path / "exp.cfg"
+        text = TINY_LQR.format(out=tmp_path / "out")
+        cfg_path.write_text(text.replace("sweep.samples = 32,64", "sweep.samples = 3"))
+        assert main(["diagnose", str(cfg_path)]) == 1
+        assert "n_cells = 5 exceeds the batch size of 3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
     @pytest.mark.parametrize(
         "command, extra, key",
         [
@@ -594,6 +603,20 @@ class TestCliEntry:
         assert lines[0] == "step,x_0,value,u_star_0"
         assert len(lines) == 21 * 401 + 1
         assert len(_read_rows(tmp_path / "out" / "results.csv")) == 2
+
+    def test_scalar_suboptimal_drift_run(self, tmp_path):
+        # the scalar problem's comparison drift is the rate -0.2 x, scaled by dt
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_SCALAR.format(out=tmp_path / "out") + "drift.kind = suboptimal\n")
+        cfg = parse_config_text(cfg_path.read_text())
+        setup = build_setup(cfg)
+        batch = sample_forward(setup.dp, setup.mu, setup.drift, 8, seed=0, d_cap=cfg.d_cap)
+        np.testing.assert_array_equal(batch.k_drift, -0.2 * batch.x[:, :-1] * setup.dp.dt)
+        assert np.any(batch.d != 0.0)
+        assert main(["run", str(cfg_path)]) == 0
+        rows = _read_rows(tmp_path / "out" / "results.csv")
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r["mean_rae"])) for r in rows)
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2

@@ -314,11 +314,9 @@ def _random_setup(dim, seed, state_sigma, drift="feedback", n_samples=16):
     """Two-step random linear problem, its policy and a batch under ``drift``."""
     dp = discretize(make_linear_problem(dim, seed, state_sigma), 2)
     mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
-    sqrt_dt = np.sqrt(dp.dt)
     drifts = {
         "on_policy": DriftProcess.on_policy(mu),
         "feedback": DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt),
-        "randomized": DriftProcess.randomized(lambda i, x, xi: -0.2 * x * dp.dt + 0.3 * xi * sqrt_dt),
     }
     # no cap: large corrections are legitimate here and the claims still hold
     return dp, mu, sample_forward(dp, mu, drifts[drift], n_samples, seed=seed, d_cap=np.inf)
@@ -334,6 +332,20 @@ def _random_quadratic(dim, seed):
     return (lambda x: np.einsum("...i,ij,...j->...", x, p, x) + x @ b + c), p
 
 
+def _pinned_noiseless_variance(dim, state_sigma, seed, n_rep):
+    """taylor_noiseless variance at a random pinned pair under a random degree-2 model."""
+    dp, mu, batch = _random_setup(dim, seed, state_sigma)
+    rng = np.random.default_rng(seed)
+    spec = scaling_from_batch(batch, 2)
+    model = ValueModel.empty(spec, dp.n_steps)
+    model.set_coeffs(1, rng.normal(size=spec.size))
+    x_pin, k_pin = rng.normal(size=dim), 0.1 * rng.normal(size=dim)
+    _, variance = estimator_bias_variance(
+        EstimatorKind.TAYLOR_NOISELESS, dp, mu, model, 0, x_pin, k_pin, n_rep, seed=seed
+    )
+    return variance
+
+
 _DIMS = st.integers(1, 4)
 _SEEDS = st.integers(0, 2**16)
 
@@ -344,7 +356,7 @@ class TestExactnessProperties:
     @given(
         dim=_DIMS,
         state_sigma=st.booleans(),
-        drift=st.sampled_from(["on_policy", "feedback", "randomized"]),
+        drift=st.sampled_from(["on_policy", "feedback"]),
         seed=_SEEDS,
     )
     @settings(max_examples=20, deadline=None)
@@ -375,16 +387,16 @@ class TestExactnessProperties:
     @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
     @settings(max_examples=15, deadline=None)
     def test_noiseless_variance_at_a_pinned_pair_is_exactly_zero(self, dim, state_sigma, seed):
-        dp, mu, batch = _random_setup(dim, seed, state_sigma)
-        rng = np.random.default_rng(seed)
-        spec = scaling_from_batch(batch, 2)
-        model = ValueModel.empty(spec, dp.n_steps)
-        model.set_coeffs(1, rng.normal(size=spec.size))
-        x_pin, k_pin = rng.normal(size=dim), 0.1 * rng.normal(size=dim)
-        _, variance = estimator_bias_variance(
-            EstimatorKind.TAYLOR_NOISELESS, dp, mu, model, 0, x_pin, k_pin, n_rep=64, seed=seed
-        )
-        assert variance == 0.0
+        assert _pinned_noiseless_variance(dim, state_sigma, seed, 64) == 0.0
+
+    @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS, n_rep=st.integers(2, 70))
+    @settings(max_examples=15, deadline=None)
+    def test_noiseless_variance_is_exactly_zero_for_every_rep_count(
+        self, dim, state_sigma, seed, n_rep
+    ):
+        # the expansion is taken once per pinned pair: a value product over
+        # many rows rounds its tail rows differently
+        assert _pinned_noiseless_variance(dim, state_sigma, seed, n_rep) == 0.0
 
     @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
     @settings(max_examples=15, deadline=None)

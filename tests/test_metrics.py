@@ -284,6 +284,12 @@ class TestBiasBoundCheck:
         with pytest.raises(ValueError, match="n_cells"):
             bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=0, n_rep=50)
 
+    def test_more_cells_than_trajectories_rejected(self, lqr_setup_with_model):
+        cp, dp, truth, mu, model = lqr_setup_with_model
+        batch = self._drifted_batch(dp, mu, 0.5)
+        with pytest.raises(ValueError, match="n_cells = 17 exceeds the batch size of 16"):
+            bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=17, n_rep=50)
+
     def test_single_rep_rejected(self, lqr_setup_with_model):
         # one rep leaves the standard error undefined (nan), so no cell holds
         cp, dp, truth, mu, model = lqr_setup_with_model

@@ -67,6 +67,28 @@ def _unstructured_problem():
     )
 
 
+def _two_control_problem():
+    """Control-affine problem with two controls and a quadratic control cost."""
+    gain = np.array([[1.0, -0.5]])
+    return ContinuousProblem(
+        dim_x=1,
+        dim_u=2,
+        horizon=1.0,
+        f=lambda t, x, u: -0.2 * x + np.asarray(u, dtype=float) @ gain.T,
+        sigma=lambda t, x: 0.6 * np.ones(np.shape(x)[:-1] + (1, 1)),
+        ell=lambda t, x, u: np.sum(np.asarray(u, dtype=float) ** 2, axis=-1),
+        g=lambda x: np.asarray(x, dtype=float)[..., 0] ** 2,
+        control_lower=np.full(2, -5.0),
+        control_upper=np.full(2, 5.0),
+        x0=np.zeros(1),
+        structure=ControlStructure(
+            drift_state=lambda t, x: -0.2 * np.asarray(x, dtype=float),
+            drift_gain=lambda t, x: np.broadcast_to(gain, np.shape(x)[:-1] + (1, 2)),
+            cost_quad=np.eye(2),
+        ),
+    )
+
+
 @pytest.fixture(scope="module")
 def nonlinear_dp():
     return discretize(build_nonlinear_1d(), 200)
@@ -268,38 +290,6 @@ class TestImprovePolicy:
         resid = us - np.polyval(coef, xs[:, 0])
         assert np.linalg.norm(resid) < 1e-9
 
-    def test_l1_cost_soft_threshold_matches_grid(self):
-        lam = 0.8
-        structure = ControlStructure(
-            drift_state=lambda t, x: -0.2 * np.asarray(x, dtype=float),
-            drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), 1.0),
-            cost_quad=np.array([[0.5]]),
-            cost_l1=np.array([lam]),
-        )
-        cp = ContinuousProblem(
-            dim_x=1,
-            dim_u=1,
-            horizon=1.0,
-            f=lambda t, x, u: -0.2 * x + u,
-            sigma=lambda t, x: 0.6 * np.ones(np.shape(x)[:-1] + (1, 1)),
-            ell=lambda t, x, u: 0.5 * u[..., 0] ** 2 + lam * np.abs(u[..., 0]),
-            g=lambda x: np.asarray(x, dtype=float)[..., 0] ** 2,
-            control_lower=np.array([-5.0]),
-            control_upper=np.array([5.0]),
-            x0=np.zeros(1),
-            structure=structure,
-        )
-        dp = discretize(cp, 4)
-        model = _model_1d(lambda pts: (pts[..., 0] - 1.5) ** 2, 4)
-        rng = np.random.default_rng(13)
-        for _ in range(6):
-            x = rng.uniform(-3, 3, size=1)
-            closed = improve_policy(model, dp, 1, x)
-            us = np.linspace(-5, 5, 200001)[:, None]
-            vals = taylor_q(model, dp, 1, np.broadcast_to(x, (us.shape[0], 1)), us)
-            oracle = us[int(np.argmin(vals)), 0]
-            assert abs(closed[0] - oracle) < 1e-4
-
     def test_improvement_lowers_rollout_cost(self):
         # improving on the zero policy's own value model cannot hurt; the
         # horizon is shortened because the uncontrolled drift blows up in
@@ -320,3 +310,12 @@ class TestImprovePolicy:
         eval_improved = sample_forward(dp, improved, DriftProcess.on_policy(improved), 400, seed=77)
         cost_improved, se_improved = _mean_cost(dp, improved, eval_improved)
         assert cost_improved <= cost_base + 3 * (se_base + se_improved)
+
+
+class TestOneControl:
+    @pytest.mark.parametrize("rule", [hamiltonian_policy, improve_policy])
+    def test_two_controls_rejected(self, rule):
+        dp = discretize(_two_control_problem(), 4)
+        model = _model_1d(lambda pts: pts[..., 0] ** 2, 4)
+        with pytest.raises(ValueError, match="one control dimension, got 2"):
+            rule(model, dp, 1, np.array([0.5]))

@@ -144,22 +144,6 @@ class TestSampleForward:
             with pytest.raises(FloatingPointError, match="trajectory 2, step 1"):
                 sample_forward(dp, _zero_policy(dp), drift, 4, seed=0, d_cap=np.inf)
 
-    def test_randomized_drift_uses_auxiliary_stream(self):
-        cp = _driftless_problem(sigma=1.0, horizon=0.5)
-        dp = discretize(cp, 5)
-        mu = _zero_policy(dp)
-        seen = []
-
-        def fn(i, x, xi):
-            seen.append(xi.copy())
-            return 0.01 * xi
-
-        batch = sample_forward(dp, mu, DriftProcess.randomized(fn), 4, seed=21)
-        xi = np.stack(seen, axis=1)
-        assert xi.shape == batch.w.shape
-        # auxiliary noise comes from a different substream than the Brownian one
-        assert not np.allclose(xi, batch.w)
-
 
 def _scalar_setup():
     from fbsde_lsmc import riccati_from_lqr
@@ -224,7 +208,7 @@ class TestGirsanovWeights:
     def test_overflow_reported_with_location(self, builder, monkeypatch):
         # D = 40 at step 3 and W = 60 on trajectory 1 give the increment
         # -800 + 2400 > 709 there only; normal draws never reach |W| = 60
-        def normals(seed, n_samples, purpose, shape):
+        def normals(seed, n_samples, shape):
             w = np.zeros((n_samples,) + shape)
             w[1] = 60.0
             return w
@@ -273,24 +257,23 @@ class TestPinnedBatch:
 
 
 class TestStreams:
-    # The stream contract: row k of _normals(seed, M, purpose, shape) is the
-    # first draw of the Philox stream keyed [seed mod 2**64, 2k + purpose].
+    # The stream contract: row k of _normals(seed, M, shape) is the first
+    # draw of the Philox stream keyed [seed mod 2**64, 2k].
     @given(
         seed=st.one_of(
             st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1), st.integers(2**64, 2**80)
         ),
         n_samples=st.integers(1, 6),
-        purpose=st.sampled_from([0, 1]),
         shape=st.sampled_from([(1,), (3,), (5,), (7, 4)]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rows_are_fresh_philox_streams(self, seed, n_samples, purpose, shape):
+    def test_rows_are_fresh_philox_streams(self, seed, n_samples, shape):
         # a call with other arguments first must leave this one unaffected
-        sampling_module._normals(seed + 1, 3, 1 - purpose, (2,))
-        out = sampling_module._normals(seed, n_samples, purpose, shape)
+        sampling_module._normals(seed + 1, 3, (2,))
+        out = sampling_module._normals(seed, n_samples, shape)
         assert out.shape == (n_samples,) + shape
         for k in range(n_samples):
             # a list key holding a word >= 2**63 would pass through float64
-            key = np.array([seed % 2**64, 2 * k + purpose], dtype=np.uint64)
+            key = np.array([seed % 2**64, 2 * k], dtype=np.uint64)
             expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
             assert np.array_equal(out[k], expected)
