@@ -63,9 +63,10 @@ def backward_sweep(
     any other error propagates at once, annotated the same way.
     """
     n_steps = dp.n_steps
-    if batch.n_steps != n_steps:
+    if batch.first_step != 0 or batch.n_steps != n_steps:
         raise ValueError(
-            f"batch covers {batch.n_steps} steps but the problem has {n_steps}"
+            f"batch covers steps {batch.first_step} to {batch.n_steps} "
+            f"but the problem has {n_steps}"
         )
     if spec.n_steps_covered < n_steps + 1:
         raise ValueError("basis scaling does not cover every timestep")

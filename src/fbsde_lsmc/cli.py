@@ -71,9 +71,15 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     cfg, out_dir = _load(args)
-    setup = build_setup(cfg)
-
     samples = max(cfg.samples)
+    # each cell pins one trajectory of the diagnosed batch; checked here so
+    # that the oracle, sampling and backward sweep are not run in vain
+    if cfg.diagnose_cells > samples:
+        raise ConfigError(
+            "diagnose.cells must not exceed max(sweep.samples): "
+            f"n_cells = {cfg.diagnose_cells} exceeds the batch size of {samples}"
+        )
+    setup = build_setup(cfg)
     batch = sample_forward(
         setup.dp,
         setup.mu,

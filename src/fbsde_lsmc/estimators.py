@@ -117,11 +117,12 @@ class _Step:
     """
 
     def __init__(self, spec: BasisSpec, dp, mu, batch: TrajectoryBatch, i: int, phi_next=None):
-        if not 0 <= i < batch.n_steps:
-            raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
+        if not batch.first_step <= i < batch.n_steps:
+            raise ValueError(f"step {i} out of range [{batch.first_step}, {batch.n_steps})")
         self.spec, self.dp, self.mu, self.i = spec, dp, mu, i
-        self.x_i, self.x_next = batch.x[:, i], batch.x[:, i + 1]
-        self.k, self.w, self.d = batch.k_drift[:, i], batch.w[:, i], batch.d[:, i]
+        c = i - batch.first_step
+        self.x_i, self.x_next = batch.x[:, c], batch.x[:, c + 1]
+        self.k, self.w, self.d = batch.k_drift[:, c], batch.w[:, c], batch.d[:, c]
         if phi_next is not None:
             self.phi_next = phi_next
 

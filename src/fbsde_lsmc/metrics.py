@@ -171,7 +171,9 @@ def estimator_bias_variance(
 def _pinned_step(m: ValueModel, dp, mu, pinned: TrajectoryBatch, i: int) -> _Step:
     """Step ``i`` of a pinned batch with Phi(X + K) on one row: every row shares
     (X_i, K_i), and a product over all rows rounds its tail rows differently,
-    which would make the noiseless target vary between rows."""
+    which would make the noiseless target vary between rows.  Sigma and the
+    stage cost stay per-row: taken from one row they round differently (a
+    broadcast Mbar in the quadratic-form einsum, a one-row policy product)."""
     step = _Step(m.basis, dp, mu, pinned, i)
     step.phi_bar = basis_eval(m.basis, i + 1, step.x_i[:1] + step.k[:1])
     return step
@@ -287,7 +289,7 @@ def _bound_cell(dp, mu, m: ValueModel, pinned: TrajectoryBatch, i: int, truth, k
     expansion = tri.ybar + _dot(tri.zbar, step.w) + 0.5 * _quad(tri.mbar, step.w)
     delta = np.asarray(truth.value(i + 1, step.x_next), dtype=float) - expansion
 
-    weighted = np.exp(pinned.log_theta[:, i + 1]) * delta
+    weighted = np.exp(pinned.log_theta[:, i + 1 - pinned.first_step]) * delta
     lhs = float(np.abs(weighted.mean()))
     stderr = float(np.std(weighted, ddof=1) / np.sqrt(delta.shape[0]))
     d_norm = float(np.linalg.norm(step.d[0]))

@@ -16,8 +16,9 @@ relative to the batch's reference policy ``mu`` and the positive weights
 which convert sampled expectations back to the reference-policy measure.
 Weights are accumulated in log space to avoid premature overflow.
 
-Pinned batches for the conditional diagnostics advance through the same step:
-their one live step starts every trajectory at a pinned state and increment.
+Pinned batches for the conditional diagnostics advance through the same step.
+They store their one live step i alone, from ``first_step = i``: every
+trajectory starts it at a pinned state and increment.
 
 Randomness uses counter-based streams keyed by ``(seed, trajectory)``, so
 batches are bit-reproducible regardless of how generation is ordered or
@@ -79,10 +80,13 @@ class DriftProcess:
 class TrajectoryBatch:
     """A batch of M forward paths with drifts, corrections and weights.
 
+    Column ``c`` of every array holds time index ``first_step + c``.  Sampled
+    batches hold every step from 0; a pinned batch holds its live step only.
+
     Attributes
     ----------
     x : ndarray, shape (M, N+1, n)
-        Sampled states, ``x[:, 0]`` being the initial state.
+        Sampled states, ``x[:, 0]`` being the state at ``first_step``.
     w : ndarray, shape (M, N, n)
         Standard normal noise increments.
     k_drift : ndarray, shape (M, N, n)
@@ -91,6 +95,8 @@ class TrajectoryBatch:
         Corrections toward the reference policy drift.
     log_theta : ndarray, shape (M, N+1)
         Cumulative log change-of-measure weights; ``log_theta[:, 0] == 0``.
+    first_step : int
+        Time index of column 0.
     """
 
     x: np.ndarray
@@ -98,6 +104,7 @@ class TrajectoryBatch:
     k_drift: np.ndarray
     d: np.ndarray
     log_theta: np.ndarray
+    first_step: int = 0
 
     @property
     def n_samples(self) -> int:
@@ -105,7 +112,8 @@ class TrajectoryBatch:
 
     @property
     def n_steps(self) -> int:
-        return self.x.shape[1] - 1
+        """Time index of the last state column: the steps covered from time 0."""
+        return self.first_step + self.x.shape[1] - 1
 
     @property
     def dim(self) -> int:
@@ -113,7 +121,7 @@ class TrajectoryBatch:
 
     @property
     def theta(self) -> np.ndarray:
-        """Positive weights, shape (M, N+1); may underflow to 0 for huge drifts."""
+        """Positive weights, shape of ``log_theta``; may underflow to 0 for huge drifts."""
         return np.exp(self.log_theta)
 
 
@@ -152,7 +160,7 @@ def _normals(seed: int, n_samples: int, shape: tuple) -> np.ndarray:
     return out
 
 
-def _zero_batch(w: np.ndarray) -> TrajectoryBatch:
+def _zero_batch(w: np.ndarray, first_step: int = 0) -> TrajectoryBatch:
     """All-zero batch around the noise ``w`` of shape (M, N, n), to be stepped."""
     m, n_steps, n = w.shape
     return TrajectoryBatch(
@@ -161,6 +169,7 @@ def _zero_batch(w: np.ndarray) -> TrajectoryBatch:
         k_drift=np.zeros(w.shape),
         d=np.zeros(w.shape),
         log_theta=np.zeros((m, n_steps + 1)),
+        first_step=first_step,
     )
 
 
@@ -212,14 +221,15 @@ def sample_forward(
 
 def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, d_cap):
     """Fill step ``i`` of ``batch`` from its state and noise at step ``i``, in place."""
-    x_cur = batch.x[:, i]
-    w_cur = batch.w[:, i]
+    c = i - batch.first_step
+    x_cur = batch.x[:, c]
+    w_cur = batch.w[:, c]
     sig = dp.Sigma(i, x_cur)
     f_ref = dp.F(i, x_cur, mu(i, x_cur))
     k_cur = np.asarray(drift.increments(dp, i, x_cur), dtype=float)
-    batch.k_drift[:, i] = k_cur
+    batch.k_drift[:, c] = k_cur
     d_cur = _solve_diffusion(sig, f_ref - k_cur)
-    batch.d[:, i] = d_cur
+    batch.d[:, c] = d_cur
 
     # the negated comparisons also reject NaN, which compares false
     norms = np.linalg.norm(d_cur, axis=-1)
@@ -228,20 +238,20 @@ def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, d_cap):
         bad = int(np.argmax(over))
         raise DriftUnboundedError(traj=bad, step=i, norm=float(norms[bad]), cap=d_cap)
 
-    x_next = batch.x[:, i + 1]
+    x_next = batch.x[:, c + 1]
     x_next[...] = x_cur + k_cur + np.einsum("mij,mj->mi", sig, w_cur)
     blown = ~np.isfinite(x_next).all(axis=-1)
     if np.any(blown):
         bad = int(np.argmax(blown))
         raise FloatingPointError(f"non-finite state at trajectory {bad}, step {i}")
     log_theta = batch.log_theta
-    log_theta[:, i + 1] = log_theta[:, i] + (
+    log_theta[:, c + 1] = log_theta[:, c] + (
         -0.5 * np.einsum("mi,mi->m", d_cur, d_cur) + np.einsum("mi,mi->m", d_cur, w_cur)
     )
-    over = ~(log_theta[:, i + 1] <= _LOG_MAX)
+    over = ~(log_theta[:, c + 1] <= _LOG_MAX)
     if np.any(over):
         bad = int(np.argmax(over))
-        raise WeightOverflowError(traj=bad, step=i, log_weight=float(log_theta[bad, i + 1]))
+        raise WeightOverflowError(traj=bad, step=i, log_weight=float(log_theta[bad, c + 1]))
 
 
 def pinned_step_batch(
@@ -253,13 +263,16 @@ def pinned_step_batch(
     n_samples: int,
     seed: int,
 ) -> TrajectoryBatch:
-    """Batch whose step ``i`` repeats a pinned state and drift increment.
+    """One-step batch whose step ``i`` repeats a pinned state and drift increment.
 
     Every trajectory starts step ``i`` at ``x_pin`` with drift increment
-    ``k_pin`` and only the noise W_i is resampled; earlier steps are frozen
-    placeholders.  Used for conditional bias/variance diagnostics.  The
-    correction norm is not capped, but NaN corrections, non-finite states and
-    weight overflow are still reported, as in :func:`sample_forward`.
+    ``k_pin`` and only the noise W_i is resampled.  The batch holds step ``i``
+    alone, with ``first_step = i``: ``x`` is (M, 2, n) holding X_i and
+    X_{i+1}; ``w``, ``k_drift`` and ``d`` are (M, 1, n); ``log_theta`` is
+    (M, 2), its start column 0.  Its memory does not grow with ``i``.  Used
+    for conditional bias/variance diagnostics.  The correction norm is not
+    capped, but NaN corrections, non-finite states and weight overflow are
+    still reported, as in :func:`sample_forward`.
     """
     if not 0 <= i < dp.n_steps:
         raise ValueError(f"step {i} out of range [0, {dp.n_steps})")
@@ -269,10 +282,8 @@ def pinned_step_batch(
     x_pin = np.asarray(x_pin, dtype=float).reshape(n)
     k_pin = np.asarray(k_pin, dtype=float).reshape(n)
 
-    w = np.zeros((n_samples, i + 1, n))
-    w[:, i] = _normals(seed, n_samples, (n,))
-    batch = _zero_batch(w)
-    batch.x[:, : i + 1] = x_pin
+    batch = _zero_batch(_normals(seed, n_samples, (1, n)), first_step=i)
+    batch.x[:, 0] = x_pin
     drift = DriftProcess.feedback(lambda j, x: np.broadcast_to(k_pin, x.shape))
     _advance_step(dp, mu, drift, i, batch, np.inf)
     return batch

@@ -6,11 +6,19 @@ import pytest
 from fbsde_lsmc import (
     BasisSpec,
     ContinuousProblem,
+    DriftProcess,
+    EstimatorKind,
     ValueModel,
     discretize,
     fit_function,
     riccati_from_lqr,
+    sample_forward,
+    scaling_from_batch,
 )
+from fbsde_lsmc import sampling
+from fbsde_lsmc.backward import backward_sweep
+from fbsde_lsmc.config import parse_config_text
+from fbsde_lsmc.experiments import build_setup
 from fbsde_lsmc.problems import LqrStructure
 
 
@@ -129,3 +137,50 @@ def scalar_lqr_setup():
     truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
     mu = truth.policy(dp.control_lower, dp.control_upper)
     return cp, dp, truth, mu
+
+
+def full_history_pinned(dp, mu, i, x_pin, k_pin, n_samples, seed):
+    """Reference pinned batch in the full-history layout, stepped by ``_advance_step``.
+
+    Columns 0..i+1 with time index = column; every step before ``i`` is a
+    placeholder holding ``x_pin`` and zeros.  Same signature as
+    :func:`fbsde_lsmc.sampling.pinned_step_batch`.
+    """
+    n = dp.dim_x
+    x_pin = np.asarray(x_pin, dtype=float).reshape(n)
+    k_pin = np.asarray(k_pin, dtype=float).reshape(n)
+    w = np.zeros((n_samples, i + 1, n))
+    w[:, i] = sampling._normals(seed, n_samples, (n,))
+    batch = sampling._zero_batch(w)
+    batch.x[:, : i + 1] = x_pin
+    drift = DriftProcess.feedback(lambda j, x: np.broadcast_to(k_pin, x.shape))
+    sampling._advance_step(dp, mu, drift, i, batch, np.inf)
+    return batch
+
+
+# Tiny configs of both shipped problems, under their default drifts.
+_TINY_PROBLEMS = {
+    "cartpole_lqr": "problem.name = cartpole_lqr\nrun.n_steps = 8\ndrift.kind = suboptimal\n",
+    "nonlinear1d": (
+        "problem.name = nonlinear1d\nrun.n_steps = 20\n"
+        "oracle.state_nodes = 401\noracle.control_nodes = 41\noracle.quad_nodes = 11\n"
+    ),
+}
+
+
+@pytest.fixture(scope="session", params=sorted(_TINY_PROBLEMS))
+def fitted_problem(request):
+    """(setup, batch, models) on a tiny config of each shipped problem.
+
+    ``batch`` is a 64-path batch under the config's drift and ``models`` maps
+    every estimator kind to its degree-2 fit on that batch.
+    """
+    cfg = parse_config_text(
+        _TINY_PROBLEMS[request.param] + "run.seed = 99\nsampling.reference_samples = 64\n"
+    )
+    setup = build_setup(cfg)
+    batch = sample_forward(setup.dp, setup.mu, setup.drift, 64, seed=5, d_cap=cfg.d_cap)
+    spec = scaling_from_batch(batch, 2)
+    models = backward_sweep(setup.dp, setup.mu, batch, list(EstimatorKind), spec)
+    assert all(isinstance(m, ValueModel) for m in models.values())
+    return setup, batch, models

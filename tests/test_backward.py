@@ -24,6 +24,7 @@ from fbsde_lsmc import (
 from fbsde_lsmc.backward import backward_sweep
 from fbsde_lsmc.errors import RankDeficientWarning
 from fbsde_lsmc.metrics import shared_rae
+from fbsde_lsmc.sampling import pinned_step_batch
 
 from conftest import make_linear_problem, make_scalar_lqr
 
@@ -139,6 +140,10 @@ class TestBackwardPass:
         spec = scaling_from_batch(batch, 2)
         with pytest.raises(ValueError):
             backward_pass(short, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
+        # a pinned batch at the last step ends at step 12 but starts there too
+        pinned = pinned_step_batch(dp, mu, 11, [0.5], [0.0], 64, seed=0)
+        with pytest.raises(ValueError, match="steps 11 to 12"):
+            backward_pass(dp, mu, pinned, EstimatorKind.TAYLOR_NOISELESS, spec)
 
     def test_failure_is_annotated_with_step(self):
         dp, truth, mu, batch = _lqr_pieces()

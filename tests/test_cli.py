@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fbsde_lsmc import cli as cli_module
 from fbsde_lsmc import config
 from fbsde_lsmc.cli import main
 from fbsde_lsmc.config import load_config, parse_config_text
@@ -530,13 +531,20 @@ class TestCliEntry:
         assert main(["diagnose", str(cfg_path)]) == 1
         assert not (tmp_path / "out").exists()
 
-    def test_diagnose_with_more_cells_than_samples_exits_1(self, tmp_path, capsys):
-        # the default diagnose.cells = 5 pins one trajectory per cell
+    def test_diagnose_with_more_cells_than_samples_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the default diagnose.cells = 5 pins one trajectory per cell; the
+        # check comes before the oracle, sampling and backward sweep
+        def no_setup(cfg):
+            raise AssertionError("build_setup called")
+
+        monkeypatch.setattr(cli_module, "build_setup", no_setup)
         cfg_path = tmp_path / "exp.cfg"
         text = TINY_LQR.format(out=tmp_path / "out")
         cfg_path.write_text(text.replace("sweep.samples = 32,64", "sweep.samples = 3"))
         assert main(["diagnose", str(cfg_path)]) == 1
-        assert "n_cells = 5 exceeds the batch size of 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n_cells = 5 exceeds the batch size of 3" in err
+        assert "diagnose.cells" in err
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
     @pytest.mark.parametrize(

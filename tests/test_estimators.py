@@ -284,14 +284,15 @@ class TestStatisticalProperties:
             model.set_coeffs(i, fit_function(spec, i, lambda pts: pts[..., 0] ** 3))
         i = 2
         batch = pinned_step_batch(dp, mu, i, np.array([0.5]), np.array([0.02]), 4 * 10**4, seed=7)
-        tri = taylor_triple(model, i, batch.x[:, i], batch.k_drift[:, i], dp.Sigma(i, batch.x[:, i]))
-        w = batch.w[:, i]
+        # a pinned batch holds its live step i in column 0
+        tri = taylor_triple(model, i, batch.x[:, 0], batch.k_drift[:, 0], dp.Sigma(i, batch.x[:, 0]))
+        w = batch.w[:, 0]
         expansion = (
             tri.ybar
             + np.einsum("mi,mi->m", tri.zbar, w)
             + 0.5 * np.einsum("mi,mij,mj->m", w, tri.mbar, w)
         )
-        remainder = model.eval(i + 1, batch.x[:, i + 1]) - expansion
+        remainder = model.eval(i + 1, batch.x[:, 1]) - expansion
         stderr = remainder.std(ddof=1) / np.sqrt(batch.n_samples)
         assert abs(remainder.mean()) < 3 * stderr
 
@@ -300,8 +301,8 @@ class TestStatisticalProperties:
         model = model_from_truth(truth, 1, dp.n_steps)
         i = 3
         batch = pinned_step_batch(dp, mu, i, np.array([1.2]), np.array([0.0]), 4 * 10**4, seed=11)
-        tri = taylor_triple(model, i, batch.x[:, i], batch.k_drift[:, i], dp.Sigma(i, batch.x[:, i]))
-        w = batch.w[:, i]
+        tri = taylor_triple(model, i, batch.x[:, 0], batch.k_drift[:, 0], dp.Sigma(i, batch.x[:, 0]))
+        w = batch.w[:, 0]
         term = 0.5 * (
             np.einsum("mi,mij,mj->m", w, tri.mbar, w)
             - np.trace(tri.mbar, axis1=-2, axis2=-1)

@@ -19,7 +19,9 @@ from fbsde_lsmc.errors import DegenerateDenominatorError
 from fbsde_lsmc.metrics import ConfidenceRegion, report_to_csv
 from fbsde_lsmc.sampling import TrajectoryBatch
 
-from conftest import make_scalar_lqr, model_from_truth
+import fbsde_lsmc.metrics as metrics_module
+
+from conftest import full_history_pinned, make_scalar_lqr, model_from_truth
 
 
 def _batch_with_states(x):
@@ -310,6 +312,32 @@ class TestBiasBoundCheck:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("step,kind,cell,d_norm,lhs,rhs,stderr,holds")
         assert len(lines) == 3
+
+
+class TestOneStepPinnedLayout:
+    """Diagnostics on one-step pinned batches equal those on the full-history layout."""
+
+    def test_diagnostics_match_the_full_history_layout(self, fitted_problem, monkeypatch):
+        setup, batch, models = fitted_problem
+        dp, mu, truth = setup.dp, setup.mu, setup.truth
+
+        def diagnose(kind, model, i):
+            pair = estimator_bias_variance(
+                kind, dp, mu, model, i, batch.x[0, i], batch.k_drift[0, i], 64, 7, truth=truth
+            )
+            report = bias_bound_check(
+                dp, mu, model, batch, i, truth, n_cells=2, n_rep=64, seed=7, kind=kind
+            )
+            cells = [vars(cell) for cell in report.cells]
+            return pair, (report.bias, report.variance), cells, report.fit_residual_max
+
+        for i in (0, dp.n_steps // 2, dp.n_steps - 1):
+            for kind, model in models.items():
+                got = diagnose(kind, model, i)
+                with monkeypatch.context() as patch:
+                    patch.setattr(metrics_module, "pinned_step_batch", full_history_pinned)
+                    expected = diagnose(kind, model, i)
+                assert got == expected, (kind, i)
 
 
 def _cubic_model(truth, n_steps, strength):

@@ -1,5 +1,7 @@
 """Forward sampling, drift corrections, and change-of-measure weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from fbsde_lsmc import (
     ConstantPolicy,
     ContinuousProblem,
     DriftProcess,
+    build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
+    riccati_from_lqr,
     sample_forward,
 )
 from fbsde_lsmc.errors import (
@@ -21,7 +25,7 @@ from fbsde_lsmc.errors import (
 import fbsde_lsmc.sampling as sampling_module
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import make_scalar_lqr
+from conftest import full_history_pinned, make_scalar_lqr
 
 
 def _driftless_problem(sigma=0.8, dim=1, horizon=1.0, x0=None):
@@ -230,16 +234,63 @@ class TestPinnedBatch:
         cp, dp, truth, mu = _scalar_setup()
         x_pin, k_pin = np.array([0.7]), np.array([0.03])
         batch = pinned_step_batch(dp, mu, 4, x_pin, k_pin, 100, seed=2)
-        sig = dp.Sigma(4, batch.x[:, 4])
+        # column 0 is step 4, the live step
+        assert batch.first_step == 4
+        sig = dp.Sigma(4, batch.x[:, 0])
         np.testing.assert_allclose(
-            batch.x[:, 5],
-            batch.x[:, 4] + batch.k_drift[:, 4] + np.einsum("mij,mj->mi", sig, batch.w[:, 4]),
+            batch.x[:, 1],
+            batch.x[:, 0] + batch.k_drift[:, 0] + np.einsum("mij,mj->mi", sig, batch.w[:, 0]),
             rtol=1e-14,
         )
-        f = dp.F(4, batch.x[:, 4], mu(4, batch.x[:, 4]))
-        expected_d = np.linalg.solve(sig, (f - batch.k_drift[:, 4])[..., None])[..., 0]
-        np.testing.assert_allclose(batch.d[:, 4], expected_d, rtol=1e-14)
-        assert np.all(batch.log_theta[:, :5] == 0.0)
+        f = dp.F(4, batch.x[:, 0], mu(4, batch.x[:, 0]))
+        expected_d = np.linalg.solve(sig, (f - batch.k_drift[:, 0])[..., None])[..., 0]
+        np.testing.assert_allclose(batch.d[:, 0], expected_d, rtol=1e-14)
+        assert np.all(batch.log_theta[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("n_rep", [2, 7, 64])
+    def test_live_columns_match_the_full_history_layout(self, fitted_problem, n_rep):
+        setup, batch, _ = fitted_problem
+        dp, mu = setup.dp, setup.mu
+        n = dp.dim_x
+        for i in (0, dp.n_steps // 2, dp.n_steps - 1):
+            x_pin, k_pin = batch.x[1, i], batch.k_drift[1, i]
+            live = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed=3)
+            ref = full_history_pinned(dp, mu, i, x_pin, k_pin, n_rep, seed=3)
+            assert (live.first_step, live.n_steps) == (i, i + 1)
+            assert live.x.shape == (n_rep, 2, n)
+            assert live.w.shape == live.k_drift.shape == live.d.shape == (n_rep, 1, n)
+            assert live.log_theta.shape == (n_rep, 2)
+            pairs = [
+                (live.x[:, 0], ref.x[:, i]),
+                (live.x[:, 1], ref.x[:, i + 1]),
+                (live.w[:, 0], ref.w[:, i]),
+                (live.k_drift[:, 0], ref.k_drift[:, i]),
+                (live.d[:, 0], ref.d[:, i]),
+                (live.log_theta[:, 0], ref.log_theta[:, i]),
+                (live.log_theta[:, 1], ref.log_theta[:, i + 1]),
+            ]
+            for got, expected in pairs:
+                assert got.tobytes() == expected.tobytes()
+
+    def test_memory_does_not_grow_with_the_step(self):
+        cp = build_cartpole_lqr()
+        dp = discretize(cp, 100)
+        truth = riccati_from_lqr(cp.lqr, cp.horizon, 100)
+        mu = truth.policy(dp.control_lower, dp.control_upper)
+        x_pin, k_pin = np.array([0.1, -0.2, 0.05, 0.3]), np.full(4, 1e-3)
+
+        def peak(i):
+            tracemalloc.start()
+            try:
+                pinned_step_batch(dp, mu, i, x_pin, k_pin, 4000, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations are not the batch's
+        early, late = peak(1), peak(98)
+        # the full-history layout would hold 99 columns at step 98
+        assert late <= 1.01 * early
 
     def test_no_samples_rejected(self):
         dp = discretize(_driftless_problem(), 4)
@@ -253,7 +304,7 @@ class TestPinnedBatch:
         seed = 2**63 + 11
         pinned = pinned_step_batch(dp, mu, 4, np.ones(3), np.zeros(3), 40, seed)
         sampled = sample_forward(dp, mu, DriftProcess.on_policy(mu), 40, seed)
-        np.testing.assert_array_equal(pinned.w[:, 4], sampled.w[:, 0])
+        np.testing.assert_array_equal(pinned.w[:, 0], sampled.w[:, 0])
 
 
 class TestStreams:
