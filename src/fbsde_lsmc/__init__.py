@@ -15,7 +15,6 @@ from .config import ExperimentConfig, load_config, parse_config_text
 from .estimators import (
     EstimatorKind,
     TaylorTriple,
-    delta_y_taylor,
     estimate_targets,
     taylor_triple,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "parse_config_text",
     "EstimatorKind",
     "TaylorTriple",
-    "delta_y_taylor",
     "estimate_targets",
     "taylor_triple",
     "ConfidenceRegion",

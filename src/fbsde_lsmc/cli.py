@@ -15,6 +15,7 @@ are recorded as +inf and the run succeeds).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -32,13 +33,11 @@ _INVALID_INPUT = (ConfigError, SchemaError, ValueError)
 
 
 def _load(args):
-    """Load the command's config, apply ``--output`` and create that directory."""
+    """Load the command's config and apply ``--output``; returns (cfg, out_dir)."""
     cfg = load_config(args.config)
     if args.output is not None:
         cfg.output_dir = args.output
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    return cfg, Path(cfg.output_dir)
 
 
 def _cmd_run(args) -> int:
@@ -58,6 +57,7 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg, out_dir = _load(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     setup = build_setup(cfg)
     if isinstance(setup.truth, GridTruth):
         path = out_dir / "grid_truth.csv"
@@ -79,6 +79,7 @@ def _cmd_diagnose(args) -> int:
             "diagnose.cells must not exceed max(sweep.samples): "
             f"n_cells = {cfg.diagnose_cells} exceeds the batch size of {samples}"
         )
+    out_dir.mkdir(parents=True, exist_ok=True)
     setup = build_setup(cfg)
     batch = sample_forward(
         setup.dp,
@@ -115,7 +116,10 @@ def _cmd_diagnose(args) -> int:
     report_to_csv(reports, path)
     for report in reports:
         flag = "holds" if report.verdict else "VIOLATED"
-        print(f"{report.kind.value}: bound {flag}, variance {report.variance:.3g}")
+        # a cell with an infinite bound holds whatever its remainder
+        vacuous = sum(math.isinf(cell.rhs) for cell in report.cells)
+        cells = f"{vacuous} of {len(report.cells)} cells vacuous: rhs = inf"
+        print(f"{report.kind.value}: bound {flag} ({cells}), variance {report.variance:.3g}")
     print(f"wrote {path}")
     return 0
 

@@ -21,6 +21,9 @@ where Ztil = Sigma^T grad V~(X_{i+1}) is evaluated at the realized end of the
 interval, not at the pre-noise mean.  This placement difference between the
 Taylor and end-of-interval variants is deliberate and load-bearing.
 
+The Taylor backward difference is V~(X_{i+1}) minus the re-estimate target:
+Delta Yhat_i = -L + Zbar.W - Zbar.D + tr(Mbar (W W^T - I - D D^T)) / 2.
+
 The noiseless target uses no W at all, so for pinned (X_i, K_i) it is a
 deterministic function with exactly zero sampling variance.  Trace products
 against rank-one updates are accumulated as quadratic forms, never by forming
@@ -50,7 +53,6 @@ __all__ = [
     "TaylorTriple",
     "taylor_triple",
     "estimate_targets",
-    "delta_y_taylor",
 ]
 
 
@@ -143,17 +145,6 @@ class _Step:
         return basis_eval(self.spec, self.i + 1, self.x_next)
 
 
-def _taylor_pieces(m: ValueModel, step: _Step):
-    """Shared subterms of the Taylor-form targets, vectorized over the batch."""
-    tri = taylor_triple(m, step.i, step.x_i, step.k, step.sigma, step.phi_bar)
-    zw = _dot(tri.zbar, step.w)
-    zd = _dot(tri.zbar, step.d)
-    tr_m = np.trace(tri.mbar, axis1=-2, axis2=-1)
-    dmd = _quad(tri.mbar, step.d)
-    wmw = _quad(tri.mbar, step.w)
-    return tri, step.stage, zw, zd, tr_m, dmd, wmw
-
-
 def estimate_targets(
     kind: EstimatorKind,
     m: ValueModel,
@@ -177,12 +168,17 @@ def estimate_targets(
         step = _Step(m.basis, dp, mu, batch, i)
 
     if kind.is_taylor:
-        tri, stage, zw, zd, tr_m, dmd, wmw = _taylor_pieces(m, step)
+        tri = taylor_triple(m, i, step.x_i, step.k, step.sigma, step.phi_bar)
+        zd = _dot(tri.zbar, step.d)
+        tr_m = np.trace(tri.mbar, axis1=-2, axis2=-1)
+        dmd = _quad(tri.mbar, step.d)
         if kind is EstimatorKind.TAYLOR_NOISELESS:
-            yhat = stage + tri.ybar + zd + 0.5 * (tr_m + dmd)
+            yhat = step.stage + tri.ybar + zd + 0.5 * (tr_m + dmd)
         else:
             v_next = m.from_features(i + 1, step.phi_next)
-            yhat = v_next + stage - zw + zd + 0.5 * (tr_m + dmd - wmw)
+            zw = _dot(tri.zbar, step.w)
+            wmw = _quad(tri.mbar, step.w)
+            yhat = v_next + step.stage - zw + zd + 0.5 * (tr_m + dmd - wmw)
     else:
         v_next = m.from_features(i + 1, step.phi_next)
         z_til = np.einsum("...ji,...j->...i", step.sigma, m.from_features(i + 1, step.phi_next, 1))
@@ -197,21 +193,3 @@ def estimate_targets(
             f"non-finite backward target at trajectory {bad}, step {i}"
         )
     return yhat
-
-
-def delta_y_taylor(
-    m: ValueModel,
-    dp: DiscreteProblem,
-    mu,
-    batch: TrajectoryBatch,
-    i: int,
-) -> np.ndarray:
-    """Taylor-form backward difference estimate for step ``i``, shape (M,).
-
-        -L + Zbar.W - Zbar.D + tr(Mbar (W W^T - I - D D^T)) / 2
-
-    With on-policy sampling the stored corrections are exactly zero and the
-    expression reduces bit-for-bit to its undrifted form.
-    """
-    _, stage, zw, zd, tr_m, dmd, wmw = _taylor_pieces(m, _Step(m.basis, dp, mu, batch, i))
-    return -stage + zw - zd + 0.5 * (wmw - tr_m - dmd)

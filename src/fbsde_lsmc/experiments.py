@@ -106,17 +106,13 @@ def build_drift(cfg: ExperimentConfig, dp, mu) -> DriftProcess:
     """Forward drift process named by the config."""
     if cfg.drift == "optimal":
         return DriftProcess.on_policy(mu)
-    if cfg.drift == "custom":
-        gains = np.asarray(cfg.drift_custom_gains, dtype=float).reshape(1, dp.dim_x)
-        pol = FeedbackPolicy(gains, dp.control_lower, dp.control_upper)
-        return DriftProcess.on_policy(pol)
-    if cfg.problem == "nonlinear1d":
+    if cfg.drift == "suboptimal" and cfg.problem == "nonlinear1d":
         dt = dp.dt
         # comparison drift -0.2 x, treated as a rate and scaled by dt
         return DriftProcess.feedback(lambda i, x: -0.2 * np.asarray(x, dtype=float) * dt)
-    gains = np.array([[0.0, 0.0, cfg.drift_k1, cfg.drift_k2]])
-    pol = FeedbackPolicy(gains, dp.control_lower, dp.control_upper)
-    return DriftProcess.on_policy(pol)
+    gains = cfg.drift_custom_gains if cfg.drift == "custom" else [0, 0, cfg.drift_k1, cfg.drift_k2]
+    gains = np.reshape(gains, (1, dp.dim_x))
+    return DriftProcess.on_policy(FeedbackPolicy(gains, dp.control_lower, dp.control_upper))
 
 
 def _reference_region(cfg: ExperimentConfig, dp, mu):
@@ -249,8 +245,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
     """Run the configured sweep; returns (results_csv_path, manifest_path).
 
     ``jobs`` > 1 distributes forward-pass groups over processes; the output
-    is identical to a serial run.
+    is identical to a serial run.  ``jobs`` < 1 raises ``ValueError`` before
+    the output directory is created.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     setup = build_setup(cfg)
@@ -286,22 +285,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
                         writer.writerow(row)
 
     manifest_path = out_dir / "manifest.json"
-    manifest = {"version": __version__, "config": _jsonable(cfg.resolved())}
+    manifest = {"version": __version__, "config": cfg.resolved()}
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return results_path, manifest_path
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    return obj
 
 
 def emit_heatmap(results_csv, output_dir=None) -> list:

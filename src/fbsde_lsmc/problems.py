@@ -150,7 +150,6 @@ class DiscreteProblem:
     control_upper: np.ndarray
     x0: np.ndarray
     structure: Optional[ControlStructure] = None
-    lqr: Optional[LqrStructure] = None
 
     def t(self, i: int) -> float:
         """Physical time of step ``i``."""
@@ -226,7 +225,6 @@ def discretize(cp: ContinuousProblem, n_steps: int) -> DiscreteProblem:
         control_upper=cp.control_upper,
         x0=cp.x0,
         structure=cp.structure,
-        lqr=cp.lqr,
     )
 
 

@@ -119,11 +119,6 @@ class TrajectoryBatch:
     def dim(self) -> int:
         return self.x.shape[2]
 
-    @property
-    def theta(self) -> np.ndarray:
-        """Positive weights, shape of ``log_theta``; may underflow to 0 for huge drifts."""
-        return np.exp(self.log_theta)
-
 
 def _solve_diffusion(sig: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:

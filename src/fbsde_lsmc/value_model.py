@@ -121,13 +121,10 @@ class BasisSpec:
     def n_steps_covered(self) -> int:
         return self.scale_lo.shape[0]
 
-    def scaled(self, i: int, x: np.ndarray) -> tuple:
-        """Map states to the unit box; returns (z, slopes)."""
-        lo = self.scale_lo[i]
-        hi = self.scale_hi[i]
-        slope = 2.0 / (hi - lo)
-        z = (2.0 * x - hi - lo) / (hi - lo)
-        return z, slope
+    def scaled(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Affine map taking step ``i``'s scaling box onto [-1, 1]^n."""
+        lo, hi = self.scale_lo[i], self.scale_hi[i]
+        return (2.0 * x - hi - lo) / (hi - lo)
 
 
 def _cheb_values(z: np.ndarray, degree: int) -> np.ndarray:
@@ -147,7 +144,7 @@ def _cheb_values(z: np.ndarray, degree: int) -> np.ndarray:
 def basis_eval(spec: BasisSpec, i: int, x) -> np.ndarray:
     """Feature vector Phi(x) at step ``i``; shape ``x.shape[:-1] + (size,)``."""
     x = np.asarray(x, dtype=float)
-    z, _ = spec.scaled(i, x)
+    z = spec.scaled(i, x)
     t = _cheb_values(z, spec.max_total_degree)
     tsel = t[..., np.arange(spec.dim), spec.indices]
     return np.prod(tsel, axis=-1)

@@ -10,6 +10,7 @@ from fbsde_lsmc import (
     EstimatorKind,
     ValueModel,
     discretize,
+    estimate_targets,
     fit_function,
     riccati_from_lqr,
     sample_forward,
@@ -126,6 +127,12 @@ def model_from_truth(truth, dim, n_steps, degree=2, half_width=4.0, center=None)
     for i in range(n_steps + 1):
         model.set_coeffs(i, fit_function(spec, i, lambda pts: truth.value(i, pts)))
     return model
+
+
+def delta_y_hat(model, dp, mu, batch, i):
+    """Taylor backward difference V~(X_{i+1}) - Yhat_i(taylor_reestimate), shape (M,)."""
+    target = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
+    return model.eval(i + 1, batch.x[:, i + 1]) - target
 
 
 @pytest.fixture(scope="session")

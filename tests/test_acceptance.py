@@ -25,13 +25,12 @@ from fbsde_lsmc import (
     improve_policy,
     riccati_from_lqr,
     sample_forward,
-    delta_y_taylor,
     build_cartpole_lqr,
 )
 from fbsde_lsmc.config import parse_config_text
 from fbsde_lsmc.experiments import run_experiment
 
-from conftest import make_scalar_lqr, model_from_truth
+from conftest import delta_y_hat, make_scalar_lqr, model_from_truth
 
 
 def _verdict(num, label, ok, detail=""):
@@ -190,7 +189,7 @@ class TestCriterion5Unbiasedness:
         model = model_from_truth(truth, 1, n_steps)
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 10**5, seed=41)
         i = 9
-        delta_hat = delta_y_taylor(model, dp, mu, batch, i)
+        delta_hat = delta_y_hat(model, dp, mu, batch, i)
         delta_true = truth.value(i + 1, batch.x[:, i + 1]) - truth.value(i, batch.x[:, i])
         resid = delta_true - delta_hat
         stderr = resid.std(ddof=1) / np.sqrt(batch.n_samples)
@@ -239,7 +238,7 @@ class TestCriterion6DiscreteGirsanov:
 
         j = 1
         wq = batch.w[:, j] - batch.d[:, j]
-        theta = batch.theta[:, j + 1]
+        theta = np.exp(batch.log_theta[:, j + 1])
         sqrt_m = np.sqrt(batch.n_samples)
 
         # reweighted means of W~ and W~ W~^T, W~ = W - D, with their stderrs

@@ -16,6 +16,7 @@ import pytest
 
 from fbsde_lsmc import cli as cli_module
 from fbsde_lsmc import config
+from fbsde_lsmc import experiments as experiments_module
 from fbsde_lsmc.cli import main
 from fbsde_lsmc.config import load_config, parse_config_text
 from fbsde_lsmc.errors import ConfigError, GridEscapeWarning, OutOfDomainError, SchemaError
@@ -626,6 +627,23 @@ class TestCliEntry:
         assert len(rows) == 2
         assert all(math.isfinite(float(r["mean_rae"])) for r in rows)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_run_with_fewer_than_one_job_exits_1(self, tmp_path, capsys, monkeypatch, jobs):
+        # rejected before the oracle is built or the output directory made;
+        # no worker process is started
+        def no_setup(cfg):
+            raise AssertionError("build_setup called")
+
+        monkeypatch.setattr(experiments_module, "build_setup", no_setup)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_LQR.format(out=tmp_path / "out"))
+        assert main(["run", str(cfg_path), "--jobs", str(jobs)]) == 1
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(parse_config_text(cfg_path.read_text()), jobs=jobs)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
@@ -639,6 +657,25 @@ class TestCliEntry:
         lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
         assert lines[0].startswith("step,kind,cell")
         assert len(lines) == 1 + 2 * 2  # two estimators x two cells
+
+    @pytest.mark.parametrize("drift, vacuous", [("suboptimal", 2), ("optimal", 0)])
+    def test_diagnose_counts_vacuous_cells(self, tmp_path, capsys, drift, vacuous):
+        # the suboptimal drift's corrections (norms near 1e4 here) underflow
+        # every weight: lhs is 0, rhs is inf and the cell holds whatever its
+        # remainder; the on-policy drift has D = 0 and a finite bound
+        cfg_path = tmp_path / "exp.cfg"
+        text = (
+            TINY_LQR.format(out=tmp_path / "out")
+            + "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
+        )
+        cfg_path.write_text(text.replace("drift.kind = suboptimal", f"drift.kind = {drift}"))
+        assert main(["diagnose", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        rows = _read_rows(tmp_path / "out" / "diagnostics.csv")
+        for kind in ("taylor_noiseless", "em_noisy"):
+            cells = [r for r in rows if r["kind"] == kind]
+            assert sum(math.isinf(float(r["rhs"])) for r in cells) == vacuous
+            assert f"{kind}: bound holds ({vacuous} of 2 cells vacuous: rhs = inf)" in out
 
     def test_diagnose_is_deterministic(self, tmp_path):
         written = []

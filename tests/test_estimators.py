@@ -11,7 +11,6 @@ from fbsde_lsmc import (
     EstimatorKind,
     FeedbackPolicy,
     ValueModel,
-    delta_y_taylor,
     discretize,
     estimate_targets,
     estimator_bias_variance,
@@ -21,9 +20,10 @@ from fbsde_lsmc import (
     taylor_triple,
 )
 from fbsde_lsmc.errors import NotFittedError
+from fbsde_lsmc.estimators import _dot, _quad
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import make_linear_problem, make_scalar_lqr, model_from_truth
+from conftest import delta_y_hat, make_linear_problem, make_scalar_lqr, model_from_truth
 
 
 def _square_model(n_steps=1, half=6.0):
@@ -209,24 +209,27 @@ class TestDeltaY:
         dp = _hand_problem(stage_cost=0.0)
         mu = lambda i, x: np.zeros(np.shape(x)[:-1] + (1,))
         batch = _hand_batch(x_i=1.0, k_i=0.0, w_i=0.0, d_i=0.0)
-        assert delta_y_taylor(model, dp, mu, batch, 0)[0] == pytest.approx(-1.0, rel=1e-10)
+        assert delta_y_hat(model, dp, mu, batch, 0)[0] == pytest.approx(-1.0, rel=1e-10)
 
     def test_on_policy_reduction_is_bit_exact(self, scalar_lqr_setup):
         cp, dp, truth, mu = scalar_lqr_setup
         model = model_from_truth(truth, 1, dp.n_steps)
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 64, seed=41)
         i = 5
-        drifted = delta_y_taylor(model, dp, mu, batch, i)
+        # the re-estimate target, which Delta Yhat = V~(X_{i+1}) - Yhat reads,
+        # equals its D = 0 form bit for bit
+        drifted = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
         tri = taylor_triple(model, i, batch.x[:, i], batch.k_drift[:, i], dp.Sigma(i, batch.x[:, i]))
         w = batch.w[:, i]
         stage = dp.L(i, batch.x[:, i], mu(i, batch.x[:, i]))
         on_policy_form = (
-            -stage
-            + np.einsum("mi,mi->m", tri.zbar, w)
+            model.eval(i + 1, batch.x[:, i + 1])
+            + stage
+            - np.einsum("mi,mi->m", tri.zbar, w)
             + 0.5
             * (
-                np.einsum("mi,mij,mj->m", w, tri.mbar, w)
-                - np.trace(tri.mbar, axis1=-2, axis2=-1)
+                np.trace(tri.mbar, axis1=-2, axis2=-1)
+                - np.einsum("mi,mij,mj->m", w, tri.mbar, w)
             )
         )
         np.testing.assert_array_equal(drifted, on_policy_form)
@@ -253,7 +256,7 @@ class TestDeltaY:
             )
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 2 * 10**4, seed=43)
         i = 7
-        delta_hat = delta_y_taylor(model, dp, mu, batch, i)
+        delta_hat = delta_y_hat(model, dp, mu, batch, i)
         delta_true = truth.value(i + 1, batch.x[:, i + 1]) - truth.value(i, batch.x[:, i])
         resid = delta_true - delta_hat
         assert resid.std() > 1e-6  # the check is not vacuous
@@ -414,19 +417,52 @@ class TestExactnessProperties:
         spec = scaling_from_batch(batch, 2)
         model = ValueModel.empty(spec, dp.n_steps)
         model.set_coeffs(i + 1, np.random.default_rng(seed).normal(size=spec.size))
-        drifted = delta_y_taylor(model, dp, mu, batch, i)
+        drifted = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
         x_i, w = batch.x[:, i], batch.w[:, i]
         tri = taylor_triple(model, i, x_i, batch.k_drift[:, i], dp.Sigma(i, x_i))
         undrifted = (
-            -dp.L(i, x_i, mu(i, x_i))
-            + np.einsum("mi,mi->m", tri.zbar, w)
+            model.eval(i + 1, batch.x[:, i + 1])
+            + dp.L(i, x_i, mu(i, x_i))
+            - np.einsum("mi,mi->m", tri.zbar, w)
             + 0.5
             * (
-                np.einsum("mi,mij,mj->m", w, tri.mbar, w)
-                - np.trace(tri.mbar, axis1=-2, axis2=-1)
+                np.trace(tri.mbar, axis1=-2, axis2=-1)
+                - np.einsum("mi,mij,mj->m", w, tri.mbar, w)
             )
         )
         np.testing.assert_array_equal(drifted, undrifted)
+
+    @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
+    @settings(max_examples=20, deadline=None)
+    def test_every_target_keeps_its_operand_order(self, dim, state_sigma, seed):
+        # each target equals, as bytes, its formula written out in the
+        # documented operand order; a reordered sum rounds differently
+        dp, mu, batch = _random_setup(dim, seed, state_sigma)
+        i = 1
+        spec = scaling_from_batch(batch, 2)
+        model = ValueModel.empty(spec, dp.n_steps)
+        model.set_coeffs(i + 1, np.random.default_rng(seed).normal(size=spec.size))
+        x_i, x_next, w, d = batch.x[:, i], batch.x[:, i + 1], batch.w[:, i], batch.d[:, i]
+        sig = dp.Sigma(i, x_i)
+        stage = dp.L(i, x_i, mu(i, x_i))
+        v_next = model.eval(i + 1, x_next)
+        tri = taylor_triple(model, i, x_i, batch.k_drift[:, i], sig)
+        zw, zd = _dot(tri.zbar, w), _dot(tri.zbar, d)
+        tr_m = np.trace(tri.mbar, axis1=-2, axis2=-1)
+        dmd, wmw = _quad(tri.mbar, d), _quad(tri.mbar, w)
+        z_til = np.einsum("...ji,...j->...i", sig, model.grad(i + 1, x_next))
+        reference = {
+            EstimatorKind.TAYLOR_NOISELESS: stage + tri.ybar + zd + 0.5 * (tr_m + dmd),
+            EstimatorKind.TAYLOR_REESTIMATE: (
+                v_next + stage - zw + zd + 0.5 * (tr_m + dmd - wmw)
+            ),
+            EstimatorKind.EM_NOISELESS: v_next + stage + _dot(z_til, d),
+            EstimatorKind.EM_NOISY: v_next + stage - _dot(z_til, w) + _dot(z_til, d),
+        }
+        assert np.any(d != 0.0)
+        for kind, ref in reference.items():
+            got = estimate_targets(kind, model, dp, mu, batch, i)
+            assert got.tobytes() == ref.tobytes(), kind
 
 
 class TestMbarRounding:

@@ -65,7 +65,7 @@ class TestSampleForward:
         expected = dp.x0 + sig * np.cumsum(batch.w, axis=1)
         np.testing.assert_allclose(batch.x[:, 1:], expected, atol=1e-15)
         assert np.all(batch.d == 0.0)
-        assert np.all(batch.theta == 1.0)
+        assert np.all(np.exp(batch.log_theta) == 1.0)
 
     def test_step_mean_matches_drift(self):
         # Monte Carlo oracle on the defining recursion, M = 1e5
@@ -189,21 +189,23 @@ class TestGirsanovWeights:
         cp, dp, truth, mu = _scalar_setup()
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 5, seed=1)
         assert np.all(batch.d == 0.0)
-        assert np.all(batch.theta == 1.0)
+        assert np.all(np.exp(batch.log_theta) == 1.0)
 
     def test_single_step_value(self):
         # D = 1 at the pinned step, so Theta_1 = exp(-1/2 + W_0)
         dp = discretize(_driftless_problem(sigma=2.0), 1)
         batch = pinned_step_batch(dp, _zero_policy(dp), 0, [0.0], [-2.0], 5, seed=1)
         np.testing.assert_array_equal(batch.d, 1.0)
-        np.testing.assert_allclose(batch.theta[:, 1], np.exp(-0.5 + batch.w[:, 0, 0]), rtol=1e-15)
+        np.testing.assert_allclose(
+            np.exp(batch.log_theta[:, 1]), np.exp(-0.5 + batch.w[:, 0, 0]), rtol=1e-15
+        )
 
     def test_weights_are_a_martingale(self):
         # E[Theta_i] = 1 at every step, Monte Carlo oracle
         cp, dp, truth, mu = _scalar_setup()
         drift = DriftProcess.feedback(lambda i, x: dp.F(i, x, mu(i, x)) - 0.5 * np.sqrt(dp.dt) * 0.7)
         batch = sample_forward(dp, mu, drift, 10**5, seed=3)
-        theta = batch.theta
+        theta = np.exp(batch.log_theta)
         for i in (1, 5, 10):
             stderr = theta[:, i].std(ddof=1) / np.sqrt(batch.n_samples)
             assert abs(theta[:, i].mean() - 1.0) < 3 * stderr

@@ -113,7 +113,7 @@ class TestModelDerivatives:
 
         # reference: d^k T_j(z_c) / dz_c^k from the 1-D chebder of e_j,
         # times plain T values on the other axes, chained with the slopes
-        z, slope = spec.scaled(0, x)
+        z, slope = spec.scaled(0, x), 2.0 / (hi[0] - lo[0])
         eye = np.eye(degree + 1)
         table = np.zeros((3, dim, len(x), spec.size))  # (order, axis, point, feature)
         for k in range(3):
