@@ -152,29 +152,42 @@ GroundTruth = Union[GridTruth, RiccatiTruth]
 
 # points per grid_bellman row block: 512 KB per float64 temporary, cache-sized
 _BUDGET = 65536
+# bytes of interpolation cells and fractions grid_bellman keeps across steps
+_CACHE_BYTES = 32 * 2**20
 
 
-def _interp(nodes, table, x):
-    """Linear interpolation in ``x[..., 0]`` with linear extrapolation outside.
+def _cells(nodes, x):
+    """Cell index and in-cell fraction of ``x[..., 0]`` on uniform ``nodes``.
 
-    The uniform node spacing gives cell index and fraction from one
-    division, and letting the fraction leave [0, 1] in the edge cells is
-    exactly linear extrapolation.  It works in place and gathers each cell's
-    slope from ``np.diff(table)``: the same IEEE subtraction
-    ``table[cell + 1] - table[cell]``, done once per node rather than once per
-    point, so the result is bit-identical.
+    The uniform node spacing gives both from one division, and letting the
+    fraction leave [0, 1] in the edge cells is exactly linear extrapolation.
     """
     xi = x[..., 0]
     # an explicit output keeps a single-point query's 0-d position an array
-    pos = np.subtract(xi, nodes[0], out=np.empty(xi.shape))
-    pos /= nodes[1] - nodes[0]
-    cell = pos.astype(np.intp)
+    frac = np.subtract(xi, nodes[0], out=np.empty(xi.shape))
+    frac /= nodes[1] - nodes[0]
+    cell = frac.astype(np.intp)
     np.clip(cell, 0, len(nodes) - 2, out=cell)
-    pos -= cell
-    pos *= np.diff(table).take(cell)
-    out = table.take(cell)
-    out += pos
+    frac -= cell
+    return cell, frac
+
+
+def _gather(table, slope, cell, frac):
+    """``table[cell] + frac * slope[cell]``, leaving ``frac`` unchanged.
+
+    ``slope`` is ``np.diff(table)``: the same IEEE subtraction
+    ``table[cell + 1] - table[cell]``, done once per node rather than once per
+    point, so the result is bit-identical.
+    """
+    out = slope.take(cell)
+    out *= frac
+    out += table.take(cell)
     return out
+
+
+def _interp(nodes, table, x):
+    """Linear interpolation in ``x[..., 0]`` with linear extrapolation outside."""
+    return _gather(table, np.diff(table), *_cells(nodes, x))
 
 
 def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
@@ -188,6 +201,17 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
     by the quadrature displacements increment ``escape_count`` and raise a
     :class:`GridEscapeWarning` once per run; they are still evaluated by
     linear extrapolation.
+
+    The full-grid pass keeps the interpolation cells and fractions of its
+    leading row blocks, up to ``_CACHE_BYTES`` (32 MiB), and reuses them at
+    every later step whose drift F on the (state, control) grid and noise
+    Sigma z on the (state, node) grid are bit-equal to those they were built
+    from; otherwise it rebuilds them.  A time-homogeneous problem therefore
+    builds them once, a time-varying one at every step where its inputs
+    change, and no problem needs to declare which it is.  Blocks past the
+    bound, and the refinement pass, are computed at every step.  The tables
+    and ``escape_count`` are bit-for-bit those of computing every block at
+    every step: a reused block adds its stored escape count once per step.
     """
     if dp.dim_x != 1 or dp.dim_u != 1:
         raise ValueError("gridded ground truth needs one state and one control dimension")
@@ -215,30 +239,53 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
     # longer depends on what the process allocated before.
     np.empty(8 * min(max(_BUDGET, n_controls * n_quad), n_states * n_controls * n_quad))
 
+    xs_all = np.broadcast_to(states[:, None, :], (n_states, n_controls, 1))
+    us_all = np.broadcast_to(controls[None, :, :], (n_states, n_controls, 1))
+    # leading full-grid row blocks whose (cell, frac, escapes) fit the bound
+    block_points = max(1, _BUDGET // (n_controls * n_quad)) * n_controls * n_quad
+    n_kept = _CACHE_BYTES // (block_points * (np.dtype(np.intp).itemsize + 8))
+    kept, kept_from = [], None
+
     for i in reversed(range(dp.n_steps)):
         vtab = values[i + 1]
+        slope = np.diff(vtab)
         sig_z = np.einsum("scd,qd->sqc", dp.Sigma(i, states), z[:, None])
 
-        def expected(xs, us):
+        def expected(xs, us, drift, blocks=None):
             """Stage cost plus expected next value for paired (xs, us).
 
-            ``xs`` and ``us`` share shape (n_states, U, 1); returns (n_states, U).
+            ``xs``, ``us`` and ``drift`` broadcast to (n_states, U, 1); returns
+            (n_states, U).  ``blocks`` lists (cell, frac, escapes) of the
+            leading row blocks, built for this drift and noise; blocks it
+            lacks are computed and, up to ``n_kept`` of them, appended.
             """
             nonlocal escape_count
+            drift = np.broadcast_to(drift, xs.shape)
             out = np.empty(xs.shape[:2])
             rows = max(1, _BUDGET // (xs.shape[1] * n_quad))
-            for r in range(0, n_states, rows):
-                xc, uc = xs[r : r + rows], us[r : r + rows]
-                stage = dp.L(i, xc, uc)
-                x_next = (xc + dp.F(i, xc, uc))[:, :, None, :] + sig_z[r : r + rows, None]
-                escaped = (x_next < grid.lo - margin) | (x_next > grid.hi + margin)
-                escape_count += int(np.count_nonzero(escaped))
-                np.add(stage, _interp(nodes, vtab, x_next) @ w, out=out[r : r + rows])
+            for k, r in enumerate(range(0, n_states, rows)):
+                block = slice(r, r + rows)
+                if blocks is not None and k < len(blocks):
+                    cell, frac, escapes = blocks[k]
+                else:
+                    x_next = (xs[block] + drift[block])[:, :, None, :] + sig_z[block, None]
+                    escaped = (x_next < grid.lo - margin) | (x_next > grid.hi + margin)
+                    escapes = int(np.count_nonzero(escaped))
+                    cell, frac = _cells(nodes, x_next)
+                    if blocks is not None and k < n_kept:
+                        blocks.append((cell, frac, escapes))
+                escape_count += escapes
+                stage = dp.L(i, xs[block], us[block])
+                np.add(stage, _gather(vtab, slope, cell, frac) @ w, out=out[block])
             return out
 
-        xs_all = np.broadcast_to(states[:, None, :], (n_states, n_controls, 1))
-        us_all = np.broadcast_to(controls[None, :, :], (n_states, n_controls, 1))
-        obj = expected(xs_all, us_all)
+        drift = dp.F(i, xs_all, us_all)
+        if kept_from is None or not (
+            np.array_equal(drift, kept_from[0]) and np.array_equal(sig_z, kept_from[1])
+        ):
+            # a copy, in case F hands back a buffer it later overwrites
+            kept, kept_from = [], (np.copy(drift), sig_z)
+        obj = expected(xs_all, us_all, drift, kept)
         best = np.argmin(obj, axis=1)
         u_best = u_nodes[best]
         v_best = obj[rows_all, best]
@@ -255,7 +302,8 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
             ok = np.isfinite(shift) & (denom > 0)
             shift = np.where(ok, np.clip(shift, -du, du), 0.0)
             u_ref = np.clip(u_nodes[j0] + shift, dp.control_lower[0], dp.control_upper[0])
-            v_ref = expected(states[:, None, :], u_ref[:, None, None])[:, 0]
+            xs_ref, us_ref = states[:, None, :], u_ref[:, None, None]
+            v_ref = expected(xs_ref, us_ref, dp.F(i, xs_ref, us_ref))[:, 0]
             better = v_ref < v_best
             v_best = np.where(better, v_ref, v_best)
             u_best = np.where(better, u_ref, u_best)

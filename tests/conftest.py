@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,11 +19,13 @@ from fbsde_lsmc import (
     sample_forward,
     scaling_from_batch,
 )
-from fbsde_lsmc import sampling
+from fbsde_lsmc import oracles, sampling
 from fbsde_lsmc.backward import backward_sweep
 from fbsde_lsmc.config import parse_config_text
+from fbsde_lsmc.errors import GridEscapeWarning
 from fbsde_lsmc.experiments import build_setup
-from fbsde_lsmc.problems import LqrStructure
+from fbsde_lsmc.oracles import GridSpec, GridTruth
+from fbsde_lsmc.problems import DiscreteProblem, LqrStructure
 
 
 def make_scalar_lqr(
@@ -191,3 +196,137 @@ def fitted_problem(request):
     models = backward_sweep(setup.dp, setup.mu, batch, list(EstimatorKind), spec)
     assert all(isinstance(m, ValueModel) for m in models.values())
     return setup, batch, models
+
+
+# The gridded oracle's kernel as it was before it reused interpolation cells
+# across steps, kept verbatim (names aside) as the reference its tables and
+# escape counts must equal bit for bit.
+
+# points per row block of the reference kernel (the library default)
+REFERENCE_BUDGET = 65536
+
+
+def reference_interp(nodes, table, x):
+    """Linear interpolation in ``x[..., 0]`` with linear extrapolation outside.
+
+    The uniform node spacing gives cell index and fraction from one
+    division, and letting the fraction leave [0, 1] in the edge cells is
+    exactly linear extrapolation.  It works in place and gathers each cell's
+    slope from ``np.diff(table)``: the same IEEE subtraction
+    ``table[cell + 1] - table[cell]``, done once per node rather than once per
+    point, so the result is bit-identical.
+    """
+    xi = x[..., 0]
+    # an explicit output keeps a single-point query's 0-d position an array
+    pos = np.subtract(xi, nodes[0], out=np.empty(xi.shape))
+    pos /= nodes[1] - nodes[0]
+    cell = pos.astype(np.intp)
+    np.clip(cell, 0, len(nodes) - 2, out=cell)
+    pos -= cell
+    pos *= np.diff(table).take(cell)
+    out = table.take(cell)
+    out += pos
+    return out
+
+
+def reference_grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
+    """Dynamic-programming ground truth on a state grid (one state, one control).
+
+    Requires the problem callables to broadcast (they do for instances built
+    by this package).  Each step is evaluated in blocks of state rows holding
+    a fixed budget of (state, control, quadrature node) points, so peak memory
+    does not grow with states x controls x nodes, and the tables are bit-for-bit
+    those of one whole-grid pass.  States thrown outside the grid-plus-margin
+    by the quadrature displacements increment ``escape_count`` and raise a
+    :class:`GridEscapeWarning` once per run; they are still evaluated by
+    linear extrapolation.
+    """
+    if dp.dim_x != 1 or dp.dim_u != 1:
+        raise ValueError("gridded ground truth needs one state and one control dimension")
+    if not (np.all(np.isfinite(dp.control_lower)) and np.all(np.isfinite(dp.control_upper))):
+        raise ValueError("gridded ground truth needs a finite control box")
+
+    nodes = np.linspace(grid.lo[0], grid.hi[0], grid.n_state_nodes)
+    u_nodes = np.linspace(dp.control_lower[0], dp.control_upper[0], grid.n_control_nodes)
+    states, controls = nodes[:, None], u_nodes[:, None]
+    # Gauss-Hermite nodes and weights normalized to the standard normal density
+    h, w = np.polynomial.hermite.hermgauss(grid.n_quad_nodes)
+    z, w = h * math.sqrt(2.0), w / math.sqrt(math.pi)
+
+    margin = oracles._MARGIN_FRACTION * (grid.hi - grid.lo)
+    n_states, n_controls, n_quad = len(nodes), len(u_nodes), len(w)
+    rows_all = np.arange(n_states)
+    values = np.empty((dp.n_steps + 1, n_states))
+    u_star = np.empty((dp.n_steps, n_states))
+    values[dp.n_steps] = dp.g(states)
+    escape_count = 0
+
+    # Freeing one untouched mapped array larger than a row block's temporaries
+    # raises glibc's mmap and trim thresholds (mallopt(3)), so the blocks reuse
+    # heap pages instead of faulting in fresh ones; the cost of a run then no
+    # longer depends on what the process allocated before.
+    np.empty(8 * min(max(REFERENCE_BUDGET, n_controls * n_quad), n_states * n_controls * n_quad))
+
+    for i in reversed(range(dp.n_steps)):
+        vtab = values[i + 1]
+        sig_z = np.einsum("scd,qd->sqc", dp.Sigma(i, states), z[:, None])
+
+        def expected(xs, us):
+            """Stage cost plus expected next value for paired (xs, us).
+
+            ``xs`` and ``us`` share shape (n_states, U, 1); returns (n_states, U).
+            """
+            nonlocal escape_count
+            out = np.empty(xs.shape[:2])
+            rows = max(1, REFERENCE_BUDGET // (xs.shape[1] * n_quad))
+            for r in range(0, n_states, rows):
+                xc, uc = xs[r : r + rows], us[r : r + rows]
+                stage = dp.L(i, xc, uc)
+                x_next = (xc + dp.F(i, xc, uc))[:, :, None, :] + sig_z[r : r + rows, None]
+                escaped = (x_next < grid.lo - margin) | (x_next > grid.hi + margin)
+                escape_count += int(np.count_nonzero(escaped))
+                np.add(stage, reference_interp(nodes, vtab, x_next) @ w, out=out[r : r + rows])
+            return out
+
+        xs_all = np.broadcast_to(states[:, None, :], (n_states, n_controls, 1))
+        us_all = np.broadcast_to(controls[None, :, :], (n_states, n_controls, 1))
+        obj = expected(xs_all, us_all)
+        best = np.argmin(obj, axis=1)
+        u_best = u_nodes[best]
+        v_best = obj[rows_all, best]
+
+        if n_controls >= 3:
+            # one parabolic refinement around the grid argmin; exact when the
+            # objective is quadratic in u
+            du = u_nodes[1] - u_nodes[0]
+            j0 = np.clip(best, 1, n_controls - 2)
+            y_m, y_0, y_p = (obj[rows_all, j0 + k] for k in (-1, 0, 1))
+            denom = y_m - 2.0 * y_0 + y_p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                shift = 0.5 * (y_m - y_p) / denom * du
+            ok = np.isfinite(shift) & (denom > 0)
+            shift = np.where(ok, np.clip(shift, -du, du), 0.0)
+            u_ref = np.clip(u_nodes[j0] + shift, dp.control_lower[0], dp.control_upper[0])
+            v_ref = expected(states[:, None, :], u_ref[:, None, None])[:, 0]
+            better = v_ref < v_best
+            v_best = np.where(better, v_ref, v_best)
+            u_best = np.where(better, u_ref, u_best)
+
+        values[i] = v_best
+        u_star[i] = u_best
+
+    if escape_count:
+        warnings.warn(
+            f"{escape_count} quadrature states left the grid beyond its margin",
+            GridEscapeWarning,
+            stacklevel=2,
+        )
+    return GridTruth(
+        nodes=nodes,
+        values=values,
+        u_star=u_star,
+        lo=grid.lo,
+        hi=grid.hi,
+        margin=margin,
+        escape_count=escape_count,
+    )

@@ -6,6 +6,7 @@ import io
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from fbsde_lsmc import (
 )
 from fbsde_lsmc.errors import GridEscapeWarning, OutOfDomainError, SingularRecursionError
 from fbsde_lsmc.oracles import export_grid_csv, export_riccati_json
+from fbsde_lsmc.problems import DiscreteProblem
 
-from conftest import make_scalar_lqr
+from conftest import make_scalar_lqr, reference_grid_bellman
 
 
 class TestRiccati:
@@ -227,6 +229,102 @@ class TestGridBellman:
             tracemalloc.stop()
         assert truth.values.shape == (3, 2001)
         assert peak < 64 * 2**20
+
+
+def _hand_built_problem(kind, n_steps, coef, sigma):
+    """Scalar ``DiscreteProblem`` whose drift or noise varies as ``kind`` says.
+
+    ``invariant``: nothing depends on the step; ``sign_flip``: the drift
+    changes sign at mid-horizon; ``drift_t``: the drift grows with the step;
+    ``sigma_t``: the noise grows with the step; ``sigma_x``: the noise depends
+    on the state only.
+    """
+
+    def F(i, x, u):
+        drift = coef * (x - 0.3) ** 2 + 0.5 * u
+        if kind == "sign_flip" and i >= n_steps // 2:
+            return -drift
+        if kind == "drift_t":
+            return drift * (1.0 + 0.25 * i)
+        return drift
+
+    def Sigma(i, x):
+        base = np.full(np.shape(x)[:-1] + (1, 1), sigma)
+        if kind == "sigma_t":
+            return base * (1.0 + 0.25 * i)
+        if kind == "sigma_x":
+            return base * (1.0 + 0.5 * np.abs(x)[..., None])
+        return base
+
+    return DiscreteProblem(
+        n_steps=n_steps,
+        dt=1.0 / n_steps,
+        dim_x=1,
+        dim_u=1,
+        F=F,
+        Sigma=Sigma,
+        L=lambda i, x, u: np.abs(x[..., 0] - 0.2) + 0.4 * u[..., 0] ** 2,
+        g=lambda x: np.asarray(x, dtype=float)[..., 0] ** 2,
+        control_lower=np.array([-1.0]),
+        control_upper=np.array([1.0]),
+        x0=np.zeros(1),
+    )
+
+
+class TestStepReuse:
+    """Cells and fractions reused across steps leave every table bit unchanged."""
+
+    @given(
+        kind=st.sampled_from(["invariant", "sign_flip", "sigma_t", "sigma_x"]),
+        kept=st.sampled_from(["none", "one block", "unbounded"]),
+        budget=st.sampled_from([1, oracles._BUDGET]),
+        n_steps=st.integers(1, 6),
+        n_states=st.integers(2, 30),
+        n_controls=st.integers(1, 7),
+        n_quad=st.integers(1, 7),
+        coef=st.floats(-2.0, 2.0),
+        sigma=st.floats(0.05, 1.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_the_per_step_reference(
+        self, kind, kept, budget, n_steps, n_states, n_controls, n_quad, coef, sigma
+    ):
+        dp = _hand_built_problem(kind, n_steps, coef, sigma)
+        grid = GridSpec(lo=np.array([-1.0]), hi=np.array([1.5]), n_state_nodes=n_states,
+                        n_control_nodes=n_controls, n_quad_nodes=n_quad)
+        rows = max(1, budget // (n_controls * n_quad))
+        block_bytes = rows * n_controls * n_quad * (np.dtype(np.intp).itemsize + 8)
+        cache_bytes = {"none": 0, "one block": block_bytes, "unbounded": 2**62}[kept]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridEscapeWarning)
+            ref = reference_grid_bellman(dp, grid)
+            with mock.patch.object(oracles, "_BUDGET", budget), \
+                    mock.patch.object(oracles, "_CACHE_BYTES", cache_bytes):
+                truth = grid_bellman(dp, grid)
+        np.testing.assert_array_equal(truth.values, ref.values)
+        np.testing.assert_array_equal(truth.u_star, ref.u_star)
+        assert truth.escape_count == ref.escape_count
+
+    @pytest.mark.parametrize("kind, builds", [("invariant", 1), ("drift_t", 6)])
+    def test_cells_are_built_once_unless_the_drift_changes(self, kind, builds, monkeypatch):
+        # one row block per pass; the refinement pass (one control column)
+        # builds its own cells at every step and is not counted
+        dp = _hand_built_problem(kind, 6, 0.7, 0.4)
+        grid = GridSpec(lo=np.array([-1.0]), hi=np.array([1.5]), n_state_nodes=41,
+                        n_control_nodes=5, n_quad_nodes=7)
+        shapes = []
+        cells = oracles._cells
+
+        def counted(nodes, x):
+            shapes.append(x.shape)
+            return cells(nodes, x)
+
+        monkeypatch.setattr(oracles, "_cells", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridEscapeWarning)
+            grid_bellman(dp, grid)
+        assert sum(shape[1] == 5 for shape in shapes) == builds
+        assert sum(shape[1] == 1 for shape in shapes) == 6
 
 
 class TestInterp:
