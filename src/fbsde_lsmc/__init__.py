@@ -50,7 +50,6 @@ from .value_model import (
     BasisSpec,
     ValueModel,
     basis_eval,
-    fit_function,
     lsmc_fit,
     scaling_from_batch,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "BasisSpec",
     "ValueModel",
     "basis_eval",
-    "fit_function",
     "lsmc_fit",
     "scaling_from_batch",
 ]

@@ -8,6 +8,10 @@ over all multi-indices of total degree at most ``d``, giving
 basis functions.  Each timestep carries its own affine scaling of the state
 into [-1, 1] per coordinate (chosen from the sampled state distribution), and
 evaluation outside [-1, 1] is permitted via the three-term recurrence.
+Features are built by recursive products: each is an earlier feature (its
+multi-index with the last nonzero coordinate zeroed) times one univariate
+factor, which repeats the multiplications of the left-to-right product over
+coordinates bit for bit.
 Gradients and Hessians are exact and act on coefficients, not features:
 differentiating along one coordinate maps the basis span into itself through
 a sparse per-coordinate operator G_c (built once per basis from the 1-D
@@ -26,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
@@ -39,7 +42,6 @@ __all__ = [
     "basis_eval",
     "lsmc_fit",
     "scaling_from_batch",
-    "fit_function",
 ]
 
 
@@ -112,6 +114,21 @@ class BasisSpec:
                     ops[c, position[lowered], b] = d1[m, j]
         return ops
 
+    @cached_property
+    def product_plan(self) -> tuple:
+        """Per total degree 1..d, ``(lo, hi, parents, factors)``: features ``lo:hi``
+        are ``parents``' times rows ``factors`` of :func:`basis_eval`'s table."""
+        d, alphas = self.max_total_degree, self.indices.tolist()
+        position = {tuple(alpha): b for b, alpha in enumerate(alphas)}
+        parents, factors = [], []
+        for alpha in alphas:
+            c = max((k for k, j in enumerate(alpha) if j), default=0)
+            parents.append(position[tuple(alpha[:c]) + (0,) * (self.dim - c)])
+            factors.append(c * (d + 1) + alpha[c])
+        parents, factors = np.array(parents), np.array(factors)
+        ends = [math.comb(self.dim + j, j) for j in range(d + 1)]
+        return tuple((lo, hi, parents[lo:hi], factors[lo:hi]) for lo, hi in zip(ends, ends[1:]))
+
     @property
     def size(self) -> int:
         d = self.max_total_degree
@@ -127,27 +144,52 @@ class BasisSpec:
         return (2.0 * x - hi - lo) / (hi - lo)
 
 
-def _cheb_values(z: np.ndarray, degree: int) -> np.ndarray:
-    """Chebyshev values T_j(z), j = 0..degree, on a new trailing axis.
-
-    The three-term recurrence is total: valid for any real z.
-    """
-    t = np.empty(z.shape + (degree + 1,))
-    t[..., 0] = 1.0
-    if degree >= 1:
-        t[..., 1] = z
-    for j in range(2, degree + 1):
-        t[..., j] = 2.0 * z * t[..., j - 1] - t[..., j - 2]
-    return t
-
-
 def basis_eval(spec: BasisSpec, i: int, x) -> np.ndarray:
-    """Feature vector Phi(x) at step ``i``; shape ``x.shape[:-1] + (size,)``."""
+    """Feature vector Phi(x) at step ``i``; shape ``x.shape[:-1] + (size,)``.
+
+    A three-term recurrence, valid for any real z, fills a (dim, d + 1,
+    points) table of T_j(z_c).  Each feature alpha is then its parent's (alpha
+    with its last nonzero coordinate c zeroed, so of lower total degree) times
+    the row T_{alpha_c}(z_c), a degree at a time (:attr:`BasisSpec.product_plan`).
+    That is the left-to-right product over coordinates without its factors
+    T_0 = 1, which are exact, so the bits are the same, signed zeros and
+    infinities included.  Only where two NaN factors meet may the NaN's sign
+    differ: IEEE 754 leaves it open.
+    """
     x = np.asarray(x, dtype=float)
-    z = spec.scaled(i, x)
-    t = _cheb_values(z, spec.max_total_degree)
-    tsel = t[..., np.arange(spec.dim), spec.indices]
-    return np.prod(tsel, axis=-1)
+    dim, d, size = spec.dim, spec.max_total_degree, spec.size
+    if x.ndim == 0 or x.shape[-1] != dim:
+        raise ValueError(f"expected states with {dim} coordinates, got shape {x.shape}")
+    if not 0 <= i < spec.n_steps_covered:
+        raise ValueError(f"step {i} is outside the {spec.n_steps_covered} scaled steps")
+    z = spec.scaled(i, x).reshape(-1, dim).T
+    table = np.empty((dim, d + 1, z.shape[1]))
+    table[:, 0] = 1.0
+    if d:
+        table[:, 1] = z
+        two_z = 2.0 * table[:, 1]
+    for j in range(2, d + 1):
+        np.multiply(two_z, table[:, j - 1], out=table[:, j])
+        table[:, j] -= table[:, j - 2]
+    if dim == 1:
+        feats = table[0]  # every parent is the constant: the features are the table
+    else:
+        table, feats = table.reshape(-1, z.shape[1]), np.empty((size, z.shape[1]))
+        feats[0] = 1.0
+        for lo, hi, parents, factors in spec.product_plan:
+            # mode "clip" lets take write straight into the level; rows are in range
+            table.take(factors, 0, out=feats[lo:hi], mode="clip")
+            np.multiply(feats.take(parents, 0), feats[lo:hi], out=feats[lo:hi])
+    # the strides of np.prod over the coordinates, the tests' reference, which
+    # BLAS calls read: axes of length one slowest, then features, then points
+    shape = x.shape[:-1] + (size,)
+    if dim == size == 1:
+        return feats.reshape(shape)  # except a 1-D constant: C order
+    points = range(len(shape) - 1)
+    layout = [k for k in points if shape[k] == 1] + [len(shape) - 1]
+    layout += [k for k in points if shape[k] != 1]
+    axes = sorted(range(len(shape)), key=layout.__getitem__)
+    return feats.reshape([shape[k] for k in layout]).transpose(axes)
 
 
 @dataclass(eq=False)
@@ -270,26 +312,3 @@ def _step_box(batch) -> tuple:
     mean = batch.x.mean(axis=0)
     half = np.maximum(3.0 * batch.x.std(axis=0), 1.0)
     return mean - half, mean + half
-
-
-def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
-    k = np.arange(count)
-    z = np.cos((2 * k + 1) * np.pi / (2 * count))
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * z
-
-
-def fit_function(spec: BasisSpec, i: int, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Coefficients reproducing ``fn`` on a tensor Chebyshev-node grid.
-
-    Exact (to rounding) whenever ``fn`` lies in the basis span; used to embed
-    known quadratics or test functions into a model.
-    """
-    per_axis = spec.max_total_degree + 2
-    axes = [
-        _cheb_nodes(spec.scale_lo[i, c], spec.scale_hi[i, c], per_axis)
-        for c in range(spec.dim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return lsmc_fit(pts, fn(pts), spec, i, ridge=0.0)
-

@@ -14,7 +14,7 @@ from fbsde_lsmc import (
     ValueModel,
     discretize,
     estimate_targets,
-    fit_function,
+    lsmc_fit,
     riccati_from_lqr,
     sample_forward,
     scaling_from_batch,
@@ -116,6 +116,28 @@ def make_linear_problem(dim, seed, state_sigma=False, horizon=1.0) -> Continuous
         control_upper=np.array([5.0]),
         x0=0.5 * rng.normal(size=dim),
     )
+
+
+def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
+    k = np.arange(count)
+    z = np.cos((2 * k + 1) * np.pi / (2 * count))
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * z
+
+
+def fit_function(spec: BasisSpec, i: int, fn) -> np.ndarray:
+    """Coefficients reproducing ``fn`` on a tensor Chebyshev-node grid.
+
+    Exact (to rounding) whenever ``fn`` lies in the basis span; used to embed
+    known quadratics or test functions into a model.
+    """
+    per_axis = spec.max_total_degree + 2
+    axes = [
+        _cheb_nodes(spec.scale_lo[i, c], spec.scale_hi[i, c], per_axis)
+        for c in range(spec.dim)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    return lsmc_fit(pts, fn(pts), spec, i, ridge=0.0)
 
 
 def model_from_truth(truth, dim, n_steps, degree=2, half_width=4.0, center=None):
@@ -330,3 +352,32 @@ def reference_grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
         margin=margin,
         escape_count=escape_count,
     )
+
+
+# The Chebyshev features as they were computed before the recursive product,
+# by one fancy-indexed (..., size, dim) table and a product over coordinates,
+# kept verbatim (names aside) as the reference whose bits and strides
+# ``basis_eval`` must reproduce.
+
+
+def reference_cheb_values(z: np.ndarray, degree: int) -> np.ndarray:
+    """Chebyshev values T_j(z), j = 0..degree, on a new trailing axis.
+
+    The three-term recurrence is total: valid for any real z.
+    """
+    t = np.empty(z.shape + (degree + 1,))
+    t[..., 0] = 1.0
+    if degree >= 1:
+        t[..., 1] = z
+    for j in range(2, degree + 1):
+        t[..., j] = 2.0 * z * t[..., j - 1] - t[..., j - 2]
+    return t
+
+
+def reference_basis_eval(spec: BasisSpec, i: int, x) -> np.ndarray:
+    """Feature vector Phi(x) at step ``i``; shape ``x.shape[:-1] + (size,)``."""
+    x = np.asarray(x, dtype=float)
+    z = spec.scaled(i, x)
+    t = reference_cheb_values(z, spec.max_total_degree)
+    tsel = t[..., np.arange(spec.dim), spec.indices]
+    return np.prod(tsel, axis=-1)

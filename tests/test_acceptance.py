@@ -20,7 +20,6 @@ from fbsde_lsmc import (
     discretize,
     estimator_bias_variance,
     bias_bound_check,
-    fit_function,
     grid_bellman,
     improve_policy,
     riccati_from_lqr,
@@ -30,7 +29,7 @@ from fbsde_lsmc import (
 from fbsde_lsmc.config import parse_config_text
 from fbsde_lsmc.experiments import run_experiment
 
-from conftest import delta_y_hat, make_scalar_lqr, model_from_truth
+from conftest import delta_y_hat, fit_function, make_scalar_lqr, model_from_truth
 
 
 def _verdict(num, label, ok, detail=""):

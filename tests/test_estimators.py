@@ -14,7 +14,6 @@ from fbsde_lsmc import (
     discretize,
     estimate_targets,
     estimator_bias_variance,
-    fit_function,
     sample_forward,
     scaling_from_batch,
     taylor_triple,
@@ -23,7 +22,7 @@ from fbsde_lsmc.errors import NotFittedError
 from fbsde_lsmc.estimators import _dot, _quad
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import delta_y_hat, make_linear_problem, make_scalar_lqr, model_from_truth
+from conftest import delta_y_hat, fit_function, make_linear_problem, make_scalar_lqr, model_from_truth
 
 
 def _square_model(n_steps=1, half=6.0):

@@ -11,7 +11,6 @@ from fbsde_lsmc import (
     bias_bound_check,
     confidence_region,
     estimator_bias_variance,
-    fit_function,
     rae,
     sample_forward,
 )
@@ -21,7 +20,7 @@ from fbsde_lsmc.sampling import TrajectoryBatch
 
 import fbsde_lsmc.metrics as metrics_module
 
-from conftest import full_history_pinned, make_scalar_lqr, model_from_truth
+from conftest import fit_function, full_history_pinned, make_scalar_lqr, model_from_truth
 
 
 def _batch_with_states(x):

@@ -16,7 +16,6 @@ from fbsde_lsmc import (
     build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
-    fit_function,
     hamiltonian_policy,
     improve_policy,
     riccati_from_lqr,
@@ -26,7 +25,7 @@ from fbsde_lsmc import (
 )
 from fbsde_lsmc.problems import ControlStructure
 
-from conftest import make_linear_problem, make_scalar_lqr, model_from_truth
+from conftest import fit_function, make_linear_problem, make_scalar_lqr, model_from_truth
 
 
 def _model_1d(fn, n_steps, degree=2, half=8.0):

@@ -12,12 +12,13 @@ from fbsde_lsmc import (
     BasisSpec,
     ValueModel,
     basis_eval,
-    fit_function,
     lsmc_fit,
     sample_forward,
     scaling_from_batch,
 )
 from fbsde_lsmc.errors import NotFittedError, RankDeficientWarning
+
+from conftest import fit_function, reference_basis_eval
 
 
 class TestBasisEval:
@@ -53,6 +54,83 @@ class TestBasisEval:
     def test_decreasing_scaling_rejected(self):
         with pytest.raises(ValueError):
             BasisSpec(1, 2, np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_wrong_state_width_rejected(self):
+        # a (5, 1) state would broadcast onto all four coordinates
+        spec = BasisSpec.with_unit_scaling(4, 2, 0)
+        for x in (np.zeros((5, 1)), np.zeros((5, 5)), np.zeros(3), np.float64(0.0)):
+            with pytest.raises(ValueError, match="4 coordinates"):
+                basis_eval(spec, 0, x)
+
+    def test_step_outside_the_scaled_steps_rejected(self):
+        # step -1 would silently read the last step's box
+        spec = BasisSpec.with_unit_scaling(2, 2, 3)
+        for i in (-1, 4):
+            with pytest.raises(ValueError, match="outside the 4 scaled steps"):
+                basis_eval(spec, i, np.zeros(2))
+        assert basis_eval(spec, 3, np.zeros(2)).shape == (spec.size,)
+
+
+def _assert_same_array(got, ref):
+    assert got.shape == ref.shape
+    assert got.strides == ref.strides
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+class TestRecursiveProduct:
+    """``basis_eval`` against ``reference_basis_eval``, the product over coordinates."""
+
+    @given(
+        dim=st.integers(1, 4),
+        degree=st.integers(0, 6),
+        lead=st.sampled_from(["scalar", "one", "rows", "grid"]),
+        seed=st.integers(0, 2**32 - 1),
+        far=st.booleans(),
+        bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bits_and_strides_match_the_reference(self, dim, degree, lead, seed, far, bad):
+        rng = np.random.default_rng(seed)
+        shape = {
+            "scalar": (),
+            "one": (1,),
+            "rows": (int(rng.integers(1, 40)),),
+            "grid": tuple(int(n) for n in rng.integers(1, 5, size=2)),
+        }[lead]
+        lo = rng.uniform(-5.0, 5.0, size=(3, dim))
+        hi = lo + rng.uniform(0.1, 10.0, size=(3, dim))
+        if rng.random() < 0.5:
+            # symmetric boxes send x = 0 to z = 0 exactly, where T_3(0) = -0.0
+            hi = 0.5 * (hi - lo)
+            lo = -hi
+        spec = BasisSpec(dim, degree, lo, hi)
+        i = int(rng.integers(0, 3))
+        # inside the box, or up to a thousand box widths outside it
+        width = (hi[i] - lo[i]) * (1e3 if far else 1.0)
+        x = 0.5 * (lo[i] + hi[i]) + width * rng.uniform(-1.0, 1.0, size=shape + (dim,))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        if bad is not None:
+            x.reshape(-1)[rng.integers(x.size)] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            _assert_same_array(basis_eval(spec, i, x), reference_basis_eval(spec, i, x))
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-10])
+    def test_cartpole_sized_fit_and_queries_are_bit_equal(self, ridge):
+        # 1,024 states of a degree-4 basis on 4 coordinates: B = 70
+        rng = np.random.default_rng(29)
+        lo = np.array([[-3.0, -2.0, -1.5, -4.0]])
+        spec = BasisSpec(4, 4, lo, lo + np.array([[6.0, 5.0, 2.5, 7.0]]))
+        xs = lo + rng.uniform(-0.2, 1.2, size=(1024, 4)) * (spec.scale_hi - lo)
+        ys = np.sin(xs).sum(axis=1) + 0.1 * rng.normal(size=1024)
+        phi, ref = basis_eval(spec, 0, xs), reference_basis_eval(spec, 0, xs)
+        _assert_same_array(phi, ref)
+        assert phi.shape == (1024, 70)
+        coeffs = lsmc_fit(xs, ys, spec, 0, ridge=ridge)
+        _assert_same_array(coeffs, lsmc_fit(xs, ys, spec, 0, ridge=ridge, phi=ref))
+        model = ValueModel.empty(spec, 0)
+        model.set_coeffs(0, coeffs)
+        for order in range(3):
+            _assert_same_array(model.from_features(0, phi, order), model.from_features(0, ref, order))
 
 
 class TestModelDerivatives:
