@@ -16,6 +16,14 @@ relative to the batch's reference policy ``mu`` and the positive weights
 which convert sampled expectations back to the reference-policy measure.
 Weights are accumulated in log space to avoid premature overflow.
 
+Policies are deterministic functions of ``(i, x)``, as every policy in the
+package is.  So a step whose drift is ``DriftProcess.on_policy(mu)`` for the
+batch's own ``mu`` (the same object) takes K_i as the F_i(X_i, mu_i(X_i)) it
+has just computed for D_i instead of calling ``mu`` and F again: the bits are
+those of a second call, and D_i = 0 exactly.  A 1x1 Sigma is divided by
+rather than factorized; the quotient is bit for bit what ``np.linalg.solve``
+returns.
+
 Pinned batches for the conditional diagnostics advance through the same step.
 They store their one live step i alone, from ``first_step = i``: every
 trajectory starts it at a pinned state and increment.
@@ -64,12 +72,23 @@ class DriftProcess:
     - ``feedback(fn)``: K_i = fn(i, X_i), a deterministic state feedback.
     """
 
+    # the policy of an on_policy drift, for the identity test in _advance_step
+    _policy = None
+
     def __init__(self, increments: Callable):
         self.increments = increments
 
     @classmethod
     def on_policy(cls, policy) -> "DriftProcess":
-        return cls(lambda dp, i, x: dp.F(i, x, policy(i, x)))
+        """K_i = F_i(X_i, policy(i, X_i)) for a deterministic ``policy``.
+
+        A batch whose reference policy is this same object takes K_i from the
+        F_i(X_i, mu_i(X_i)) of its correction: one policy and one F call per
+        step instead of two, with the bits of the second call.
+        """
+        drift = cls(lambda dp, i, x: dp.F(i, x, policy(i, x)))
+        drift._policy = policy
+        return drift
 
     @classmethod
     def feedback(cls, fn: Callable[[int, np.ndarray], np.ndarray]) -> "DriftProcess":
@@ -121,6 +140,18 @@ class TrajectoryBatch:
 
 
 def _solve_diffusion(sig: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Sigma^{-1} rhs over the stacked (..., n, n) ``sig`` and (..., n) ``rhs``.
+
+    A 1x1 Sigma is a division, with the bits of ``np.linalg.solve``: like
+    it, it raises :class:`SingularDiffusionError` when any pivot is zero
+    (-0.0 included) and lets inf, NaN, overflow and underflow through without
+    a floating-point warning.  Larger Sigma go through LAPACK.
+    """
+    if sig.shape[-2:] == (1, 1):
+        if np.any(sig[..., 0, 0] == 0.0):
+            raise SingularDiffusionError("diffusion matrix is singular: zero pivot")
+        with np.errstate(all="ignore"):
+            return rhs / sig[..., 0]
     try:
         return np.linalg.solve(sig, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -221,7 +252,10 @@ def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, d_cap):
     w_cur = batch.w[:, c]
     sig = dp.Sigma(i, x_cur)
     f_ref = dp.F(i, x_cur, mu(i, x_cur))
-    k_cur = np.asarray(drift.increments(dp, i, x_cur), dtype=float)
+    if drift._policy is mu:
+        k_cur = np.asarray(f_ref, dtype=float)
+    else:
+        k_cur = np.asarray(drift.increments(dp, i, x_cur), dtype=float)
     batch.k_drift[:, c] = k_cur
     d_cur = _solve_diffusion(sig, f_ref - k_cur)
     batch.d[:, c] = d_cur

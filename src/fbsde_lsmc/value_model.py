@@ -266,9 +266,10 @@ def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10, phi=None) ->
     ``phi``, when given, is ``basis_eval(spec, i, xs)`` computed by the caller.
 
     Minimizes ``sum_k (y_k - Phi(x_k)^T a)^2 + ridge * ||a||^2`` through an
-    orthogonal factorization (deterministic for fixed inputs).  With
-    ``ridge=0`` and a rank-deficient design the minimum-norm solution is
-    returned and a :class:`RankDeficientWarning` is issued.
+    orthogonal factorization (deterministic for fixed inputs).  A
+    :class:`RankDeficientWarning` is issued when there are fewer rows than
+    basis functions, at any ridge, and when a ``ridge=0`` design is rank
+    deficient, in which case the minimum-norm solution is returned.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float).reshape(-1)
@@ -284,7 +285,14 @@ def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10, phi=None) ->
     else:
         a, b = phi, ys
     coeffs, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if ridge == 0 and rank < spec.size:
+    if xs.shape[0] < spec.size:
+        warnings.warn(
+            f"design matrix at step {i} has {xs.shape[0]} rows for {spec.size} "
+            "basis functions; the fit is underdetermined",
+            RankDeficientWarning,
+            stacklevel=2,
+        )
+    elif ridge == 0 and rank < spec.size:
         warnings.warn(
             f"design matrix at step {i} has rank {rank} < {spec.size}; "
             "returning the minimum-norm solution",

@@ -1,6 +1,7 @@
 """Forward sampling, drift corrections, and change-of-measure weights."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,10 +51,10 @@ def _zero_policy(dp):
 
 class TestSampleForward:
     def test_singular_diffusion_rejected(self):
-        cp = _driftless_problem(sigma=0.0)
-        dp = discretize(cp, 4)
-        with pytest.raises(SingularDiffusionError):
-            sample_forward(dp, _zero_policy(dp), DriftProcess.feedback(lambda i, x: 0 * x), 2, 0)
+        for sigma in (0.0, -0.0):
+            dp = discretize(_driftless_problem(sigma=sigma), 4)
+            with pytest.raises(SingularDiffusionError):
+                sample_forward(dp, _zero_policy(dp), DriftProcess.feedback(lambda i, x: 0 * x), 2, 0)
 
     def test_driftless_on_policy_reduction(self):
         cp = _driftless_problem(sigma=0.8)
@@ -180,8 +181,85 @@ class TestDriftCorrection:
         np.testing.assert_allclose(out, np.broadcast_to([1.0, 2.0], out.shape))
 
     def test_singular_matrix(self):
-        with pytest.raises(SingularDiffusionError):
-            _pinned_d(0.0, [-1.0, 0.0])
+        # 2-D goes through LAPACK, 1-D through the division's own zero-pivot check
+        for sigma, k_pin in [(0.0, [-1.0, 0.0]), (0.0, [-1.0]), (-0.0, [-1.0])]:
+            with pytest.raises(SingularDiffusionError):
+                _pinned_d(sigma, k_pin)
+
+
+# ±0, subnormals, the extremes of the range, ±inf and NaN (with a payload too)
+_SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, -np.inf, np.inf, np.nan, -np.nan,
+    float(np.array(0x7FF8000000000123, dtype=np.uint64).view(np.float64)), 1.0, -3.0,
+]
+
+
+class TestScalarDivision:
+    """A 1x1 Sigma is divided by; the quotient must be what LAPACK returns."""
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+                st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_linalg_solve(self, pairs):
+        sig = np.array([s for s, _ in pairs]).reshape(-1, 1, 1)
+        rhs = np.array([r for _, r in pairs]).reshape(-1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ref = np.linalg.solve(sig, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                with pytest.raises(SingularDiffusionError):
+                    sampling_module._solve_diffusion(sig, rhs)
+                return
+            out = sampling_module._solve_diffusion(sig, rhs)
+        assert out.shape == ref.shape
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+class _CountingPolicy:
+    def __init__(self, policy):
+        self.policy, self.calls = policy, 0
+
+    def __call__(self, i, x):
+        self.calls += 1
+        return self.policy(i, x)
+
+
+class TestOnPolicyShortcut:
+    """An on-policy drift around the batch's own ``mu`` reuses F_i(X_i, mu_i(X_i))."""
+
+    def test_one_reference_policy_call_per_step(self):
+        cp, dp, truth, mu = _scalar_setup()
+        counted = _CountingPolicy(mu)
+        sample_forward(dp, counted, DriftProcess.on_policy(counted), 7, seed=2)
+        assert counted.calls == dp.n_steps
+        counted.calls = 0
+        sample_forward(dp, counted, DriftProcess.on_policy(lambda i, x: counted(i, x)), 7, seed=2)
+        assert counted.calls == 2 * dp.n_steps
+
+    @given(n_samples=st.integers(1, 48), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_shared_policy_matches_a_distinct_one(self, fitted_problem, n_samples, seed):
+        # the distinct object takes the path that calls mu and F again
+        setup = fitted_problem[0]
+        dp, mu, d_cap = setup.dp, setup.mu, setup.cfg.d_cap
+        shared = sample_forward(dp, mu, DriftProcess.on_policy(mu), n_samples, seed, d_cap)
+        distinct = sample_forward(
+            dp, mu, DriftProcess.on_policy(lambda i, x: mu(i, x)), n_samples, seed, d_cap
+        )
+        for name in ("x", "w", "k_drift", "d", "log_theta"):
+            got, ref = getattr(shared, name), getattr(distinct, name)
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert np.all(shared.d == 0.0)
 
 
 class TestGirsanovWeights:

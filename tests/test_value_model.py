@@ -1,6 +1,7 @@
 """Chebyshev bases, derivative operators, and least-squares fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,24 @@ class TestLsmcFit:
         with pytest.warns(RankDeficientWarning):
             coeffs = lsmc_fit(xs, ys, spec, 0, ridge=0.0)
         assert basis_eval(spec, 0, np.zeros(1)) @ coeffs == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("rows", [8, 14, 15, 40])
+    def test_fewer_rows_than_basis_functions_warns_at_any_ridge(self, rows):
+        # degree 4 on 2 coordinates: B = 15; a ridge makes the design full rank
+        spec = BasisSpec.with_unit_scaling(2, 4, 3)
+        rng = np.random.default_rng(rows)
+        xs = rng.uniform(-1, 1, size=(rows, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lsmc_fit(xs, xs.sum(axis=1), spec, 3, ridge=1e-10)
+        messages = [str(w.message) for w in caught if w.category is RankDeficientWarning]
+        if rows < spec.size:
+            assert messages == [
+                f"design matrix at step 3 has {rows} rows for 15 basis functions; "
+                "the fit is underdetermined"
+            ]
+        else:
+            assert messages == []
 
     def test_negative_ridge_rejected(self):
         spec = BasisSpec.with_unit_scaling(1, 1, 0)
