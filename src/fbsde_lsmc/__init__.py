@@ -33,11 +33,9 @@ from .oracles import (
     RiccatiTruth,
     grid_bellman,
     riccati_from_lqr,
-    riccati_value,
 )
 from .policy import hamiltonian_policy, improve_policy, taylor_q
 from .problems import (
-    ConstantPolicy,
     ContinuousProblem,
     DiscreteProblem,
     FeedbackPolicy,
@@ -76,11 +74,9 @@ __all__ = [
     "RiccatiTruth",
     "grid_bellman",
     "riccati_from_lqr",
-    "riccati_value",
     "hamiltonian_policy",
     "improve_policy",
     "taylor_q",
-    "ConstantPolicy",
     "ContinuousProblem",
     "DiscreteProblem",
     "FeedbackPolicy",

@@ -2,30 +2,22 @@
 
 The format is plain text, one ``section.key = value`` per line, ``#`` for
 comments.  Lists are comma separated.  It parses with no dependencies and
-diffs cleanly.  Unknown keys are rejected so typos fail loudly.
-
-The environment variable ``FBSDE_SEED`` overrides ``run.seed``.
+diffs cleanly.  Unknown and repeated keys are rejected so typos fail
+loudly.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
 
-__all__ = ["ExperimentConfig", "parse_config_text", "load_config", "DEFAULT_SWEEP"]
-
-DEFAULT_SWEEP = {
-    "estimators": ["taylor_noiseless", "taylor_reestimate", "em_noiseless", "em_noisy"],
-    "degrees": [1, 2, 3, 4, 5, 6],
-    "samples": [16, 64, 256, 1024, 4096],
-}
+__all__ = ["ExperimentConfig", "parse_config_text", "load_config"]
 
 _VALID_PROBLEMS = ("nonlinear1d", "cartpole_lqr")
-_VALID_DRIFTS = ("optimal", "suboptimal", "custom")
+_VALID_DRIFTS = ("optimal", "suboptimal")
 _VALID_ESTIMATORS = ("taylor_noiseless", "taylor_reestimate", "em_noiseless", "em_noisy")
 
 
@@ -38,7 +30,6 @@ class ExperimentConfig:
     """
 
     problem: str = "nonlinear1d"
-    horizon: Optional[float] = None
     n_steps: Optional[int] = None
     seed: int = 0
     trials: int = 1
@@ -48,11 +39,10 @@ class ExperimentConfig:
     drift: str = "optimal"
     drift_k1: Optional[float] = None
     drift_k2: Optional[float] = None
-    drift_custom_gains: Optional[list] = None
 
-    estimators: list = field(default_factory=lambda: list(DEFAULT_SWEEP["estimators"]))
-    degrees: list = field(default_factory=lambda: list(DEFAULT_SWEEP["degrees"]))
-    samples: list = field(default_factory=lambda: list(DEFAULT_SWEEP["samples"]))
+    estimators: list = field(default_factory=lambda: list(_VALID_ESTIMATORS))
+    degrees: list = field(default_factory=lambda: [1, 2, 3, 4, 5, 6])
+    samples: list = field(default_factory=lambda: [16, 64, 256, 1024, 4096])
 
     d_cap: Optional[float] = None
     reference_samples: int = 1024
@@ -97,8 +87,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} is not read with drift.kind = {self.drift}")
         if self.n_steps is None:
             self.n_steps = 200 if self.problem == "nonlinear1d" else 100
-        if self.horizon is None:
-            self.horizon = 10.0 if self.problem == "nonlinear1d" else 5.0
         if self.d_cap is None:
             # corrections on the linear benchmark's ill-conditioned diffusion
             # are legitimately large; the scalar benchmark keeps the tight cap
@@ -117,10 +105,6 @@ class ExperimentConfig:
         ):
             if value is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
-        if self.drift == "custom":
-            gains, dim_x = self.drift_custom_gains or [], 1 if self.problem == "nonlinear1d" else 4
-            if len(gains) != dim_x or not all(map(math.isfinite, gains)):
-                raise ConfigError(f"drift.gains must be {dim_x} finite values, got {gains}")
         if self.diagnose_step is not None and not 0 <= self.diagnose_step < self.n_steps:
             raise ConfigError(
                 f"diagnose.step must be in [0, run.n_steps) = [0, {self.n_steps}), "
@@ -131,7 +115,6 @@ class ExperimentConfig:
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ConfigError(f"run.ridge must be finite and >= 0, got {self.ridge}")
         for key, value in (
-            ("run.horizon", self.horizon),
             ("problem.u_max", self.u_max),
             ("metrics.dx", self.metrics_dx),
         ):
@@ -161,10 +144,6 @@ def _parse_int_list(s: str) -> list:
     return [int(v) for v in s.split(",") if v.strip()]
 
 
-def _parse_float_list(s: str) -> list:
-    return [float(v) for v in s.split(",") if v.strip()]
-
-
 def _parse_str_list(s: str) -> list:
     return [v.strip() for v in s.split(",") if v.strip()]
 
@@ -173,7 +152,6 @@ def _parse_str_list(s: str) -> list:
 _KEYS = {
     "problem.name": ("problem", str),
     "problem.u_max": ("u_max", float),
-    "run.horizon": ("horizon", float),
     "run.n_steps": ("n_steps", int),
     "run.seed": ("seed", int),
     "run.trials": ("trials", int),
@@ -182,7 +160,6 @@ _KEYS = {
     "drift.kind": ("drift", str),
     "drift.k1": ("drift_k1", float),
     "drift.k2": ("drift_k2", float),
-    "drift.gains": ("drift_custom_gains", _parse_float_list),
     "sweep.estimators": ("estimators", _parse_str_list),
     "sweep.degrees": ("degrees", _parse_int_list),
     "sweep.samples": ("samples", _parse_int_list),
@@ -206,11 +183,10 @@ _SCOPES = {
     "problem.u_max": (("nonlinear1d",), _VALID_DRIFTS),
     "drift.k1": (("cartpole_lqr",), ("suboptimal",)),
     "drift.k2": (("cartpole_lqr",), ("suboptimal",)),
-    "drift.gains": (_VALID_PROBLEMS, ("custom",)),
     **{key: (("nonlinear1d",), _VALID_DRIFTS) for key in _KEYS if key.startswith("oracle.")},
 }
 
-# values of scoped keys where they are read and not set; drift.gains has none
+# values of scoped keys where they are read and not set
 _SCOPED_DEFAULTS = {
     "problem.u_max": 20.0,
     "drift.k1": -25.0,
@@ -225,7 +201,7 @@ _SCOPED_DEFAULTS = {
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse configuration text into a validated :class:`ExperimentConfig`."""
-    kwargs = {}
+    kwargs, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -235,6 +211,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         attr, parser = _KEYS[key]
         try:
             kwargs[attr] = parser(value)
@@ -247,13 +226,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Load a config file and apply the ``FBSDE_SEED`` environment override."""
+    """Load and parse a config file."""
     with open(path) as fh:
-        cfg = parse_config_text(fh.read())
-    env_seed = os.environ.get("FBSDE_SEED")
-    if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"FBSDE_SEED must be an integer, got {env_seed!r}") from exc
-    return cfg
+        return parse_config_text(fh.read())

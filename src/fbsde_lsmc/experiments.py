@@ -19,7 +19,6 @@ deterministic function of (config, seed).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -88,7 +87,6 @@ def _build_problem(cfg: ExperimentConfig):
         cp = build_nonlinear_1d(u_max=cfg.u_max)
     else:
         cp = build_cartpole_lqr()
-    cp = dataclasses.replace(cp, horizon=cfg.horizon)
     return cp, discretize(cp, cfg.n_steps)
 
 
@@ -110,8 +108,8 @@ def build_drift(cfg: ExperimentConfig, dp, mu) -> DriftProcess:
         dt = dp.dt
         # comparison drift -0.2 x, treated as a rate and scaled by dt
         return DriftProcess.feedback(lambda i, x: -0.2 * np.asarray(x, dtype=float) * dt)
-    gains = cfg.drift_custom_gains if cfg.drift == "custom" else [0, 0, cfg.drift_k1, cfg.drift_k2]
-    gains = np.reshape(gains, (1, dp.dim_x))
+    # cart-pole: feedback on the pole angle and its rate
+    gains = [[0, 0, cfg.drift_k1, cfg.drift_k2]]
     return DriftProcess.on_policy(FeedbackPolicy(gains, dp.control_lower, dp.control_upper))
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "RiccatiTruth",
     "GridPolicy",
     "grid_bellman",
-    "riccati_value",
     "riccati_from_lqr",
     "export_grid_csv",
     "export_riccati_json",
@@ -66,7 +65,7 @@ class GridSpec:
     n_quad_nodes: int = 21
 
     @classmethod
-    def from_region(cls, region, widen: float = 0.5, **kwargs) -> "GridSpec":
+    def from_region(cls, region, widen: float = 0.5) -> "GridSpec":
         """Span the union of a confidence region's per-step boxes, widened.
 
         ``widen`` grows the union interval by that fraction of its half-width
@@ -76,7 +75,7 @@ class GridSpec:
         hi = region.upper.max(axis=0)
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo) * (1.0 + widen)
-        return cls(lo=center - half, hi=center + half, **kwargs)
+        return cls(lo=center - half, hi=center + half)
 
 
 @dataclass(eq=False)
@@ -328,27 +327,27 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
     )
 
 
-def riccati_value(a_d, b_d, q, r, g_mat, sigma_d, n_steps: int) -> RiccatiTruth:
-    """Backward Riccati recursion over ``n_steps`` in discrete-time matrices.
+def riccati_from_lqr(lqr: LqrStructure, horizon: float, n_steps: int) -> RiccatiTruth:
+    """Backward Riccati recursion for a continuous LQR discretized by the forward scheme.
 
     Raises
     ------
     SingularRecursionError
-        If ``r + b_d^T P b_d`` is singular at some step.
+        If ``r dt + b_d^T P b_d`` is singular at some step.
     """
-    a_d = np.asarray(a_d, dtype=float)
-    b_d = np.asarray(b_d, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    g_mat = np.asarray(g_mat, dtype=float)
-    sigma_d = np.asarray(sigma_d, dtype=float)
-    n = a_d.shape[0]
-    m = b_d.shape[1]
+    dt = horizon / n_steps
+    n = lqr.a.shape[0]
+    m = lqr.b.shape[1]
+    a_d = np.eye(n) + lqr.a * dt
+    b_d = lqr.b * dt
+    q = lqr.q * dt
+    r = lqr.r * dt
+    sigma_d = lqr.sigma_mat * math.sqrt(dt)
 
     p = np.empty((n_steps + 1, n, n))
     c = np.empty(n_steps + 1)
     gain = np.empty((n_steps, m, n))
-    p[n_steps] = g_mat
+    p[n_steps] = lqr.g_mat
     c[n_steps] = 0.0
     for i in reversed(range(n_steps)):
         p_next = p[i + 1]
@@ -363,21 +362,6 @@ def riccati_value(a_d, b_d, q, r, g_mat, sigma_d, n_steps: int) -> RiccatiTruth:
         p[i] = 0.5 * (p_i + p_i.T)
         c[i] = c[i + 1] + np.trace(sigma_d.T @ p_next @ sigma_d)
     return RiccatiTruth(p=p, c=c, gain=gain)
-
-
-def riccati_from_lqr(lqr: LqrStructure, horizon: float, n_steps: int) -> RiccatiTruth:
-    """Riccati truth for a continuous LQR discretized by the forward scheme."""
-    dt = horizon / n_steps
-    n = lqr.a.shape[0]
-    return riccati_value(
-        a_d=np.eye(n) + lqr.a * dt,
-        b_d=lqr.b * dt,
-        q=lqr.q * dt,
-        r=lqr.r * dt,
-        g_mat=lqr.g_mat,
-        sigma_d=lqr.sigma_mat * math.sqrt(dt),
-        n_steps=n_steps,
-    )
 
 
 def export_grid_csv(gt: GridTruth, path) -> None:

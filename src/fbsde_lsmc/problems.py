@@ -35,7 +35,6 @@ __all__ = [
     "LqrStructure",
     "ContinuousProblem",
     "DiscreteProblem",
-    "ConstantPolicy",
     "FeedbackPolicy",
     "discretize",
     "build_nonlinear_1d",
@@ -154,17 +153,6 @@ class DiscreteProblem:
     def t(self, i: int) -> float:
         """Physical time of step ``i``."""
         return i * self.dt
-
-
-class ConstantPolicy:
-    """Policy returning a fixed control, clipped to the box."""
-
-    def __init__(self, value, lower, upper):
-        self.value = np.clip(np.asarray(value, dtype=float), lower, upper)
-
-    def __call__(self, i: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.value, x.shape[:-1] + self.value.shape).copy()
 
 
 class FeedbackPolicy:

@@ -82,13 +82,6 @@ class BasisSpec:
         if self.max_total_degree < 0:
             raise ValueError("max_total_degree must be nonnegative")
 
-    @classmethod
-    def with_unit_scaling(cls, dim: int, max_total_degree: int, n_steps: int) -> "BasisSpec":
-        """Identity-like scaling: the box [-1, 1] itself at every step."""
-        lo = np.full((n_steps + 1, dim), -1.0)
-        hi = np.full((n_steps + 1, dim), 1.0)
-        return cls(dim, max_total_degree, lo, hi)
-
     @cached_property
     def indices(self) -> np.ndarray:
         return _multi_indices(self.dim, self.max_total_degree)

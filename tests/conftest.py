@@ -28,6 +28,24 @@ from fbsde_lsmc.oracles import GridSpec, GridTruth
 from fbsde_lsmc.problems import DiscreteProblem, LqrStructure
 
 
+class ConstantPolicy:
+    """Policy returning a fixed control, clipped to the box."""
+
+    def __init__(self, value, lower, upper):
+        self.value = np.clip(np.asarray(value, dtype=float), lower, upper)
+
+    def __call__(self, i: int, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(self.value, x.shape[:-1] + self.value.shape).copy()
+
+
+def unit_basis(dim: int, max_total_degree: int, n_steps: int) -> BasisSpec:
+    """Identity-like scaling: the box [-1, 1] itself at every step."""
+    lo = np.full((n_steps + 1, dim), -1.0)
+    hi = np.full((n_steps + 1, dim), 1.0)
+    return BasisSpec(dim, max_total_degree, lo, hi)
+
+
 def make_scalar_lqr(
     a=-0.3,
     b=1.0,

@@ -29,7 +29,7 @@ from fbsde_lsmc import (
 from fbsde_lsmc.config import parse_config_text
 from fbsde_lsmc.experiments import run_experiment
 
-from conftest import delta_y_hat, fit_function, make_scalar_lqr, model_from_truth
+from conftest import ConstantPolicy, delta_y_hat, fit_function, make_scalar_lqr, model_from_truth
 
 
 def _verdict(num, label, ok, detail=""):
@@ -221,7 +221,6 @@ class TestCriterion6DiscreteGirsanov:
         )
         n_steps = 3
         dp = discretize(cp, n_steps)
-        from fbsde_lsmc import ConstantPolicy
 
         mu = ConstantPolicy([0.0], dp.control_lower, dp.control_upper)
         d_vec = np.array([0.6, 0.8])  # ||D|| = 1

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsde_lsmc import (
-    ConstantPolicy,
     ContinuousProblem,
     DriftProcess,
     EstimatorKind,
@@ -26,7 +25,7 @@ from fbsde_lsmc.errors import RankDeficientWarning
 from fbsde_lsmc.metrics import shared_rae
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import make_linear_problem, make_scalar_lqr
+from conftest import ConstantPolicy, make_linear_problem, make_scalar_lqr
 
 
 def _constant_cost_problem(c=3.5):

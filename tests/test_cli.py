@@ -21,7 +21,8 @@ from fbsde_lsmc.cli import main
 from fbsde_lsmc.config import load_config, parse_config_text
 from fbsde_lsmc.errors import ConfigError, GridEscapeWarning, OutOfDomainError, SchemaError
 from fbsde_lsmc.experiments import build_setup, emit_heatmap, run_experiment, subseed
-from fbsde_lsmc.sampling import sample_forward
+from fbsde_lsmc.problems import FeedbackPolicy
+from fbsde_lsmc.sampling import DriftProcess, sample_forward
 
 TINY_LQR = """
 problem.name = cartpole_lqr
@@ -53,18 +54,15 @@ oracle.quad_nodes = 11
 """
 
 
-# Scalar sweep on a tiny oracle grid.  The feedback drift u = -1.5 x holds
-# back the quadratic drift too weakly: about one path in ten climbs out of the
-# grid, which the 2-path batches of this seed avoid and the 256-path batches
-# never do.
+# Scalar sweep on a tiny oracle grid whose quadrature states leave it (a
+# GridEscapeWarning).  Under the feedback drift u = -1.5 x of
+# ``_escaping_drift`` the paths leave it too.
 ESCAPING_SCALAR = """
 problem.name = nonlinear1d
 run.n_steps = 20
 run.seed = 1
 run.trials = 2
 run.output_dir = {out}
-drift.kind = custom
-drift.gains = -1.5
 sweep.estimators = taylor_noiseless,em_noisy
 sweep.degrees = 1,2
 sweep.samples = 2,256
@@ -76,6 +74,26 @@ oracle.control_nodes = 11
 oracle.quad_nodes = 5
 metrics.dx = 0.05
 """
+
+
+def _escaping_drift(cfg, dp, mu):
+    """The feedback drift u = -1.5 x, in place of ``experiments.build_drift``.
+
+    It holds back the quadratic drift too weakly: about one path in ten climbs
+    out of the grid, which the 2-path batches of seed 1 avoid and the 256-path
+    batches never do.
+    """
+    return DriftProcess.on_policy(FeedbackPolicy([[-1.5]], dp.control_lower, dp.control_upper))
+
+
+def _override(text, extra):
+    """Config ``text`` with the keys that ``extra`` sets taken from ``extra``.
+
+    A key may appear once in a config, so ``extra`` replaces its keys' lines.
+    """
+    keys = {line.split("=")[0].strip() for line in extra.splitlines() if "=" in line}
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
 
 
 def _read_rows(path):
@@ -109,10 +127,13 @@ def _scope_cell(key):
 
 class TestConfigParsing:
     def test_defaults_per_problem(self):
+        # the horizon is the problem builder's, not a config key
         cfg = parse_config_text("problem.name = nonlinear1d")
-        assert cfg.n_steps == 200 and cfg.horizon == 10.0 and cfg.d_cap == 10.0
+        horizon = experiments_module._build_problem(cfg)[0].horizon
+        assert cfg.n_steps == 200 and horizon == 10.0 and cfg.d_cap == 10.0
         cfg = parse_config_text("problem.name = cartpole_lqr")
-        assert cfg.n_steps == 100 and cfg.horizon == 5.0 and cfg.d_cap == 1e9
+        horizon = experiments_module._build_problem(cfg)[0].horizon
+        assert cfg.n_steps == 100 and horizon == 5.0 and cfg.d_cap == 1e9
         assert parse_config_text("sampling.d_cap = inf").d_cap == float("inf")
 
     def test_lists_and_booleans(self):
@@ -142,8 +163,8 @@ class TestConfigParsing:
             ("problem.name = cartpole_lqr", "oracle.quad_nodes = 5", "cartpole_lqr"),
             ("problem.name = nonlinear1d\ndrift.kind = suboptimal", "drift.k1 = -25", "nonlinear1d"),
             ("problem.name = cartpole_lqr\ndrift.kind = optimal", "drift.k2 = -5", "optimal"),
-            ("problem.name = cartpole_lqr\ndrift.kind = optimal", "drift.gains = 0,0,-25,-5", "optimal"),
-            ("problem.name = nonlinear1d\ndrift.kind = suboptimal", "drift.gains = -1", "suboptimal"),
+            ("problem.name = cartpole_lqr\ndrift.kind = optimal", "drift.k1 = -25", "optimal"),
+            ("problem.name = nonlinear1d\ndrift.kind = suboptimal", "drift.k2 = -5", "nonlinear1d"),
         ],
         ids=["u_max_on_cartpole", "state_lo_on_cartpole", "state_nodes_on_cartpole",
              "quad_nodes_on_cartpole", "k1_on_scalar", "k2_under_optimal",
@@ -154,25 +175,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{re.escape(key)} is not read .* = {named}$"):
             parse_config_text(f"{head}\n{extra}")
 
-    @pytest.mark.parametrize(
-        "problem, gains",
-        [("nonlinear1d", None), ("nonlinear1d", "-1,2"), ("cartpole_lqr", "-1"),
-         ("cartpole_lqr", "0,0,nan,-5"), ("nonlinear1d", "inf")],
-        ids=["missing", "long", "short", "nan", "inf"],
-    )
-    def test_custom_drift_needs_dim_x_finite_gains(self, problem, gains):
-        text = f"problem.name = {problem}\ndrift.kind = custom\n"
-        if gains is not None:
-            text += f"drift.gains = {gains}\n"
-        with pytest.raises(ConfigError, match="drift.gains"):
-            parse_config_text(text)
-
-    def test_custom_drift_gains_accepted(self):
-        text = "problem.name = cartpole_lqr\ndrift.kind = custom\ndrift.gains = 0,0,-25,-5"
-        assert parse_config_text(text).drift_custom_gains == [0.0, 0.0, -25.0, -5.0]
-
     def test_shipped_configs_and_workloads_parse(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FBSDE_SEED", raising=False)
         shipped = sorted((ROOT / "configs").glob("*.cfg"))
         assert len(shipped) == 2
         for path in shipped:
@@ -232,6 +235,11 @@ class TestConfigParsing:
             "run.horizon = nan",
             "run.horizon = inf",
             "run.horizon = 0",
+            "drift.kind = custom",
+            "drift.gains = 0,0,-25,-5",
+            "run.seed = 1\nrun.seed = 2",
+            "sweep.degrees = 2\nsweep.degrees = 4",
+            "drift.k1 = -25\ndrift.kind = suboptimal\ndrift.k1 = -30",
             "metrics.dx = inf",
             "metrics.dx = nan",
             "problem.u_max = 0",
@@ -269,6 +277,11 @@ class TestConfigParsing:
             "nan_horizon",
             "inf_horizon",
             "zero_horizon",
+            "custom_drift",
+            "gains_key",
+            "repeated_seed_key",
+            "repeated_degrees_key",
+            "repeated_scoped_key",
             "inf_dx",
             "nan_dx",
             "zero_u_max",
@@ -286,6 +299,11 @@ class TestConfigParsing:
         problem = "nonlinear1d" if scalar else "cartpole_lqr"
         with pytest.raises(ConfigError, match=re.escape(extra.split(" =")[0])):
             parse_config_text(f"problem.name = {problem}\n" + extra)
+
+    def test_repeated_key_names_both_lines(self):
+        # a key given twice is an error, not a silent override by the later line
+        with pytest.raises(ConfigError, match=r"^line 4: key 'run.seed' repeats line 2$"):
+            parse_config_text("# seeds\nrun.seed = 1\nrun.trials = 3\nrun.seed = 2")
 
     def test_scalar_span_checked_against_its_default(self):
         cfg = parse_config_text("problem.name = nonlinear1d")
@@ -310,13 +328,12 @@ class TestConfigParsing:
         "text, unread",
         [
             ("problem.name = cartpole_lqr",
-             {"u_max", "drift_k1", "drift_k2", "drift_custom_gains", "oracle_state_lo",
-              "oracle_state_hi", "oracle_state_nodes", "oracle_control_nodes",
-              "oracle_quad_nodes"}),
-            ("problem.name = cartpole_lqr\ndrift.kind = suboptimal",
-             {"u_max", "drift_custom_gains", "oracle_state_lo", "oracle_state_hi",
+             {"u_max", "drift_k1", "drift_k2", "oracle_state_lo", "oracle_state_hi",
               "oracle_state_nodes", "oracle_control_nodes", "oracle_quad_nodes"}),
-            ("problem.name = nonlinear1d", {"drift_k1", "drift_k2", "drift_custom_gains"}),
+            ("problem.name = cartpole_lqr\ndrift.kind = suboptimal",
+             {"u_max", "oracle_state_lo", "oracle_state_hi", "oracle_state_nodes",
+              "oracle_control_nodes", "oracle_quad_nodes"}),
+            ("problem.name = nonlinear1d", {"drift_k1", "drift_k2"}),
         ],
         ids=["cartpole_optimal", "cartpole_suboptimal", "scalar_optimal"],
     )
@@ -330,13 +347,13 @@ class TestConfigParsing:
         assert parse_config_text("run.n_steps = 10\ndiagnose.step = 9").diagnose_step == 9
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
+        # the config file is the seed's only source: FBSDE_SEED is not read
         path = tmp_path / "c.cfg"
         path.write_text("run.seed = 5")
         monkeypatch.setenv("FBSDE_SEED", "77")
-        assert load_config(path).seed == 77
+        assert load_config(path).seed == 5
         monkeypatch.setenv("FBSDE_SEED", "x")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        assert load_config(path).seed == 5
 
 
 @pytest.fixture(scope="module")
@@ -344,15 +361,6 @@ def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
     cfg = parse_config_text(TINY_LQR.format(out=out))
     results, manifest = run_experiment(cfg)
-    return cfg, results, manifest
-
-
-@pytest.fixture(scope="module")
-def escaping_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("escaping")
-    cfg = parse_config_text(ESCAPING_SCALAR.format(out=out))
-    with pytest.warns(GridEscapeWarning):
-        results, manifest = run_experiment(cfg)
     return cfg, results, manifest
 
 
@@ -374,8 +382,11 @@ class TestRunExperiment:
             counts = {int(r["basis_count"]) for r in rows}
             assert counts == {math.comb(dim + deg, deg) for deg in cfg.degrees}
 
-    def test_grid_escape_is_recorded_as_failed_cells(self, escaping_run):
-        cfg, results, _ = escaping_run
+    def test_grid_escape_is_recorded_as_failed_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments_module, "build_drift", _escaping_drift)
+        cfg = parse_config_text(ESCAPING_SCALAR.format(out=tmp_path))
+        with pytest.warns(GridEscapeWarning):
+            results, _ = run_experiment(cfg)
         with pytest.warns(GridEscapeWarning):
             setup = build_setup(cfg)
         with pytest.raises(OutOfDomainError):
@@ -577,7 +588,7 @@ class TestCliEntry:
     )
     def test_rejected_before_any_work_exits_1(self, tmp_path, capsys, command, extra, key):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_LQR.format(out=tmp_path / "out") + extra)
+        cfg_path.write_text(_override(TINY_LQR.format(out=tmp_path / "out"), extra))
         assert main([command, str(cfg_path)]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -585,7 +596,7 @@ class TestCliEntry:
     def test_one_state_node_exits_1_without_traceback(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         extra = "run.n_steps = 2\noracle.state_nodes = 1\n"
-        cfg_path.write_text(ESCAPING_SCALAR.format(out=tmp_path / "out") + extra)
+        cfg_path.write_text(_override(ESCAPING_SCALAR.format(out=tmp_path / "out"), extra))
         assert main(["run", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "oracle.state_nodes must be >= 2" in err
@@ -605,7 +616,6 @@ class TestCliEntry:
         )
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
-        env.pop("FBSDE_SEED", None)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         lines = (tmp_path / "out" / "grid_truth.csv").read_text().splitlines()
@@ -649,10 +659,10 @@ class TestCliEntry:
 
     def test_diagnose_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(
-            TINY_LQR.format(out=tmp_path / "out")
-            + "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
-        )
+        cfg_path.write_text(_override(
+            TINY_LQR.format(out=tmp_path / "out"),
+            "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n",
+        ))
         assert main(["diagnose", str(cfg_path)]) == 0
         lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
         assert lines[0].startswith("step,kind,cell")
@@ -664,9 +674,9 @@ class TestCliEntry:
         # every weight: lhs is 0, rhs is inf and the cell holds whatever its
         # remainder; the on-policy drift has D = 0 and a finite bound
         cfg_path = tmp_path / "exp.cfg"
-        text = (
-            TINY_LQR.format(out=tmp_path / "out")
-            + "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
+        text = _override(
+            TINY_LQR.format(out=tmp_path / "out"),
+            "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n",
         )
         cfg_path.write_text(text.replace("drift.kind = suboptimal", f"drift.kind = {drift}"))
         assert main(["diagnose", str(cfg_path)]) == 0
@@ -681,10 +691,10 @@ class TestCliEntry:
         written = []
         for name in ("a", "b"):
             cfg_path = tmp_path / f"{name}.cfg"
-            cfg_path.write_text(
-                TINY_LQR.format(out=tmp_path / name)
-                + "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
-            )
+            cfg_path.write_text(_override(
+                TINY_LQR.format(out=tmp_path / name),
+                "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n",
+            ))
             assert main(["diagnose", str(cfg_path)]) == 0
             written.append((tmp_path / name / "diagnostics.csv").read_bytes())
         assert written[0] == written[1]

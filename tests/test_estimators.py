@@ -22,7 +22,14 @@ from fbsde_lsmc.errors import NotFittedError
 from fbsde_lsmc.estimators import _dot, _quad
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import delta_y_hat, fit_function, make_linear_problem, make_scalar_lqr, model_from_truth
+from conftest import (
+    delta_y_hat,
+    fit_function,
+    make_linear_problem,
+    make_scalar_lqr,
+    model_from_truth,
+    unit_basis,
+)
 
 
 def _square_model(n_steps=1, half=6.0):
@@ -48,7 +55,7 @@ class TestTaylorTriple:
         np.testing.assert_allclose(tri.mbar, [[2.0]], rtol=1e-11)
 
     def test_constant_model(self):
-        spec = BasisSpec.with_unit_scaling(2, 2, 1)
+        spec = unit_basis(2, 2, 1)
         model = ValueModel.empty(spec, 1)
         coeffs = np.zeros(spec.size)
         coeffs[0] = 5.0
@@ -77,7 +84,7 @@ class TestTaylorTriple:
         np.testing.assert_allclose(tri.zbar, sig.T @ (2 * p @ (x + k)), atol=1e-11)
 
     def test_unfitted_model_raises(self):
-        spec = BasisSpec.with_unit_scaling(1, 2, 2)
+        spec = unit_basis(1, 2, 2)
         model = ValueModel.empty(spec, 2)
         with pytest.raises(NotFittedError):
             taylor_triple(model, 0, np.zeros(1), np.zeros(1), np.eye(1))

@@ -21,18 +21,30 @@ from fbsde_lsmc import (
     grid_bellman,
     oracles,
     riccati_from_lqr,
-    riccati_value,
 )
 from fbsde_lsmc.errors import GridEscapeWarning, OutOfDomainError, SingularRecursionError
 from fbsde_lsmc.oracles import export_grid_csv, export_riccati_json
-from fbsde_lsmc.problems import DiscreteProblem
+from fbsde_lsmc.problems import DiscreteProblem, LqrStructure
 
 from conftest import make_scalar_lqr, reference_grid_bellman
 
 
+def _unit_step_riccati(a_d, b_d, q, r, g_mat, sigma_d, n_steps):
+    """Riccati truth for the discrete-time matrices, through the forward scheme at dt = 1.
+
+    With ``horizon = n_steps`` the scheme multiplies b_d, q, r and sigma_d by
+    exactly 1; a_d comes back as I + (a_d - I), exact on the hand-value inputs
+    and within rounding of a_d otherwise.
+    """
+    lqr = LqrStructure(
+        a=a_d - np.eye(len(a_d)), b=b_d, q=q, r=r, g_mat=g_mat, sigma_mat=sigma_d
+    )
+    return riccati_from_lqr(lqr, horizon=float(n_steps), n_steps=n_steps)
+
+
 class TestRiccati:
     def test_scalar_one_step_hand_values(self):
-        out = riccati_value(
+        out = _unit_step_riccati(
             a_d=np.array([[1.0]]),
             b_d=np.array([[1.0]]),
             q=np.array([[0.0]]),
@@ -51,7 +63,7 @@ class TestRiccati:
         a = rng.normal(size=(3, 3))
         g = rng.normal(size=(3, 3))
         g = g @ g.T
-        out = riccati_value(
+        out = _unit_step_riccati(
             a_d=a,
             b_d=np.zeros((3, 1)),
             q=np.zeros((3, 3)),
@@ -83,7 +95,7 @@ class TestRiccati:
 
     def test_singular_curvature_raises(self):
         with pytest.raises(SingularRecursionError):
-            riccati_value(
+            _unit_step_riccati(
                 a_d=np.eye(1),
                 b_d=np.zeros((1, 1)),
                 q=np.eye(1),

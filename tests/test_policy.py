@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fbsde_lsmc import (
     BasisSpec,
-    ConstantPolicy,
     ContinuousProblem,
     DriftProcess,
     EstimatorKind,
@@ -25,7 +24,14 @@ from fbsde_lsmc import (
 )
 from fbsde_lsmc.problems import ControlStructure
 
-from conftest import fit_function, make_linear_problem, make_scalar_lqr, model_from_truth
+from conftest import (
+    ConstantPolicy,
+    fit_function,
+    make_linear_problem,
+    make_scalar_lqr,
+    model_from_truth,
+    unit_basis,
+)
 
 
 def _model_1d(fn, n_steps, degree=2, half=8.0):
@@ -200,7 +206,7 @@ class TestTaylorQ:
         # the expansion's Mbar replaced sum_ikl Sigma_ki H_kl Sigma_li
         dp = discretize(make_linear_problem(dim, seed, state_sigma), 2)
         rng = np.random.default_rng(seed)
-        spec = BasisSpec.with_unit_scaling(dim, 2, 2)
+        spec = unit_basis(dim, 2, 2)
         model = ValueModel.empty(spec, 2)
         model.set_coeffs(1, rng.normal(size=spec.size))
         x, u = rng.normal(size=(8, dim)), rng.normal(size=(8, 1))

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsde_lsmc import (
-    ConstantPolicy,
     ContinuousProblem,
     FeedbackPolicy,
     build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
 )
+
+from conftest import ConstantPolicy
 
 
 class TestDiscretize:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsde_lsmc import (
-    ConstantPolicy,
     ContinuousProblem,
     DriftProcess,
     build_cartpole_lqr,
@@ -26,7 +25,7 @@ from fbsde_lsmc.errors import (
 import fbsde_lsmc.sampling as sampling_module
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import full_history_pinned, make_scalar_lqr
+from conftest import ConstantPolicy, full_history_pinned, make_scalar_lqr
 
 
 def _driftless_problem(sigma=0.8, dim=1, horizon=1.0, x0=None):

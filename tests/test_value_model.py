@@ -19,27 +19,27 @@ from fbsde_lsmc import (
 )
 from fbsde_lsmc.errors import NotFittedError, RankDeficientWarning
 
-from conftest import fit_function, reference_basis_eval
+from conftest import fit_function, reference_basis_eval, unit_basis
 
 
 class TestBasisEval:
     def test_univariate_degree_two(self):
-        spec = BasisSpec.with_unit_scaling(1, 2, 0)
+        spec = unit_basis(1, 2, 0)
         np.testing.assert_allclose(
             basis_eval(spec, 0, np.array([0.5])), [1.0, 0.5, -0.5], rtol=1e-15
         )
 
     def test_four_dim_degree_two_has_15_features(self):
-        spec = BasisSpec.with_unit_scaling(4, 2, 0)
+        spec = unit_basis(4, 2, 0)
         assert spec.size == 15
         assert basis_eval(spec, 0, np.zeros(4)).shape == (15,)
 
     def test_bivariate_degree_one_at_origin(self):
-        spec = BasisSpec.with_unit_scaling(2, 1, 0)
+        spec = unit_basis(2, 1, 0)
         np.testing.assert_array_equal(basis_eval(spec, 0, np.zeros(2)), [1.0, 0.0, 0.0])
 
     def test_extrapolates_outside_unit_box(self):
-        spec = BasisSpec.with_unit_scaling(1, 3, 0)
+        spec = unit_basis(1, 3, 0)
         feats = basis_eval(spec, 0, np.array([2.0]))
         assert np.all(np.isfinite(feats))
         # T_2(2) = 7, T_3(2) = 26
@@ -48,7 +48,7 @@ class TestBasisEval:
     @given(dim=st.integers(1, 4), degree=st.integers(0, 5))
     @settings(max_examples=24, deadline=None)
     def test_feature_count_formula(self, dim, degree):
-        spec = BasisSpec.with_unit_scaling(dim, degree, 0)
+        spec = unit_basis(dim, degree, 0)
         assert spec.size == math.comb(dim + degree, degree)
         assert basis_eval(spec, 0, np.zeros(dim)).shape == (spec.size,)
 
@@ -58,14 +58,14 @@ class TestBasisEval:
 
     def test_wrong_state_width_rejected(self):
         # a (5, 1) state would broadcast onto all four coordinates
-        spec = BasisSpec.with_unit_scaling(4, 2, 0)
+        spec = unit_basis(4, 2, 0)
         for x in (np.zeros((5, 1)), np.zeros((5, 5)), np.zeros(3), np.float64(0.0)):
             with pytest.raises(ValueError, match="4 coordinates"):
                 basis_eval(spec, 0, x)
 
     def test_step_outside_the_scaled_steps_rejected(self):
         # step -1 would silently read the last step's box
-        spec = BasisSpec.with_unit_scaling(2, 2, 3)
+        spec = unit_basis(2, 2, 3)
         for i in (-1, 4):
             with pytest.raises(ValueError, match="outside the 4 scaled steps"):
                 basis_eval(spec, i, np.zeros(2))
@@ -137,7 +137,7 @@ class TestRecursiveProduct:
 class TestModelDerivatives:
     def test_square_function_encoding(self):
         # x^2 = (T0 + T2) / 2 under identity scaling
-        spec = BasisSpec.with_unit_scaling(1, 2, 0)
+        spec = unit_basis(1, 2, 0)
         model = ValueModel.empty(spec, 0)
         model.set_coeffs(0, np.array([0.5, 0.0, 0.5]))
         x = np.array([3.0])
@@ -146,7 +146,7 @@ class TestModelDerivatives:
         assert model.hessian(0, x)[0, 0] == pytest.approx(2.0, rel=1e-14)
 
     def test_constant_model_has_flat_derivatives(self):
-        spec = BasisSpec.with_unit_scaling(3, 2, 0)
+        spec = unit_basis(3, 2, 0)
         model = ValueModel.empty(spec, 0)
         coeffs = np.zeros(spec.size)
         coeffs[0] = 4.2
@@ -219,7 +219,7 @@ class TestModelDerivatives:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_unfitted_step_raises(self):
-        spec = BasisSpec.with_unit_scaling(1, 1, 3)
+        spec = unit_basis(1, 1, 3)
         model = ValueModel.empty(spec, 3)
         with pytest.raises(NotFittedError):
             model.eval(2, np.zeros(1))
@@ -228,7 +228,7 @@ class TestModelDerivatives:
 class TestLsmcFit:
     def test_recovers_in_span_targets(self):
         rng = np.random.default_rng(11)
-        spec = BasisSpec.with_unit_scaling(2, 3, 0)
+        spec = unit_basis(2, 3, 0)
         alpha0 = rng.normal(size=spec.size)
         xs = rng.uniform(-1, 1, size=(100, 2))
         ys = basis_eval(spec, 0, xs) @ alpha0
@@ -238,7 +238,7 @@ class TestLsmcFit:
         np.testing.assert_allclose(coeffs, alpha0, rtol=1e-9)
 
     def test_two_point_line(self):
-        spec = BasisSpec.with_unit_scaling(1, 1, 0)
+        spec = unit_basis(1, 1, 0)
         coeffs = lsmc_fit(
             np.array([[0.0], [1.0]]), np.array([1.0, 3.0]), spec, 0, ridge=0.0
         )
@@ -247,7 +247,7 @@ class TestLsmcFit:
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(13)
-        spec = BasisSpec.with_unit_scaling(1, 4, 0)
+        spec = unit_basis(1, 4, 0)
         xs = rng.uniform(-1, 1, size=(60, 1))
         ys = np.sin(3 * xs[:, 0]) + 0.1 * rng.normal(size=60)
         ridge = 1e-3
@@ -257,7 +257,7 @@ class TestLsmcFit:
         np.testing.assert_allclose(coeffs, oracle, atol=1e-8)
 
     def test_rank_deficient_warns_and_returns_min_norm(self):
-        spec = BasisSpec.with_unit_scaling(1, 2, 0)
+        spec = unit_basis(1, 2, 0)
         xs = np.zeros((5, 1))
         ys = np.full(5, 2.0)
         with pytest.warns(RankDeficientWarning):
@@ -267,7 +267,7 @@ class TestLsmcFit:
     @pytest.mark.parametrize("rows", [8, 14, 15, 40])
     def test_fewer_rows_than_basis_functions_warns_at_any_ridge(self, rows):
         # degree 4 on 2 coordinates: B = 15; a ridge makes the design full rank
-        spec = BasisSpec.with_unit_scaling(2, 4, 3)
+        spec = unit_basis(2, 4, 3)
         rng = np.random.default_rng(rows)
         xs = rng.uniform(-1, 1, size=(rows, 2))
         with warnings.catch_warnings(record=True) as caught:
@@ -283,13 +283,13 @@ class TestLsmcFit:
             assert messages == []
 
     def test_negative_ridge_rejected(self):
-        spec = BasisSpec.with_unit_scaling(1, 1, 0)
+        spec = unit_basis(1, 1, 0)
         with pytest.raises(ValueError):
             lsmc_fit(np.zeros((2, 1)), np.zeros(2), spec, 0, ridge=-1.0)
 
     @pytest.mark.parametrize("ridge", [np.nan, np.inf])
     def test_non_finite_ridge_rejected(self, ridge):
-        spec = BasisSpec.with_unit_scaling(1, 1, 0)
+        spec = unit_basis(1, 1, 0)
         with pytest.raises(ValueError, match="ridge"):
             lsmc_fit(np.zeros((2, 1)), np.zeros(2), spec, 0, ridge=ridge)
 
