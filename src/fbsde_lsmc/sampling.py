@@ -9,12 +9,12 @@ will.  Each step also records the correction
 
     D_i = Sigma_i(X_i)^{-1} (F_i(X_i, mu_i(X_i)) - K_i)
 
-relative to the batch's reference policy ``mu`` and the positive weights
+relative to the batch's reference policy ``mu``.  The positive weights
 
     Theta_0 = 1,    Theta_{i+1} = Theta_i * exp(-||D_i||^2 / 2 + D_i^T W_i),
 
-which convert sampled expectations back to the reference-policy measure.
-Weights are accumulated in log space to avoid premature overflow.
+which convert sampled expectations to the reference-policy measure, are
+formed in log space from D and W only when ``TrajectoryBatch.log_theta`` is read.
 
 Policies are deterministic functions of ``(i, x)``, as every policy in the
 package is.  So a step whose drift is ``DriftProcess.on_policy(mu)`` for the
@@ -97,7 +97,7 @@ class DriftProcess:
 
 @dataclass(eq=False)
 class TrajectoryBatch:
-    """A batch of M forward paths with drifts, corrections and weights.
+    """A batch of M forward paths with their drifts and corrections.
 
     Column ``c`` of every array holds time index ``first_step + c``.  Sampled
     batches hold every step from 0; a pinned batch holds its live step only.
@@ -112,8 +112,6 @@ class TrajectoryBatch:
         Drift increments actually applied.
     d : ndarray, shape (M, N, n)
         Corrections toward the reference policy drift.
-    log_theta : ndarray, shape (M, N+1)
-        Cumulative log change-of-measure weights; ``log_theta[:, 0] == 0``.
     first_step : int
         Time index of column 0.
     """
@@ -122,8 +120,23 @@ class TrajectoryBatch:
     w: np.ndarray
     k_drift: np.ndarray
     d: np.ndarray
-    log_theta: np.ndarray
     first_step: int = 0
+
+    @property
+    def log_theta(self) -> np.ndarray:
+        """Cumulative log weights (M, N+1) formed from ``d`` and ``w`` on each
+        read, column 0 being 0.  Raises :class:`WeightOverflowError` at the first
+        (trajectory, step) whose weight exceeds the float64 range or is NaN."""
+        out = np.zeros(self.x.shape[:2])
+        for c in range(self.d.shape[1]):
+            d_c, w_c = self.d[:, c], self.w[:, c]
+            inc = -0.5 * np.einsum("mi,mi->m", d_c, d_c) + np.einsum("mi,mi->m", d_c, w_c)
+            out[:, c + 1] = out[:, c] + inc
+            over = ~(out[:, c + 1] <= _LOG_MAX)
+            if np.any(over):
+                bad = int(np.argmax(over))
+                raise WeightOverflowError(bad, self.first_step + c, float(out[bad, c + 1]))
+        return out
 
     @property
     def n_samples(self) -> int:
@@ -194,7 +207,6 @@ def _zero_batch(w: np.ndarray, first_step: int = 0) -> TrajectoryBatch:
         w=w,
         k_drift=np.zeros(w.shape),
         d=np.zeros(w.shape),
-        log_theta=np.zeros((m, n_steps + 1)),
         first_step=first_step,
     )
 
@@ -213,7 +225,7 @@ def sample_forward(
     ----------
     dp : DiscreteProblem
     mu : policy
-        Reference policy defining the corrections D and weights Theta.
+        Reference policy defining the corrections D (and so the weights Theta).
     drift : DriftProcess
         Where the applied increments K come from.
     n_samples : int
@@ -233,8 +245,9 @@ def sample_forward(
         correction is NaN.
     FloatingPointError
         Naming the (trajectory, step) whose next state is not finite.
-    WeightOverflowError
-        If a weight exceeds the float64 range or is NaN.
+
+    Weights are not formed here: reading ``log_theta`` raises
+    :class:`WeightOverflowError`.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -273,14 +286,6 @@ def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, d_cap):
     if np.any(blown):
         bad = int(np.argmax(blown))
         raise FloatingPointError(f"non-finite state at trajectory {bad}, step {i}")
-    log_theta = batch.log_theta
-    log_theta[:, c + 1] = log_theta[:, c] + (
-        -0.5 * np.einsum("mi,mi->m", d_cur, d_cur) + np.einsum("mi,mi->m", d_cur, w_cur)
-    )
-    over = ~(log_theta[:, c + 1] <= _LOG_MAX)
-    if np.any(over):
-        bad = int(np.argmax(over))
-        raise WeightOverflowError(traj=bad, step=i, log_weight=float(log_theta[bad, c + 1]))
 
 
 def pinned_step_batch(
@@ -297,11 +302,11 @@ def pinned_step_batch(
     Every trajectory starts step ``i`` at ``x_pin`` with drift increment
     ``k_pin`` and only the noise W_i is resampled.  The batch holds step ``i``
     alone, with ``first_step = i``: ``x`` is (M, 2, n) holding X_i and
-    X_{i+1}; ``w``, ``k_drift`` and ``d`` are (M, 1, n); ``log_theta`` is
+    X_{i+1}; ``w``, ``k_drift`` and ``d`` are (M, 1, n); ``log_theta`` reads
     (M, 2), its start column 0.  Its memory does not grow with ``i``.  Used
     for conditional bias/variance diagnostics.  The correction norm is not
-    capped, but NaN corrections, non-finite states and weight overflow are
-    still reported, as in :func:`sample_forward`.
+    capped, but NaN corrections and non-finite states are still reported, as
+    in :func:`sample_forward`, and weight overflow when ``log_theta`` is read.
     """
     if not 0 <= i < dp.n_steps:
         raise ValueError(f"step {i} out of range [0, {dp.n_steps})")

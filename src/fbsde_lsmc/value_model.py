@@ -309,7 +309,17 @@ def scaling_from_batch(batch, max_total_degree: int) -> BasisSpec:
 
 
 def _step_box(batch) -> tuple:
-    """Per-step, per-coordinate box mean +/- max(3 std, 1) of ``batch.x``."""
-    mean = batch.x.mean(axis=0)
-    half = np.maximum(3.0 * batch.x.std(axis=0), 1.0)
+    """Per-step, per-coordinate box mean +/- max(3 std, 1) of ``batch.x``.
+
+    Reduced over column chunks of about 512 KB, so no temporary is the size
+    of ``batch.x``, with the bytes of the whole-array ``mean``/``std(axis=0)``.
+    A chunk is never one column wide (a one-column tail joins the chunk before
+    it): numpy reduces a one-column view with n = 1 pairwise, changing the bits.
+    """
+    x = batch.x
+    width = max(2, (1 << 19) // (x.itemsize * x.shape[0] * x.shape[2]))
+    bounds = [*range(0, max(x.shape[1] - 1, 1), width), x.shape[1]]
+    chunks = [x[:, a:b] for a, b in zip(bounds, bounds[1:])]
+    mean = np.concatenate([chunk.mean(axis=0) for chunk in chunks])
+    half = np.maximum(3.0 * np.concatenate([chunk.std(axis=0) for chunk in chunks]), 1.0)
     return mean - half, mean + half

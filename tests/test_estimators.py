@@ -100,8 +100,7 @@ def _hand_batch(x_i, k_i, w_i, d_i, n=1):
     w = np.array([[w_i]], dtype=float).reshape(1, 1, n)
     k = np.array([[k_i]], dtype=float).reshape(1, 1, n)
     d = np.array([[d_i]], dtype=float).reshape(1, 1, n)
-    log_theta = np.zeros((1, 2))
-    return TrajectoryBatch(x=x, w=w, k_drift=k, d=d, log_theta=log_theta)
+    return TrajectoryBatch(x=x, w=w, k_drift=k, d=d)
 
 
 def _hand_problem(stage_cost):

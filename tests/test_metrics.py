@@ -32,7 +32,6 @@ def _batch_with_states(x):
         w=np.zeros((m, steps - 1, n)),
         k_drift=np.zeros((m, steps - 1, n)),
         d=np.zeros((m, steps - 1, n)),
-        log_theta=np.zeros((m, steps)),
     )
 
 

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from fbsde_lsmc import (
     ContinuousProblem,
     DriftProcess,
+    FeedbackPolicy,
     build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
     riccati_from_lqr,
     sample_forward,
+    scaling_from_batch,
 )
 from fbsde_lsmc.errors import (
     DriftUnboundedError,
@@ -25,7 +27,7 @@ from fbsde_lsmc.errors import (
 import fbsde_lsmc.sampling as sampling_module
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import ConstantPolicy, full_history_pinned, make_scalar_lqr
+from conftest import ConstantPolicy, full_history_pinned, make_linear_problem, make_scalar_lqr
 
 
 def _driftless_problem(sigma=0.8, dim=1, horizon=1.0, x0=None):
@@ -148,6 +150,27 @@ class TestSampleForward:
             with pytest.raises(FloatingPointError, match="trajectory 2, step 1"):
                 sample_forward(dp, _zero_policy(dp), drift, 4, seed=0, d_cap=np.inf)
 
+    def test_peak_memory_is_the_stored_arrays(self):
+        # no weight array is stored and the step boxes take no temporary the
+        # size of x: sampling and scaling peak within x, w, k_drift and d
+        # plus 1 MiB (storing the weights, or a whole-batch std temporary,
+        # would each add about 3.3 MB here)
+        cp = make_scalar_lqr()
+        dp = discretize(cp, 200)
+        truth = riccati_from_lqr(cp.lqr, cp.horizon, 200)
+        mu = truth.policy(dp.control_lower, dp.control_upper)
+        drift = DriftProcess.feedback(lambda i, x: dp.F(i, x, mu(i, x)) - 0.01)
+        scaling_from_batch(sample_forward(dp, mu, drift, 8, seed=0), 4)  # first-call allocations
+        tracemalloc.start()
+        try:
+            batch = sample_forward(dp, mu, drift, 2048, seed=0)
+            scaling_from_batch(batch, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(a.nbytes for a in (batch.x, batch.w, batch.k_drift, batch.d))
+        assert peak <= stored + 2**20
+
 
 def _scalar_setup():
     from fbsde_lsmc import riccati_from_lqr
@@ -261,7 +284,46 @@ class TestOnPolicyShortcut:
         assert np.all(shared.d == 0.0)
 
 
+def _stepwise_log_theta(batch):
+    """The sampler's former in-step weight lines, kept verbatim as the reference."""
+    log_theta = np.zeros(batch.x.shape[:2])
+    for c in range(batch.d.shape[1]):
+        # the sampler held D_i as the solve's fresh array and W_i as a column view
+        d_cur, w_cur = batch.d[:, c].copy(), batch.w[:, c]
+        log_theta[:, c + 1] = log_theta[:, c] + (
+            -0.5 * np.einsum("mi,mi->m", d_cur, d_cur) + np.einsum("mi,mi->m", d_cur, w_cur)
+        )
+    return log_theta
+
+
 class TestGirsanovWeights:
+    @given(
+        dim=st.integers(1, 4),
+        state_sigma=st.booleans(),
+        drift=st.sampled_from(["own_policy", "other_policy", "feedback"]),
+        n_steps=st.integers(1, 6),
+        n_samples=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_log_theta_bytes_match_the_stepwise_accumulation(
+        self, dim, state_sigma, drift, n_steps, n_samples, seed
+    ):
+        dp = discretize(make_linear_problem(dim, seed, state_sigma), n_steps)
+        mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
+        other = FeedbackPolicy(np.full((1, dim), 0.7), dp.control_lower, dp.control_upper)
+        drifts = {
+            "own_policy": DriftProcess.on_policy(mu),
+            "other_policy": DriftProcess.on_policy(other),
+            "feedback": DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt + 0.05),
+        }
+        batch = sample_forward(dp, mu, drifts[drift], n_samples, seed, d_cap=np.inf)
+        i = seed % n_steps
+        pinned = pinned_step_batch(dp, mu, i, batch.x[0, i], batch.k_drift[0, i], n_samples, seed)
+        for b in (batch, pinned):
+            assert b.log_theta.shape == b.x.shape[:2]
+            assert b.log_theta.tobytes() == _stepwise_log_theta(b).tobytes()
+
     def test_zero_corrections_give_unit_weights(self):
         cp, dp, truth, mu = _scalar_setup()
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 5, seed=1)
@@ -299,12 +361,14 @@ class TestGirsanovWeights:
         monkeypatch.setattr(sampling_module, "_normals", normals)
         dp = discretize(_driftless_problem(sigma=1.0, horizon=6.0), 6)  # Sigma_i = 1
         mu = _zero_policy(dp)
+        if builder == "sample_forward":
+            drift = DriftProcess.feedback(lambda i, x: np.full_like(x, -40.0 * (i == 3)))
+            batch = sample_forward(dp, mu, drift, 3, seed=0, d_cap=np.inf)
+        else:
+            batch = pinned_step_batch(dp, mu, 3, [0.0], [-40.0], 3, seed=0)
+        # building the batch forms no weights; reading them does
         with pytest.raises(WeightOverflowError) as err:
-            if builder == "sample_forward":
-                drift = DriftProcess.feedback(lambda i, x: np.full_like(x, -40.0 * (i == 3)))
-                sample_forward(dp, mu, drift, 3, seed=0, d_cap=np.inf)
-            else:
-                pinned_step_batch(dp, mu, 3, [0.0], [-40.0], 3, seed=0)
+            batch.log_theta
         assert (err.value.traj, err.value.step) == (1, 3)
 
 

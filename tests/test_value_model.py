@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebder, chebval
 
 from fbsde_lsmc import (
     BasisSpec,
+    TrajectoryBatch,
     ValueModel,
     basis_eval,
     lsmc_fit,
@@ -18,6 +19,7 @@ from fbsde_lsmc import (
     scaling_from_batch,
 )
 from fbsde_lsmc.errors import NotFittedError, RankDeficientWarning
+from fbsde_lsmc.value_model import _step_box
 
 from conftest import fit_function, reference_basis_eval, unit_basis
 
@@ -324,6 +326,47 @@ class TestScaling:
         half = np.maximum(3 * std, 1.0)
         np.testing.assert_allclose(spec.scale_lo, mean - half)
         np.testing.assert_allclose(spec.scale_hi, mean + half)
+
+
+def _states_only(x):
+    m, cols, n = x.shape
+    empty = np.zeros((m, cols - 1, n))
+    return TrajectoryBatch(x=x, w=empty, k_drift=empty, d=empty)
+
+
+class TestStepBox:
+    """The boxes are reduced in column chunks of about 512 KB.
+
+    A chunk one column wide with n = 1 would be reduced by pairwise
+    summation and change the bits, so the examples include shapes whose last
+    chunk would be one column wide: 4,096 paths with n = 1 have 32 KB columns
+    and 16-column chunks (17 and 65 columns), 5,000 paths with n = 1 have
+    13-column chunks (66), 2,000 paths with n = 2 have 16-column chunks (49),
+    and 5,000 paths with n = 4 have 3-column chunks (70).
+    """
+
+    @given(
+        n_samples=st.integers(1, 5000),
+        n_cols=st.integers(1, 70),
+        dim=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n_samples=4096, n_cols=17, dim=1, seed=0)
+    @example(n_samples=4096, n_cols=65, dim=1, seed=1)
+    @example(n_samples=5000, n_cols=66, dim=1, seed=2)
+    @example(n_samples=2000, n_cols=49, dim=2, seed=3)
+    @example(n_samples=5000, n_cols=70, dim=4, seed=4)
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_whole_array_reductions(self, n_samples, n_cols, dim, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-5, 5) + rng.uniform(0.01, 10) * rng.standard_normal(
+            (n_samples, n_cols, dim)
+        )
+        lo, hi = _step_box(_states_only(x))
+        mean = x.mean(axis=0)
+        half = np.maximum(3.0 * x.std(axis=0), 1.0)
+        assert lo.tobytes() == (mean - half).tobytes()
+        assert hi.tobytes() == (mean + half).tobytes()
 
 
 class TestFitFunction:
