@@ -4,7 +4,7 @@ The terminal step regresses the terminal cost on the sampled terminal states;
 each earlier step builds targets from the freshly fitted next-step model and
 regresses them on the states at that step.  The same batch supplies both the
 regression inputs and the targets (no sample splitting), and the same basis
-and ridge are used at every step including the terminal one.
+and least-squares fit are used at every step including the terminal one.
 
 Estimators fitted on one batch and basis run in lockstep, one sweep from the
 terminal step to 0.  At step i the features Phi_{i+1}(X_i + K_i) and
@@ -39,7 +39,6 @@ def backward_pass(
     batch: TrajectoryBatch,
     kind: EstimatorKind,
     spec: BasisSpec,
-    ridge: float = 1e-10,
 ) -> ValueModel:
     """Fit a full value model by one sweep from the terminal step to 0.
 
@@ -47,15 +46,13 @@ def backward_pass(
     fitting or building targets propagate annotated with the failing step.
     This is the one-estimator case of :func:`backward_sweep`.
     """
-    result = backward_sweep(dp, mu, batch, [kind], spec, ridge)[kind]
+    result = backward_sweep(dp, mu, batch, [kind], spec)[kind]
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def backward_sweep(
-    dp: DiscreteProblem, mu, batch: TrajectoryBatch, kinds, spec: BasisSpec, ridge: float = 1e-10
-) -> dict:
+def backward_sweep(dp: DiscreteProblem, mu, batch: TrajectoryBatch, kinds, spec: BasisSpec) -> dict:
     """Fit one value model per estimator kind in a single lockstep sweep.
 
     Returns ``{kind: model}``.  A kind whose fit raised a numerical failure
@@ -86,7 +83,7 @@ def backward_sweep(
                     ys = estimate_targets(kind, model, dp, mu, batch, i, step)
                 if phi is None:
                     phi = basis_eval(spec, i, batch.x[:, i])
-                model.set_coeffs(i, lsmc_fit(batch.x[:, i], ys, spec, i, ridge, phi=phi))
+                model.set_coeffs(i, lsmc_fit(batch.x[:, i], ys, spec, i, phi=phi))
             except _NUMERIC_FAILURES as exc:
                 out[kind] = _annotate(exc, i)
             except Exception as exc:

@@ -33,7 +33,6 @@ class ExperimentConfig:
     n_steps: Optional[int] = None
     seed: int = 0
     trials: int = 1
-    ridge: float = 1e-10
     output_dir: str = "results"
 
     drift: str = "optimal"
@@ -112,8 +111,9 @@ class ExperimentConfig:
             )
         if not self.d_cap > 0:
             raise ConfigError(f"sampling.d_cap must be > 0 (inf allowed), got {self.d_cap}")
-        if not (math.isfinite(self.ridge) and self.ridge >= 0):
-            raise ConfigError(f"run.ridge must be finite and >= 0, got {self.ridge}")
+        for key, value in (("drift.k1", self.drift_k1), ("drift.k2", self.drift_k2)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         for key, value in (
             ("problem.u_max", self.u_max),
             ("metrics.dx", self.metrics_dx),
@@ -155,7 +155,6 @@ _KEYS = {
     "run.n_steps": ("n_steps", int),
     "run.seed": ("seed", int),
     "run.trials": ("trials", int),
-    "run.ridge": ("ridge", float),
     "run.output_dir": ("output_dir", str),
     "drift.kind": ("drift", str),
     "drift.k1": ("drift_k1", float),
@@ -176,6 +175,10 @@ _KEYS = {
     "diagnose.cells": ("diagnose_cells", int),
     "diagnose.reps": ("diagnose_reps", int),
 }
+
+# retired float keys, accepted only at the value every run now uses:
+# key -> (value, reason)
+_RETIRED = {"run.ridge": (0.0, "every fit is plain minimum-norm least squares")}
 
 # keys that only some problems or drift kinds read: key -> (problems, kinds);
 # setting one anywhere else would do nothing, so it is rejected
@@ -209,16 +212,25 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
+        if key not in _KEYS and key not in _RETIRED:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
         first_line[key] = lineno
-        attr, parser = _KEYS[key]
+        attr, parser = _KEYS.get(key, (None, float))
         try:
-            kwargs[attr] = parser(value)
+            parsed = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        if key in _RETIRED:
+            accepted, reason = _RETIRED[key]
+            if parsed != accepted:
+                raise ConfigError(
+                    f"line {lineno}: {key} is retired ({reason}); "
+                    f"only {accepted:g} is accepted, got {value}"
+                )
+        else:
+            kwargs[attr] = parsed
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:

@@ -66,7 +66,7 @@ class ConfigError(ValueError):
 
 
 class RankDeficientWarning(UserWarning):
-    """Unregularized regression hit a rank-deficient design matrix."""
+    """A least-squares fit hit a rank-deficient design matrix."""
 
 
 class GridEscapeWarning(UserWarning):

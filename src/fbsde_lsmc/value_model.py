@@ -19,8 +19,8 @@ Chebyshev differentiation matrix).  With scaling slope s_c, the gradient and
 Hessian coefficients are s_c G_c a and s_c s_e G_e G_c a, so every derivative
 query is one feature evaluation and one matrix product.
 
-Fitting is plain ridge-regularized least squares on the feature matrix,
-solved through an orthogonal factorization.
+Fitting is plain minimum-norm least squares on the feature matrix, solved
+through an orthogonal factorization.
 """
 
 from __future__ import annotations
@@ -209,6 +209,9 @@ class ValueModel:
         return cls(basis=basis, coeffs=coeffs, fitted=fitted)
 
     def set_coeffs(self, i: int, alpha: np.ndarray) -> None:
+        n_steps = self.coeffs.shape[0] - 1
+        if not 0 <= i <= n_steps:
+            raise ValueError(f"step {i} is outside the model's steps 0..{n_steps}")
         alpha = np.asarray(alpha, dtype=float)
         if alpha.shape != (self.basis.size,):
             raise ValueError(f"expected {self.basis.size} coefficients, got {alpha.shape}")
@@ -253,45 +256,30 @@ class ValueModel:
         return self.from_features(i, basis_eval(self.basis, i, x), 2)
 
 
-def lsmc_fit(xs, ys, spec: BasisSpec, i: int, ridge: float = 1e-10, phi=None) -> np.ndarray:
+def lsmc_fit(xs, ys, spec: BasisSpec, i: int, phi=None) -> np.ndarray:
     """Least-squares coefficients for targets ``ys`` observed at states ``xs``.
 
     ``phi``, when given, is ``basis_eval(spec, i, xs)`` computed by the caller.
 
-    Minimizes ``sum_k (y_k - Phi(x_k)^T a)^2 + ridge * ||a||^2`` through an
-    orthogonal factorization (deterministic for fixed inputs).  A
-    :class:`RankDeficientWarning` is issued when there are fewer rows than
-    basis functions, at any ridge, and when a ``ridge=0`` design is rank
-    deficient, in which case the minimum-norm solution is returned.
+    Returns the minimum-norm minimizer of ``sum_k (y_k - Phi(x_k)^T a)^2``,
+    ``np.linalg.lstsq(phi, ys, rcond=None)`` (deterministic for fixed inputs).
+    A :class:`RankDeficientWarning` is issued when the design is rank
+    deficient, which it always is with fewer rows than basis functions.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float).reshape(-1)
     if xs.shape[0] != ys.shape[0]:
         raise ValueError("xs and ys must have the same number of rows")
-    if not (math.isfinite(ridge) and ridge >= 0):
-        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     if phi is None:
         phi = basis_eval(spec, i, xs)
-    if ridge > 0:
-        a = np.vstack([phi, math.sqrt(ridge) * np.eye(spec.size)])
-        b = np.concatenate([ys, np.zeros(spec.size)])
-    else:
-        a, b = phi, ys
-    coeffs, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if xs.shape[0] < spec.size:
-        warnings.warn(
-            f"design matrix at step {i} has {xs.shape[0]} rows for {spec.size} "
-            "basis functions; the fit is underdetermined",
-            RankDeficientWarning,
-            stacklevel=2,
-        )
-    elif ridge == 0 and rank < spec.size:
-        warnings.warn(
-            f"design matrix at step {i} has rank {rank} < {spec.size}; "
-            "returning the minimum-norm solution",
-            RankDeficientWarning,
-            stacklevel=2,
-        )
+    coeffs, _, rank, _ = np.linalg.lstsq(phi, ys, rcond=None)
+    if rank < spec.size:
+        rows = xs.shape[0]
+        if rows < spec.size:
+            cause = f"{rows} rows for {spec.size} basis functions; the fit is underdetermined"
+        else:
+            cause = f"rank {rank} < {spec.size}; returning the minimum-norm solution"
+        warnings.warn(f"design matrix at step {i} has {cause}", RankDeficientWarning, stacklevel=2)
     return coeffs
 
 

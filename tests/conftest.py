@@ -155,7 +155,7 @@ def fit_function(spec: BasisSpec, i: int, fn) -> np.ndarray:
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return lsmc_fit(pts, fn(pts), spec, i, ridge=0.0)
+    return lsmc_fit(pts, fn(pts), spec, i)
 
 
 def model_from_truth(truth, dim, n_steps, degree=2, half_width=4.0, center=None):

@@ -58,7 +58,6 @@ def lqr4d_run(tmp_path_factory):
         run.n_steps = 100
         run.seed = 2024
         run.trials = 1
-        run.ridge = 0
         run.output_dir = {out}
         drift.kind = suboptimal
         sweep.estimators = taylor_noiseless,taylor_reestimate,em_noiseless,em_noisy

@@ -66,7 +66,7 @@ class TestBackwardPass:
         for kind in EstimatorKind:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", category=RankDeficientWarning)
-                model = backward_pass(dp, mu, batch, kind, spec, ridge=0.0)
+                model = backward_pass(dp, mu, batch, kind, spec)
             for i in range(1, dp.n_steps + 1):
                 np.testing.assert_allclose(model.eval(i, probe), 3.5, atol=1e-10)
             # step 0 sees a single repeated state; only the value there is
@@ -76,7 +76,7 @@ class TestBackwardPass:
     def test_lqr_matches_riccati_oracle_at_every_fitted_step(self):
         dp, truth, mu, batch = _lqr_pieces()
         spec = scaling_from_batch(batch, 2)
-        model = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec, ridge=0.0)
+        model = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
         region = confidence_region(batch)
         for i in range(1, dp.n_steps + 1):
             assert rae(model, truth, region, i) < 1e-6
@@ -88,7 +88,7 @@ class TestBackwardPass:
 
         def mean_rae(kind):
             with np.errstate(over="ignore", invalid="ignore"):
-                model = backward_pass(dp, mu, batch, kind, spec, ridge=0.0)
+                model = backward_pass(dp, mu, batch, kind, spec)
                 return np.mean([rae(model, truth, region, i) for i in range(1, dp.n_steps + 1)])
 
         taylor = mean_rae(EstimatorKind.TAYLOR_NOISELESS)
@@ -98,7 +98,7 @@ class TestBackwardPass:
     def test_terminal_step_reproduces_terminal_cost(self):
         dp, truth, mu, batch = _lqr_pieces()
         spec = scaling_from_batch(batch, 2)
-        model = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec, ridge=0.0)
+        model = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
         xn = batch.x[:, dp.n_steps]
         g = dp.g(xn)
         np.testing.assert_allclose(model.eval(dp.n_steps, xn), g, rtol=1e-10, atol=1e-12)
@@ -106,8 +106,8 @@ class TestBackwardPass:
     def test_bitwise_deterministic(self):
         dp, truth, mu, batch = _lqr_pieces()
         spec = scaling_from_batch(batch, 2)
-        a = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_REESTIMATE, spec, ridge=1e-10)
-        b = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_REESTIMATE, spec, ridge=1e-10)
+        a = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_REESTIMATE, spec)
+        b = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_REESTIMATE, spec)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
     def test_more_samples_do_not_hurt_on_average(self):
@@ -124,7 +124,7 @@ class TestBackwardPass:
         def run(n_samples, seed):
             batch = sample_forward(dp, mu, drift, n_samples, seed=seed)
             spec = scaling_from_batch(batch, 2)
-            model = backward_pass(dp, mu, batch, EstimatorKind.EM_NOISY, spec, ridge=1e-10)
+            model = backward_pass(dp, mu, batch, EstimatorKind.EM_NOISY, spec)
             region = confidence_region(batch)
             return np.mean([rae(model, truth, region, i) for i in range(1, n_steps + 1)])
 
@@ -181,9 +181,9 @@ class TestBackwardSweep:
         batch = sample_forward(dp, mu, drift, 48, seed=seed, d_cap=np.inf)
         spec = scaling_from_batch(batch, degree)
         kinds = list(EstimatorKind)
-        fitted = backward_sweep(dp, mu, batch, kinds, spec, ridge=1e-8)
+        fitted = backward_sweep(dp, mu, batch, kinds, spec)
         for kind in kinds:
-            alone = backward_pass(dp, mu, batch, kind, spec, ridge=1e-8)
+            alone = backward_pass(dp, mu, batch, kind, spec)
             assert np.array_equal(fitted[kind].coeffs, alone.coeffs), kind
 
         models = [fitted[kind] for kind in kinds]

@@ -192,7 +192,8 @@ class TestConfigParsing:
             assert (cfg.seed, cfg.output_dir) == (w.default_seed, str(tmp_path))
 
     def test_readme_key_table_matches_the_parser(self):
-        assert _readme_key_table() == {key: _scope_cell(key) for key in config._KEYS}
+        keys = [*config._KEYS, *config._RETIRED]
+        assert _readme_key_table() == {key: _scope_cell(key) for key in keys}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -240,6 +241,8 @@ class TestConfigParsing:
             "run.seed = 1\nrun.seed = 2",
             "sweep.degrees = 2\nsweep.degrees = 4",
             "drift.k1 = -25\ndrift.kind = suboptimal\ndrift.k1 = -30",
+            "drift.k1 = nan\ndrift.kind = suboptimal",
+            "drift.k2 = inf\ndrift.kind = suboptimal",
             "metrics.dx = inf",
             "metrics.dx = nan",
             "problem.u_max = 0",
@@ -282,6 +285,8 @@ class TestConfigParsing:
             "repeated_seed_key",
             "repeated_degrees_key",
             "repeated_scoped_key",
+            "nan_k1",
+            "inf_k2",
             "inf_dx",
             "nan_dx",
             "zero_u_max",

@@ -307,7 +307,7 @@ class TestImprovePolicy:
         base = ConstantPolicy([0.0], dp.control_lower, dp.control_upper)
         batch = sample_forward(dp, base, DriftProcess.on_policy(base), 256, seed=3)
         spec = scaling_from_batch(batch, 2)
-        model = backward_pass(dp, base, batch, EstimatorKind.TAYLOR_NOISELESS, spec, 1e-10)
+        model = backward_pass(dp, base, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
         improved = lambda i, x: improve_policy(model, dp, i, x)
 
         eval_base = sample_forward(dp, base, DriftProcess.on_policy(base), 400, seed=77)

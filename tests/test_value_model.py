@@ -117,8 +117,7 @@ class TestRecursiveProduct:
         with np.errstate(invalid="ignore", over="ignore"):
             _assert_same_array(basis_eval(spec, i, x), reference_basis_eval(spec, i, x))
 
-    @pytest.mark.parametrize("ridge", [0.0, 1e-10])
-    def test_cartpole_sized_fit_and_queries_are_bit_equal(self, ridge):
+    def test_cartpole_sized_fit_and_queries_are_bit_equal(self):
         # 1,024 states of a degree-4 basis on 4 coordinates: B = 70
         rng = np.random.default_rng(29)
         lo = np.array([[-3.0, -2.0, -1.5, -4.0]])
@@ -128,8 +127,10 @@ class TestRecursiveProduct:
         phi, ref = basis_eval(spec, 0, xs), reference_basis_eval(spec, 0, xs)
         _assert_same_array(phi, ref)
         assert phi.shape == (1024, 70)
-        coeffs = lsmc_fit(xs, ys, spec, 0, ridge=ridge)
-        _assert_same_array(coeffs, lsmc_fit(xs, ys, spec, 0, ridge=ridge, phi=ref))
+        coeffs = lsmc_fit(xs, ys, spec, 0)
+        _assert_same_array(coeffs, lsmc_fit(xs, ys, spec, 0, phi=ref))
+        # a full-rank design: the fit is the minimum-norm least-squares solution
+        _assert_same_array(coeffs, np.linalg.lstsq(phi, ys, rcond=None)[0])
         model = ValueModel.empty(spec, 0)
         model.set_coeffs(0, coeffs)
         for order in range(3):
@@ -226,6 +227,13 @@ class TestModelDerivatives:
         with pytest.raises(NotFittedError):
             model.eval(2, np.zeros(1))
 
+    def test_set_coeffs_rejects_a_step_outside_the_model(self):
+        model = ValueModel.empty(unit_basis(1, 1, 2), 2)
+        for step in (-1, 3):
+            with pytest.raises(ValueError, match=rf"step {step} is outside the model's steps 0\.\.2"):
+                model.set_coeffs(step, np.zeros(2))
+        assert not model.fitted.any()
+
 
 class TestLsmcFit:
     def test_recovers_in_span_targets(self):
@@ -234,47 +242,37 @@ class TestLsmcFit:
         alpha0 = rng.normal(size=spec.size)
         xs = rng.uniform(-1, 1, size=(100, 2))
         ys = basis_eval(spec, 0, xs) @ alpha0
-        coeffs = lsmc_fit(xs, ys, spec, 0, ridge=0.0)
+        coeffs = lsmc_fit(xs, ys, spec, 0)
         resid = basis_eval(spec, 0, xs) @ coeffs - ys
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(ys)
         np.testing.assert_allclose(coeffs, alpha0, rtol=1e-9)
 
     def test_two_point_line(self):
         spec = unit_basis(1, 1, 0)
-        coeffs = lsmc_fit(
-            np.array([[0.0], [1.0]]), np.array([1.0, 3.0]), spec, 0, ridge=0.0
-        )
+        coeffs = lsmc_fit(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]), spec, 0)
         # phi(x) = 1 + 2x
         np.testing.assert_allclose(coeffs, [1.0, 2.0], atol=1e-12)
-
-    def test_matches_normal_equations_oracle(self):
-        rng = np.random.default_rng(13)
-        spec = unit_basis(1, 4, 0)
-        xs = rng.uniform(-1, 1, size=(60, 1))
-        ys = np.sin(3 * xs[:, 0]) + 0.1 * rng.normal(size=60)
-        ridge = 1e-3
-        coeffs = lsmc_fit(xs, ys, spec, 0, ridge=ridge)
-        phi = basis_eval(spec, 0, xs)
-        oracle = np.linalg.solve(phi.T @ phi + ridge * np.eye(spec.size), phi.T @ ys)
-        np.testing.assert_allclose(coeffs, oracle, atol=1e-8)
 
     def test_rank_deficient_warns_and_returns_min_norm(self):
         spec = unit_basis(1, 2, 0)
         xs = np.zeros((5, 1))
         ys = np.full(5, 2.0)
-        with pytest.warns(RankDeficientWarning):
-            coeffs = lsmc_fit(xs, ys, spec, 0, ridge=0.0)
+        with pytest.warns(RankDeficientWarning, match="rank 1 < 3"):
+            coeffs = lsmc_fit(xs, ys, spec, 0)
         assert basis_eval(spec, 0, np.zeros(1)) @ coeffs == pytest.approx(2.0)
+        phi = basis_eval(spec, 0, xs)
+        _assert_same_array(coeffs, np.linalg.lstsq(phi, ys, rcond=None)[0])
 
     @pytest.mark.parametrize("rows", [8, 14, 15, 40])
     def test_fewer_rows_than_basis_functions_warns_at_any_ridge(self, rows):
-        # degree 4 on 2 coordinates: B = 15; a ridge makes the design full rank
+        # degree 4 on 2 coordinates: B = 15; with 15 or more random rows the
+        # design has full rank, so only the short designs warn
         spec = unit_basis(2, 4, 3)
         rng = np.random.default_rng(rows)
         xs = rng.uniform(-1, 1, size=(rows, 2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lsmc_fit(xs, xs.sum(axis=1), spec, 3, ridge=1e-10)
+            lsmc_fit(xs, xs.sum(axis=1), spec, 3)
         messages = [str(w.message) for w in caught if w.category is RankDeficientWarning]
         if rows < spec.size:
             assert messages == [
@@ -283,17 +281,6 @@ class TestLsmcFit:
             ]
         else:
             assert messages == []
-
-    def test_negative_ridge_rejected(self):
-        spec = unit_basis(1, 1, 0)
-        with pytest.raises(ValueError):
-            lsmc_fit(np.zeros((2, 1)), np.zeros(2), spec, 0, ridge=-1.0)
-
-    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
-    def test_non_finite_ridge_rejected(self, ridge):
-        spec = unit_basis(1, 1, 0)
-        with pytest.raises(ValueError, match="ridge"):
-            lsmc_fit(np.zeros((2, 1)), np.zeros(2), spec, 0, ridge=ridge)
 
 
 class TestScaling:
@@ -304,8 +291,8 @@ class TestScaling:
         ys = 2.0 + xs[:, 0] - 0.3 * xs[:, 0] ** 3
         spec_a = BasisSpec(1, 3, np.array([[-2.0]]), np.array([[5.0]]))
         spec_b = BasisSpec(1, 3, np.array([[-10.0]]), np.array([[10.0]]))
-        ca = lsmc_fit(xs, ys, spec_a, 0, ridge=0.0)
-        cb = lsmc_fit(xs, ys, spec_b, 0, ridge=0.0)
+        ca = lsmc_fit(xs, ys, spec_a, 0)
+        cb = lsmc_fit(xs, ys, spec_b, 0)
         probe = rng.uniform(-2, 5, size=(40, 1))
         va = basis_eval(spec_a, 0, probe) @ ca
         vb = basis_eval(spec_b, 0, probe) @ cb
