@@ -57,7 +57,8 @@ def backward_sweep(dp: DiscreteProblem, mu, batch: TrajectoryBatch, kinds, spec:
 
     Returns ``{kind: model}``.  A kind whose fit raised a numerical failure
     at step i maps to that exception instead, with ``failing_step = i``;
-    any other error propagates at once, annotated the same way.
+    any other error propagates at once, annotated the same way.  ``mu`` must
+    be the batch's reference policy (``ValueError`` otherwise).
     """
     n_steps = dp.n_steps
     if batch.first_step != 0 or batch.n_steps != n_steps:

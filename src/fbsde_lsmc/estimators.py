@@ -114,31 +114,35 @@ def _quad(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Step:
     """Batch columns of step ``i`` and the pieces its estimators share.
 
-    The stage cost, the diffusion and the step-(i+1) features at X_i + K_i
-    and at X_{i+1} are computed on first use; one that raised is retried.
+    Sigma, mu(X_i), K and D are the batch's read of step ``i``; the stage
+    cost and the step-(i+1) features at X_i + K_i and at X_{i+1} are computed
+    on first use, and one that raised is retried.  ``mu`` must be the batch's
+    reference policy, the one object its corrections D are formed against.
     """
 
     def __init__(self, spec: BasisSpec, dp, mu, batch: TrajectoryBatch, i: int, phi_next=None):
         if not batch.first_step <= i < batch.n_steps:
             raise ValueError(f"step {i} out of range [{batch.first_step}, {batch.n_steps})")
-        self.spec, self.dp, self.mu, self.i = spec, dp, mu, i
+        if mu is not batch.mu:
+            raise ValueError(f"mu {mu!r} is not the batch's reference policy {batch.mu!r}")
+        self.spec, self.dp, self.mu, self.batch, self.i = spec, dp, mu, batch, i
         c = i - batch.first_step
-        self.x_i, self.x_next = batch.x[:, c], batch.x[:, c + 1]
-        self.k, self.w, self.d = batch.k_drift[:, c], batch.w[:, c], batch.d[:, c]
+        self.x_i, self.x_next, self.w = batch.x[:, c], batch.x[:, c + 1], batch.w[:, c]
         if phi_next is not None:
             self.phi_next = phi_next
 
-    @cached_property
-    def stage(self) -> np.ndarray:
-        return self.dp.L(self.i, self.x_i, self.mu(self.i, self.x_i))
+    @property
+    def pieces(self) -> tuple:
+        """``(sigma, u, k, d)``: the batch's Sigma_i, mu_i(X_i), K_i and D_i."""
+        return self.batch.drift_step(self.i)
 
     @cached_property
-    def sigma(self) -> np.ndarray:
-        return self.dp.Sigma(self.i, self.x_i)
+    def stage(self) -> np.ndarray:
+        return self.dp.L(self.i, self.x_i, self.pieces[1])
 
     @cached_property
     def phi_bar(self) -> np.ndarray:
-        return basis_eval(self.spec, self.i + 1, self.x_i + self.k)
+        return basis_eval(self.spec, self.i + 1, self.x_i + self.pieces[2])
 
     @cached_property
     def phi_next(self) -> np.ndarray:
@@ -157,21 +161,22 @@ def estimate_targets(
     """Targets Yhat_i for every trajectory of the batch at step ``i``, shape (M,).
 
     Requires the model fitted at step ``i + 1`` and the batch populated
-    through step ``i + 1``.  ``mu`` must be the batch's reference policy,
-    since the stored corrections D were computed against it.  ``step``
-    shares the model-independent pieces of step ``i`` between estimators
-    fitted on the same batch and basis.
+    through step ``i + 1``.  ``mu`` must be the batch's reference policy
+    (the same object), since the corrections D are formed against it.
+    ``step``, built for the same ``mu``, shares the model-independent pieces
+    of step ``i`` between estimators fitted on the same batch and basis.
     """
     if not isinstance(kind, EstimatorKind):
         raise ValueError(f"kind must be an EstimatorKind, got {kind!r}")
     if step is None:
         step = _Step(m.basis, dp, mu, batch, i)
+    sigma, _, k, d = step.pieces
 
     if kind.is_taylor:
-        tri = taylor_triple(m, i, step.x_i, step.k, step.sigma, step.phi_bar)
-        zd = _dot(tri.zbar, step.d)
+        tri = taylor_triple(m, i, step.x_i, k, sigma, step.phi_bar)
+        zd = _dot(tri.zbar, d)
         tr_m = np.trace(tri.mbar, axis1=-2, axis2=-1)
-        dmd = _quad(tri.mbar, step.d)
+        dmd = _quad(tri.mbar, d)
         if kind is EstimatorKind.TAYLOR_NOISELESS:
             yhat = step.stage + tri.ybar + zd + 0.5 * (tr_m + dmd)
         else:
@@ -181,11 +186,11 @@ def estimate_targets(
             yhat = v_next + step.stage - zw + zd + 0.5 * (tr_m + dmd - wmw)
     else:
         v_next = m.from_features(i + 1, step.phi_next)
-        z_til = np.einsum("...ji,...j->...i", step.sigma, m.from_features(i + 1, step.phi_next, 1))
+        z_til = np.einsum("...ji,...j->...i", sigma, m.from_features(i + 1, step.phi_next, 1))
         if kind is EstimatorKind.EM_NOISELESS:
-            yhat = v_next + step.stage + _dot(z_til, step.d)
+            yhat = v_next + step.stage + _dot(z_til, d)
         else:
-            yhat = v_next + step.stage - _dot(z_til, step.w) + _dot(z_til, step.d)
+            yhat = v_next + step.stage - _dot(z_til, step.w) + _dot(z_til, d)
 
     if not np.all(np.isfinite(yhat)):
         bad = int(np.argmax(~np.isfinite(yhat)))

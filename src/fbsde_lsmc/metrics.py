@@ -101,7 +101,7 @@ def confidence_region(
             dx = 1e-2
         else:
             points_per_axis = 9
-    lower, upper = _step_box(reference_batch)
+    lower, upper = _step_box(reference_batch.x)
     return ConfidenceRegion(lower=lower, upper=upper, dx=dx, points_per_axis=points_per_axis)
 
 
@@ -127,6 +127,10 @@ def shared_rae(models, gt: GroundTruth, region: ConfidenceRegion, i: int) -> lis
     if any(m.basis is not models[0].basis for m in models):
         raise ValueError("scored models must share one basis")
     pts = region.grid_points(i)
+    # Freeing an untouched mapped array twice the size of the features raises
+    # glibc's mmap and trim thresholds (mallopt(3)), as in grid_bellman, so
+    # each step's features reuse heap pages instead of faulting in fresh ones
+    np.empty(2 * len(pts) * models[0].basis.size)
     phi = basis_eval(models[0].basis, i, pts)
     v_true = np.asarray(gt.value(i, pts), dtype=float)
     denominator = float(np.sum(np.abs(v_true.mean() - v_true)))
@@ -175,7 +179,7 @@ def _pinned_step(m: ValueModel, dp, mu, pinned: TrajectoryBatch, i: int) -> _Ste
     stage cost stay per-row: taken from one row they round differently (a
     broadcast Mbar in the quadratic-form einsum, a one-row policy product)."""
     step = _Step(m.basis, dp, mu, pinned, i)
-    step.phi_bar = basis_eval(m.basis, i + 1, step.x_i[:1] + step.k[:1])
+    step.phi_bar = basis_eval(m.basis, i + 1, step.x_i[:1] + step.pieces[2][:1])
     return step
 
 
@@ -244,8 +248,8 @@ def bias_bound_check(
     cell holds when |reweighted mean of delta| <= exp(||D||^2/2) *
     rms(delta) + 3 stderr.  The report's bias and variance are those of
     ``kind`` on the first cell's batch, equal to :func:`estimator_bias_variance`
-    at ``(batch.x[0, i], batch.k_drift[0, i])`` with the same ``n_rep`` and
-    ``seed``.
+    at ``(batch.x[0, i], batch.drift_step(i)[2][0])`` with the same ``n_rep``
+    and ``seed``.
     """
     if not 0 <= i < batch.n_steps:
         raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
@@ -255,10 +259,11 @@ def bias_bound_check(
         raise ValueError(f"n_cells = {n_cells} exceeds the batch size of {batch.n_samples}")
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
+    k_i = batch.drift_step(i)[2]
     cells = []
     for cell_idx in range(n_cells):
         pinned = pinned_step_batch(
-            dp, mu, i, batch.x[cell_idx, i], batch.k_drift[cell_idx, i], n_rep, seed + cell_idx
+            dp, mu, i, batch.x[cell_idx, i], k_i[cell_idx], n_rep, seed + cell_idx
         )
         cell, stats = _bound_cell(dp, mu, m, pinned, i, truth, kind if cell_idx == 0 else None)
         if cell_idx == 0:
@@ -285,14 +290,15 @@ def _bound_cell(dp, mu, m: ValueModel, pinned: TrajectoryBatch, i: int, truth, k
     target's (bias, variance), both from one step's Sigma and Phi(X + K)."""
     step = _pinned_step(m, dp, mu, pinned, i)
     stats = None if kind is None else _pinned_bias_variance(kind, m, pinned, step, truth)
-    tri = taylor_triple(m, i, step.x_i, step.k, step.sigma, step.phi_bar)
+    sigma, _, k, d = step.pieces
+    tri = taylor_triple(m, i, step.x_i, k, sigma, step.phi_bar)
     expansion = tri.ybar + _dot(tri.zbar, step.w) + 0.5 * _quad(tri.mbar, step.w)
     delta = np.asarray(truth.value(i + 1, step.x_next), dtype=float) - expansion
 
     weighted = np.exp(pinned.log_theta[:, i + 1 - pinned.first_step]) * delta
     lhs = float(np.abs(weighted.mean()))
     stderr = float(np.std(weighted, ddof=1) / np.sqrt(delta.shape[0]))
-    d_norm = float(np.linalg.norm(step.d[0]))
+    d_norm = float(np.linalg.norm(d[0]))
     with np.errstate(over="ignore"):
         # an infinite bound is the honest value for very large drifts
         rhs = float(np.exp(0.5 * d_norm**2) * np.sqrt(np.mean(delta**2)))

@@ -5,7 +5,7 @@ The forward process follows
     X_{i+1} = X_i + K_i + Sigma_i(X_i) W_i,      W_i ~ N(0, I),
 
 where the drift increments K_i come from a :class:`DriftProcess` chosen at
-will.  Each step also records the correction
+will.  Each step has the correction
 
     D_i = Sigma_i(X_i)^{-1} (F_i(X_i, mu_i(X_i)) - K_i)
 
@@ -16,6 +16,12 @@ relative to the batch's reference policy ``mu``.  The positive weights
 which convert sampled expectations to the reference-policy measure, are
 formed in log space from D and W only when ``TrajectoryBatch.log_theta`` is read.
 
+A batch stores only the states X and the noise W, 16 M N n bytes plus the
+extra state column.  K_i and D_i are functions of X_i, so
+``TrajectoryBatch.drift_step(i)``, which the forward step also calls, forms
+them again with the sampler's bits.  The batch keeps the last step it
+formed: step N - 1 after sampling, where a backward sweep starts.
+
 Policies are deterministic functions of ``(i, x)``, as every policy in the
 package is.  So a step whose drift is ``DriftProcess.on_policy(mu)`` for the
 batch's own ``mu`` (the same object) takes K_i as the F_i(X_i, mu_i(X_i)) it
@@ -24,9 +30,8 @@ those of a second call, and D_i = 0 exactly.  A 1x1 Sigma is divided by
 rather than factorized; the quotient is bit for bit what ``np.linalg.solve``
 returns.
 
-Pinned batches for the conditional diagnostics advance through the same step.
-They store their one live step i alone, from ``first_step = i``: every
-trajectory starts it at a pinned state and increment.
+Pinned batches for the conditional diagnostics advance through the same step,
+from a pinned state and increment, and store that one step alone.
 
 Randomness uses counter-based streams keyed by ``(seed, trajectory)``, so
 batches are bit-reproducible regardless of how generation is ordered or
@@ -40,8 +45,8 @@ every result computed from one, keeps its bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 # numpy loads numpy.random on first use; importing it here loads it with the
@@ -72,7 +77,7 @@ class DriftProcess:
     - ``feedback(fn)``: K_i = fn(i, X_i), a deterministic state feedback.
     """
 
-    # the policy of an on_policy drift, for the identity test in _advance_step
+    # the policy of an on_policy drift, for the identity test in drift_step
     _policy = None
 
     def __init__(self, increments: Callable):
@@ -80,12 +85,8 @@ class DriftProcess:
 
     @classmethod
     def on_policy(cls, policy) -> "DriftProcess":
-        """K_i = F_i(X_i, policy(i, X_i)) for a deterministic ``policy``.
-
-        A batch whose reference policy is this same object takes K_i from the
-        F_i(X_i, mu_i(X_i)) of its correction: one policy and one F call per
-        step instead of two, with the bits of the second call.
-        """
+        """K_i = F_i(X_i, policy(i, X_i)) for a deterministic ``policy``; see
+        the module docstring for a batch whose reference policy is ``policy``."""
         drift = cls(lambda dp, i, x: dp.F(i, x, policy(i, x)))
         drift._policy = policy
         return drift
@@ -97,39 +98,51 @@ class DriftProcess:
 
 @dataclass(eq=False)
 class TrajectoryBatch:
-    """A batch of M forward paths with their drifts and corrections.
+    """M forward paths: states ``x`` (M, N+1, n) and noise ``w`` (M, N, n), with
+    the problem ``dp``, reference policy ``mu`` and ``drift`` they were sampled under.
 
-    Column ``c`` of every array holds time index ``first_step + c``.  Sampled
-    batches hold every step from 0; a pinned batch holds its live step only.
-
-    Attributes
-    ----------
-    x : ndarray, shape (M, N+1, n)
-        Sampled states, ``x[:, 0]`` being the state at ``first_step``.
-    w : ndarray, shape (M, N, n)
-        Standard normal noise increments.
-    k_drift : ndarray, shape (M, N, n)
-        Drift increments actually applied.
-    d : ndarray, shape (M, N, n)
-        Corrections toward the reference policy drift.
-    first_step : int
-        Time index of column 0.
+    Column ``c`` holds time index ``first_step + c``: sampled batches start at
+    0, a pinned batch holds its live step only.  ``x`` and ``w`` are not
+    written after the batch is built; each step's Sigma, K and D are formed
+    from them on read, by :meth:`drift_step`.
     """
 
     x: np.ndarray
     w: np.ndarray
-    k_drift: np.ndarray
-    d: np.ndarray
+    dp: DiscreteProblem
+    mu: Callable
+    drift: DriftProcess
     first_step: int = 0
+    # (i, drift_step(i)) of the last step formed: one column of each piece
+    _last: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def drift_step(self, i: int) -> tuple:
+        """``(sigma, u, k, d)``: Sigma_i(X_i), mu_i(X_i), K_i and D_i of step ``i``.
+
+        The forward step forms its pieces here too, so a read has the
+        sampler's bits; reading the last step formed again forms nothing.
+        """
+        if self._last is None or self._last[0] != i:
+            if not self.first_step <= i < self.n_steps:
+                raise ValueError(f"step {i} out of range [{self.first_step}, {self.n_steps})")
+            x_i = self.x[:, i - self.first_step]
+            sig, u = self.dp.Sigma(i, x_i), self.mu(i, x_i)
+            f_ref = self.dp.F(i, x_i, u)
+            if self.drift._policy is self.mu:
+                k = np.asarray(f_ref, dtype=float)
+            else:
+                k = np.asarray(self.drift.increments(self.dp, i, x_i), dtype=float)
+            self._last = (i, (sig, u, k, _solve_diffusion(sig, f_ref - k)))
+        return self._last[1]
 
     @property
     def log_theta(self) -> np.ndarray:
-        """Cumulative log weights (M, N+1) formed from ``d`` and ``w`` on each
+        """Cumulative log weights (M, N+1) formed from D and ``w`` on each
         read, column 0 being 0.  Raises :class:`WeightOverflowError` at the first
         (trajectory, step) whose weight exceeds the float64 range or is NaN."""
         out = np.zeros(self.x.shape[:2])
-        for c in range(self.d.shape[1]):
-            d_c, w_c = self.d[:, c], self.w[:, c]
+        for c in range(self.w.shape[1]):
+            d_c, w_c = self.drift_step(self.first_step + c)[3], self.w[:, c]
             inc = -0.5 * np.einsum("mi,mi->m", d_c, d_c) + np.einsum("mi,mi->m", d_c, w_c)
             out[:, c + 1] = out[:, c] + inc
             over = ~(out[:, c + 1] <= _LOG_MAX)
@@ -199,18 +212,6 @@ def _normals(seed: int, n_samples: int, shape: tuple) -> np.ndarray:
     return out
 
 
-def _zero_batch(w: np.ndarray, first_step: int = 0) -> TrajectoryBatch:
-    """All-zero batch around the noise ``w`` of shape (M, N, n), to be stepped."""
-    m, n_steps, n = w.shape
-    return TrajectoryBatch(
-        x=np.zeros((m, n_steps + 1, n)),
-        w=w,
-        k_drift=np.zeros(w.shape),
-        d=np.zeros(w.shape),
-        first_step=first_step,
-    )
-
-
 def sample_forward(
     dp: DiscreteProblem,
     mu,
@@ -251,27 +252,18 @@ def sample_forward(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    batch = _zero_batch(_normals(seed, n_samples, (dp.n_steps, dp.dim_x)))
+    w = _normals(seed, n_samples, (dp.n_steps, dp.dim_x))
+    batch = TrajectoryBatch(np.zeros((n_samples, dp.n_steps + 1, dp.dim_x)), w, dp, mu, drift)
     batch.x[:, 0] = dp.x0
     for i in range(dp.n_steps):
-        _advance_step(dp, mu, drift, i, batch, d_cap)
+        _advance_step(batch, i, d_cap)
     return batch
 
 
-def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, d_cap):
-    """Fill step ``i`` of ``batch`` from its state and noise at step ``i``, in place."""
+def _advance_step(batch: TrajectoryBatch, i: int, d_cap: float) -> None:
+    """Fill X_{i+1} of ``batch`` from its state and noise at step ``i``, in place."""
     c = i - batch.first_step
-    x_cur = batch.x[:, c]
-    w_cur = batch.w[:, c]
-    sig = dp.Sigma(i, x_cur)
-    f_ref = dp.F(i, x_cur, mu(i, x_cur))
-    if drift._policy is mu:
-        k_cur = np.asarray(f_ref, dtype=float)
-    else:
-        k_cur = np.asarray(drift.increments(dp, i, x_cur), dtype=float)
-    batch.k_drift[:, c] = k_cur
-    d_cur = _solve_diffusion(sig, f_ref - k_cur)
-    batch.d[:, c] = d_cur
+    sig, _, k_cur, d_cur = batch.drift_step(i)
 
     # the negated comparisons also reject NaN, which compares false
     norms = np.linalg.norm(d_cur, axis=-1)
@@ -281,7 +273,7 @@ def _advance_step(dp, mu, drift, i, batch: TrajectoryBatch, d_cap):
         raise DriftUnboundedError(traj=bad, step=i, norm=float(norms[bad]), cap=d_cap)
 
     x_next = batch.x[:, c + 1]
-    x_next[...] = x_cur + k_cur + np.einsum("mij,mj->mi", sig, w_cur)
+    x_next[...] = batch.x[:, c] + k_cur + np.einsum("mij,mj->mi", sig, batch.w[:, c])
     blown = ~np.isfinite(x_next).all(axis=-1)
     if np.any(blown):
         bad = int(np.argmax(blown))
@@ -302,11 +294,12 @@ def pinned_step_batch(
     Every trajectory starts step ``i`` at ``x_pin`` with drift increment
     ``k_pin`` and only the noise W_i is resampled.  The batch holds step ``i``
     alone, with ``first_step = i``: ``x`` is (M, 2, n) holding X_i and
-    X_{i+1}; ``w``, ``k_drift`` and ``d`` are (M, 1, n); ``log_theta`` reads
-    (M, 2), its start column 0.  Its memory does not grow with ``i``.  Used
-    for conditional bias/variance diagnostics.  The correction norm is not
-    capped, but NaN corrections and non-finite states are still reported, as
-    in :func:`sample_forward`, and weight overflow when ``log_theta`` is read.
+    X_{i+1}; ``w`` is (M, 1, n); ``log_theta`` reads (M, 2), its start
+    column 0.  Its memory does not grow with ``i``, and it keeps the step it
+    formed, so reading it forms nothing again.  Used for conditional
+    bias/variance diagnostics.  The correction norm is not capped, but NaN
+    corrections and non-finite states are still reported, as in
+    :func:`sample_forward`, and weight overflow when ``log_theta`` is read.
     """
     if not 0 <= i < dp.n_steps:
         raise ValueError(f"step {i} out of range [0, {dp.n_steps})")
@@ -315,9 +308,9 @@ def pinned_step_batch(
     n = dp.dim_x
     x_pin = np.asarray(x_pin, dtype=float).reshape(n)
     k_pin = np.asarray(k_pin, dtype=float).reshape(n)
-
-    batch = _zero_batch(_normals(seed, n_samples, (1, n)), first_step=i)
-    batch.x[:, 0] = x_pin
     drift = DriftProcess.feedback(lambda j, x: np.broadcast_to(k_pin, x.shape))
-    _advance_step(dp, mu, drift, i, batch, np.inf)
+    w = _normals(seed, n_samples, (1, n))
+    batch = TrajectoryBatch(np.zeros((n_samples, 2, n)), w, dp, mu, drift, first_step=i)
+    batch.x[:, 0] = x_pin
+    _advance_step(batch, i, np.inf)
     return batch

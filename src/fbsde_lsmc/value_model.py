@@ -290,24 +290,39 @@ def scaling_from_batch(batch, max_total_degree: int) -> BasisSpec:
     samples lands inside [-1, 1] and the design matrix stays conditioned even
     for nearly deterministic steps.
     """
-    lo, hi = _step_box(batch)
+    lo, hi = _step_box(batch.x)
     return BasisSpec(
         dim=batch.dim, max_total_degree=max_total_degree, scale_lo=lo, scale_hi=hi
     )
 
 
-def _step_box(batch) -> tuple:
-    """Per-step, per-coordinate box mean +/- max(3 std, 1) of ``batch.x``.
+def _step_box(x: np.ndarray) -> tuple:
+    """Per-step, per-coordinate box mean +/- max(3 std, 1) of the states ``x``.
 
-    Reduced over column chunks of about 512 KB, so no temporary is the size
-    of ``batch.x``, with the bytes of the whole-array ``mean``/``std(axis=0)``.
-    A chunk is never one column wide (a one-column tail joins the chunk before
-    it): numpy reduces a one-column view with n = 1 pairwise, changing the bits.
+    numpy sums over axis 0 row after row (pairwise for rows one element wide,
+    which take the whole-array reductions), so blocks of about 512 KB of rows,
+    each carrying the running sum in as its first row, give the bytes of
+    ``mean``/``std(axis=0)`` with no temporary the size of ``x``.
     """
-    x = batch.x
-    width = max(2, (1 << 19) // (x.itemsize * x.shape[0] * x.shape[2]))
-    bounds = [*range(0, max(x.shape[1] - 1, 1), width), x.shape[1]]
-    chunks = [x[:, a:b] for a, b in zip(bounds, bounds[1:])]
-    mean = np.concatenate([chunk.mean(axis=0) for chunk in chunks])
-    half = np.maximum(3.0 * np.concatenate([chunk.std(axis=0) for chunk in chunks]), 1.0)
+    if x[0].size == 1:
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    else:
+        rows = max(1, (1 << 19) // x[0].nbytes)
+        buf = np.empty((rows + 1,) + x.shape[1:])
+
+        def carried_mean(term) -> np.ndarray:
+            total = None
+            for a in range(0, len(x), rows):
+                part = x[a : a + rows]
+                block = buf[1 : 1 + len(part)]
+                term(part, block)  # writes the block's terms into buf
+                if total is not None:
+                    buf[0] = total
+                    block = buf[: 1 + len(part)]
+                total = block.sum(axis=0)
+            return total / len(x)
+
+        mean = carried_mean(lambda p, o: np.copyto(o, p))
+        std = np.sqrt(carried_mean(lambda p, o: np.square(np.subtract(p, mean, out=o), out=o)))
+    half = np.maximum(3.0 * std, 1.0)
     return mean - half, mean + half

@@ -195,7 +195,8 @@ def full_history_pinned(dp, mu, i, x_pin, k_pin, n_samples, seed):
     """Reference pinned batch in the full-history layout, stepped by ``_advance_step``.
 
     Columns 0..i+1 with time index = column; every step before ``i`` is a
-    placeholder holding ``x_pin`` and zeros.  Same signature as
+    placeholder holding ``x_pin`` and zero noise, whose drift is the
+    reference policy's own, so its correction is zero.  Same signature as
     :func:`fbsde_lsmc.sampling.pinned_step_batch`.
     """
     n = dp.dim_x
@@ -203,10 +204,14 @@ def full_history_pinned(dp, mu, i, x_pin, k_pin, n_samples, seed):
     k_pin = np.asarray(k_pin, dtype=float).reshape(n)
     w = np.zeros((n_samples, i + 1, n))
     w[:, i] = sampling._normals(seed, n_samples, (n,))
-    batch = sampling._zero_batch(w)
+
+    def increments(dp, j, x):
+        return np.broadcast_to(k_pin, x.shape) if j == i else dp.F(j, x, mu(j, x))
+
+    x = np.zeros((n_samples, i + 2, n))
+    batch = sampling.TrajectoryBatch(x, w, dp, mu, DriftProcess(increments))
     batch.x[:, : i + 1] = x_pin
-    drift = DriftProcess.feedback(lambda j, x: np.broadcast_to(k_pin, x.shape))
-    sampling._advance_step(dp, mu, drift, i, batch, np.inf)
+    sampling._advance_step(batch, i, np.inf)
     return batch
 
 

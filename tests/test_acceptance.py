@@ -230,11 +230,11 @@ class TestCriterion6DiscreteGirsanov:
 
         batch = sample_forward(dp, mu, DriftProcess.feedback(drift_fn), 10**5, seed=33)
         np.testing.assert_allclose(
-            batch.d[:, 0], np.broadcast_to(d_vec, (batch.n_samples, dim)), rtol=1e-12
+            batch.drift_step(0)[3], np.broadcast_to(d_vec, (batch.n_samples, dim)), rtol=1e-12
         )
 
         j = 1
-        wq = batch.w[:, j] - batch.d[:, j]
+        wq = batch.w[:, j] - batch.drift_step(j)[3]
         theta = np.exp(batch.log_theta[:, j + 1])
         sqrt_m = np.sqrt(batch.n_samples)
 

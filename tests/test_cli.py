@@ -635,8 +635,10 @@ class TestCliEntry:
         cfg = parse_config_text(cfg_path.read_text())
         setup = build_setup(cfg)
         batch = sample_forward(setup.dp, setup.mu, setup.drift, 8, seed=0, d_cap=cfg.d_cap)
-        np.testing.assert_array_equal(batch.k_drift, -0.2 * batch.x[:, :-1] * setup.dp.dt)
-        assert np.any(batch.d != 0.0)
+        steps = [batch.drift_step(i) for i in range(batch.n_steps)]
+        k_drift = np.stack([k for _, _, k, _ in steps], axis=1)
+        np.testing.assert_array_equal(k_drift, -0.2 * batch.x[:, :-1] * setup.dp.dt)
+        assert np.any(np.stack([d for _, _, _, d in steps], axis=1) != 0.0)
         assert main(["run", str(cfg_path)]) == 0
         rows = _read_rows(tmp_path / "out" / "results.csv")
         assert len(rows) == 2

@@ -11,6 +11,7 @@ from fbsde_lsmc import (
     EstimatorKind,
     FeedbackPolicy,
     ValueModel,
+    backward_pass,
     discretize,
     estimate_targets,
     estimator_bias_variance,
@@ -90,27 +91,21 @@ class TestTaylorTriple:
             taylor_triple(model, 0, np.zeros(1), np.zeros(1), np.eye(1))
 
 
-def _hand_batch(x_i, k_i, w_i, d_i, n=1):
-    """Minimal single-trajectory batch around one step."""
-    from fbsde_lsmc.sampling import TrajectoryBatch
+def _hand_case(x_i, k_i, w_i, d_i, stage_cost=0.0):
+    """(dp, mu, batch): one trajectory over one step with the hand-chosen X, K, W, D.
 
-    x = np.zeros((1, 2, n))
-    x[0, 0] = x_i
-    x[0, 1] = x_i + k_i + w_i  # Sigma = identity in the hand cases
-    w = np.array([[w_i]], dtype=float).reshape(1, 1, n)
-    k = np.array([[k_i]], dtype=float).reshape(1, 1, n)
-    d = np.array([[d_i]], dtype=float).reshape(1, 1, n)
-    return TrajectoryBatch(x=x, w=w, k_drift=k, d=d)
-
-
-def _hand_problem(stage_cost):
+    Sigma = 1, dt = 1 and a zero control, so L is ``stage_cost``; the drift
+    applies K = ``k_i`` and the problem's constant F = ``k_i + d_i`` makes
+    D = F - K = ``d_i``.
+    """
     from fbsde_lsmc import ContinuousProblem
+    from fbsde_lsmc.sampling import TrajectoryBatch, _advance_step
 
     cp = ContinuousProblem(
         dim_x=1,
         dim_u=1,
         horizon=1.0,
-        f=lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float)),
+        f=lambda t, x, u: np.full(np.shape(x), k_i + d_i),
         sigma=lambda t, x: np.ones(np.shape(x)[:-1] + (1, 1)),
         ell=lambda t, x, u: np.full(np.shape(x)[:-1], stage_cost),
         g=lambda x: np.zeros(np.shape(x)[:-1]),
@@ -118,41 +113,29 @@ def _hand_problem(stage_cost):
         control_upper=np.array([1.0]),
         x0=np.zeros(1),
     )
-    dp = discretize(cp, 1)
-    # undo the dt scaling so Sigma == identity and L == stage_cost exactly
-    return dp
+    dp = discretize(cp, 1)  # dt = 1 so no rescaling
+    mu = lambda i, x: np.zeros(np.shape(x)[:-1] + (1,))
+    drift = DriftProcess.feedback(lambda i, x: np.full(np.shape(x), k_i))
+    batch = TrajectoryBatch(np.zeros((1, 2, 1)), np.full((1, 1, 1), w_i), dp, mu, drift)
+    batch.x[0, 0] = x_i
+    _advance_step(batch, 0, np.inf)
+    _, _, k, d = batch.drift_step(0)
+    assert (k[0, 0], d[0, 0], batch.x[0, 1, 0]) == (k_i, d_i, x_i + k_i + w_i)
+    return dp, mu, batch
 
 
 class TestEstimateTargets:
     def test_drifted_noiseless_hand_case(self):
         # L=0.2, V(x)=x^2, x=1, K=1, Sigma=1, D=0.5:
         # 0.2 + 4 + 4*0.5 + 0.5*2*(1 + 0.25) = 7.45
-        from fbsde_lsmc import ContinuousProblem
-
-        cp = ContinuousProblem(
-            dim_x=1,
-            dim_u=1,
-            horizon=1.0,
-            f=lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float)),
-            sigma=lambda t, x: np.ones(np.shape(x)[:-1] + (1, 1)),
-            ell=lambda t, x, u: np.full(np.shape(x)[:-1], 0.2),
-            g=lambda x: np.zeros(np.shape(x)[:-1]),
-            control_lower=np.array([-1.0]),
-            control_upper=np.array([1.0]),
-            x0=np.zeros(1),
-        )
-        dp = discretize(cp, 1)  # dt = 1 so no rescaling
         model = _square_model()
-        mu = lambda i, x: np.zeros(np.shape(x)[:-1] + (1,))
-        batch = _hand_batch(x_i=1.0, k_i=1.0, w_i=0.3, d_i=0.5)
+        dp, mu, batch = _hand_case(x_i=1.0, k_i=1.0, w_i=0.3, d_i=0.5, stage_cost=0.2)
         out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 0)
         assert out[0] == pytest.approx(7.45, rel=1e-10)
 
     def test_on_policy_noiseless_drops_correction_terms(self):
         model = _square_model()
-        dp = _hand_problem(stage_cost=0.2)
-        mu = lambda i, x: np.zeros(np.shape(x)[:-1] + (1,))
-        batch = _hand_batch(x_i=1.0, k_i=1.0, w_i=0.3, d_i=0.0)
+        dp, mu, batch = _hand_case(x_i=1.0, k_i=1.0, w_i=0.3, d_i=0.0, stage_cost=0.2)
         out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 0)
         # L + Ybar + tr(Mbar)/2 = 0.2 + 4 + 1
         assert out[0] == pytest.approx(5.2, rel=1e-10)
@@ -189,31 +172,38 @@ class TestEstimateTargets:
         # the Taylor and end-of-interval gradients must differ when the model
         # has curvature and the step displaces the state
         model = _square_model()
-        dp = _hand_problem(stage_cost=0.0)
-        mu = lambda i, x: np.zeros(np.shape(x)[:-1] + (1,))
-        batch = _hand_batch(x_i=1.0, k_i=1.0, w_i=0.7, d_i=0.0)
+        dp, mu, batch = _hand_case(x_i=1.0, k_i=1.0, w_i=0.7, d_i=0.0)
         em = estimate_targets(EstimatorKind.EM_NOISY, model, dp, mu, batch, 0)
         # Ztil = 2 * X_{i+1} = 2 * 2.7; target = V(2.7) - Ztil * W
         assert em[0] == pytest.approx(2.7**2 - 2 * 2.7 * 0.7, rel=1e-10)
 
     def test_kind_validation(self):
         model = _square_model()
-        dp = _hand_problem(stage_cost=0.0)
-        mu = lambda i, x: np.zeros(np.shape(x)[:-1] + (1,))
-        batch = _hand_batch(1.0, 1.0, 0.0, 0.0)
+        dp, mu, batch = _hand_case(1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             estimate_targets("taylor_noiseless", model, dp, mu, batch, 0)
         with pytest.raises(ValueError):
             estimate_targets(EstimatorKind.EM_NOISY, model, dp, mu, batch, 5)
 
 
+    def test_a_policy_other_than_the_batch_reference_is_rejected(self):
+        # the corrections D are formed against the batch's own mu: an equal
+        # but distinct policy object is a mismatch too
+        model = _square_model()
+        dp, mu, batch = _hand_case(1.0, 1.0, 0.3, 0.5)
+        other = lambda i, x: mu(i, x)
+        with pytest.raises(ValueError, match="not the batch's reference policy"):
+            estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, other, batch, 0)
+        with pytest.raises(ValueError, match="not the batch's reference policy"):
+            backward_pass(dp, other, batch, EstimatorKind.TAYLOR_NOISELESS, model.basis)
+        estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 0)
+
+
 class TestDeltaY:
     def test_hand_value(self):
         # D=0, W=0, L=0, Mbar=2 -> delta = -tr(Mbar)/2 = -1
         model = _square_model()
-        dp = _hand_problem(stage_cost=0.0)
-        mu = lambda i, x: np.zeros(np.shape(x)[:-1] + (1,))
-        batch = _hand_batch(x_i=1.0, k_i=0.0, w_i=0.0, d_i=0.0)
+        dp, mu, batch = _hand_case(x_i=1.0, k_i=0.0, w_i=0.0, d_i=0.0)
         assert delta_y_hat(model, dp, mu, batch, 0)[0] == pytest.approx(-1.0, rel=1e-10)
 
     def test_on_policy_reduction_is_bit_exact(self, scalar_lqr_setup):
@@ -224,7 +214,8 @@ class TestDeltaY:
         # the re-estimate target, which Delta Yhat = V~(X_{i+1}) - Yhat reads,
         # equals its D = 0 form bit for bit
         drifted = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
-        tri = taylor_triple(model, i, batch.x[:, i], batch.k_drift[:, i], dp.Sigma(i, batch.x[:, i]))
+        k_i = batch.drift_step(i)[2]
+        tri = taylor_triple(model, i, batch.x[:, i], k_i, dp.Sigma(i, batch.x[:, i]))
         w = batch.w[:, i]
         stage = dp.L(i, batch.x[:, i], mu(i, batch.x[:, i]))
         on_policy_form = (
@@ -293,7 +284,8 @@ class TestStatisticalProperties:
         i = 2
         batch = pinned_step_batch(dp, mu, i, np.array([0.5]), np.array([0.02]), 4 * 10**4, seed=7)
         # a pinned batch holds its live step i in column 0
-        tri = taylor_triple(model, i, batch.x[:, 0], batch.k_drift[:, 0], dp.Sigma(i, batch.x[:, 0]))
+        k_i = batch.drift_step(i)[2]
+        tri = taylor_triple(model, i, batch.x[:, 0], k_i, dp.Sigma(i, batch.x[:, 0]))
         w = batch.w[:, 0]
         expansion = (
             tri.ybar
@@ -309,7 +301,8 @@ class TestStatisticalProperties:
         model = model_from_truth(truth, 1, dp.n_steps)
         i = 3
         batch = pinned_step_batch(dp, mu, i, np.array([1.2]), np.array([0.0]), 4 * 10**4, seed=11)
-        tri = taylor_triple(model, i, batch.x[:, 0], batch.k_drift[:, 0], dp.Sigma(i, batch.x[:, 0]))
+        k_i = batch.drift_step(i)[2]
+        tri = taylor_triple(model, i, batch.x[:, 0], k_i, dp.Sigma(i, batch.x[:, 0]))
         w = batch.w[:, 0]
         term = 0.5 * (
             np.einsum("mi,mij,mj->m", w, tri.mbar, w)
@@ -411,7 +404,8 @@ class TestExactnessProperties:
     @settings(max_examples=15, deadline=None)
     def test_on_policy_sampling_has_exactly_zero_corrections(self, dim, state_sigma, seed):
         _, _, batch = _random_setup(dim, seed, state_sigma, "on_policy")
-        assert np.all(batch.d == 0.0)
+        for i in range(batch.n_steps):
+            assert np.all(batch.drift_step(i)[3] == 0.0)
         assert np.all(batch.log_theta == 0.0)
 
     @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
@@ -424,7 +418,7 @@ class TestExactnessProperties:
         model.set_coeffs(i + 1, np.random.default_rng(seed).normal(size=spec.size))
         drifted = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
         x_i, w = batch.x[:, i], batch.w[:, i]
-        tri = taylor_triple(model, i, x_i, batch.k_drift[:, i], dp.Sigma(i, x_i))
+        tri = taylor_triple(model, i, x_i, batch.drift_step(i)[2], dp.Sigma(i, x_i))
         undrifted = (
             model.eval(i + 1, batch.x[:, i + 1])
             + dp.L(i, x_i, mu(i, x_i))
@@ -447,11 +441,12 @@ class TestExactnessProperties:
         spec = scaling_from_batch(batch, 2)
         model = ValueModel.empty(spec, dp.n_steps)
         model.set_coeffs(i + 1, np.random.default_rng(seed).normal(size=spec.size))
-        x_i, x_next, w, d = batch.x[:, i], batch.x[:, i + 1], batch.w[:, i], batch.d[:, i]
+        x_i, x_next, w = batch.x[:, i], batch.x[:, i + 1], batch.w[:, i]
+        _, _, k, d = batch.drift_step(i)
         sig = dp.Sigma(i, x_i)
         stage = dp.L(i, x_i, mu(i, x_i))
         v_next = model.eval(i + 1, x_next)
-        tri = taylor_triple(model, i, x_i, batch.k_drift[:, i], sig)
+        tri = taylor_triple(model, i, x_i, k, sig)
         zw, zd = _dot(tri.zbar, w), _dot(tri.zbar, d)
         tr_m = np.trace(tri.mbar, axis1=-2, axis2=-1)
         dmd, wmw = _quad(tri.mbar, d), _quad(tri.mbar, w)
@@ -482,7 +477,7 @@ class TestMbarRounding:
         spec = scaling_from_batch(batch, 2)
         model = ValueModel.empty(spec, dp.n_steps)
         model.set_coeffs(i + 1, np.random.default_rng(seed).normal(size=spec.size))
-        x_i, k_i = batch.x[:, i], batch.k_drift[:, i]
+        x_i, k_i = batch.x[:, i], batch.drift_step(i)[2]
         sig = dp.Sigma(i, x_i)
         if not state_sigma:
             sig = sig[0]  # one 2-D diffusion broadcast against the batched Hessian

@@ -24,15 +24,11 @@ from conftest import fit_function, full_history_pinned, make_scalar_lqr, model_f
 
 
 def _batch_with_states(x):
-    """Minimal batch carrying only the state array (for region tests)."""
+    """Minimal batch carrying only the state array (for region tests, which
+    read no step's drift or correction)."""
     x = np.asarray(x, dtype=float)
     m, steps, n = x.shape
-    return TrajectoryBatch(
-        x=x,
-        w=np.zeros((m, steps - 1, n)),
-        k_drift=np.zeros((m, steps - 1, n)),
-        d=np.zeros((m, steps - 1, n)),
-    )
+    return TrajectoryBatch(x, np.zeros((m, steps - 1, n)), dp=None, mu=None, drift=None)
 
 
 class TestConfidenceRegion:
@@ -261,7 +257,7 @@ class TestBiasBoundCheck:
         batch = self._drifted_batch(dp, mu, 0.5)
         kind = EstimatorKind.EM_NOISY
         expect = estimator_bias_variance(
-            kind, dp, mu, cubic, 4, batch.x[0, 4], batch.k_drift[0, 4], 500, 7, truth=truth
+            kind, dp, mu, cubic, 4, batch.x[0, 4], batch.drift_step(4)[2][0], 500, 7, truth=truth
         )
         built = []
         original = metrics_module.pinned_step_batch
@@ -294,11 +290,12 @@ class TestBiasBoundCheck:
         # one rep leaves the standard error undefined (nan), so no cell holds
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
+        k_4 = batch.drift_step(4)[2]
         with pytest.raises(ValueError, match="n_rep"):
             bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=2, n_rep=1)
         with pytest.raises(ValueError, match="n_rep"):
             estimator_bias_variance(
-                EstimatorKind.EM_NOISY, dp, mu, model, 4, batch.x[0, 4], batch.k_drift[0, 4], 1, 0
+                EstimatorKind.EM_NOISY, dp, mu, model, 4, batch.x[0, 4], k_4[0], 1, 0
             )
 
     def test_csv_serialization(self, lqr_setup_with_model, tmp_path):
@@ -321,7 +318,7 @@ class TestOneStepPinnedLayout:
 
         def diagnose(kind, model, i):
             pair = estimator_bias_variance(
-                kind, dp, mu, model, i, batch.x[0, i], batch.k_drift[0, i], 64, 7, truth=truth
+                kind, dp, mu, model, i, batch.x[0, i], batch.drift_step(i)[2][0], 64, 7, truth=truth
             )
             report = bias_bound_check(
                 dp, mu, model, batch, i, truth, n_cells=2, n_rep=64, seed=7, kind=kind

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from fbsde_lsmc import (
     ContinuousProblem,
     DriftProcess,
+    EstimatorKind,
     FeedbackPolicy,
+    backward_pass,
+    bias_bound_check,
     build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
+    estimator_bias_variance,
     riccati_from_lqr,
     sample_forward,
     scaling_from_batch,
@@ -24,6 +28,7 @@ from fbsde_lsmc.errors import (
     SingularDiffusionError,
     WeightOverflowError,
 )
+from fbsde_lsmc.backward import backward_sweep
 import fbsde_lsmc.sampling as sampling_module
 from fbsde_lsmc.sampling import pinned_step_batch
 
@@ -50,6 +55,21 @@ def _zero_policy(dp):
     return ConstantPolicy(np.zeros(dp.dim_u), dp.control_lower, dp.control_upper)
 
 
+def _steps(batch):
+    """Range of the time indices a batch has steps at."""
+    return range(batch.first_step, batch.n_steps)
+
+
+def _drifts(batch):
+    """Every step's K_i, stacked as (M, N, n) from the per-step read."""
+    return np.stack([batch.drift_step(i)[2] for i in _steps(batch)], axis=1)
+
+
+def _corrections(batch):
+    """Every step's D_i, stacked as (M, N, n) from the per-step read."""
+    return np.stack([batch.drift_step(i)[3] for i in _steps(batch)], axis=1)
+
+
 class TestSampleForward:
     def test_singular_diffusion_rejected(self):
         for sigma in (0.0, -0.0):
@@ -66,7 +86,7 @@ class TestSampleForward:
         sig = 0.8 * np.sqrt(dp.dt)
         expected = dp.x0 + sig * np.cumsum(batch.w, axis=1)
         np.testing.assert_allclose(batch.x[:, 1:], expected, atol=1e-15)
-        assert np.all(batch.d == 0.0)
+        assert np.all(_corrections(batch) == 0.0)
         assert np.all(np.exp(batch.log_theta) == 1.0)
 
     def test_step_mean_matches_drift(self):
@@ -99,16 +119,16 @@ class TestSampleForward:
         batch = sample_forward(dp, mu, drift, 8, seed=77)
         for i in range(dp.n_steps):
             sig = dp.Sigma(i, batch.x[:, i])
+            _, _, k_i, d_i = batch.drift_step(i)
             np.testing.assert_array_equal(
                 batch.x[:, i + 1],
-                batch.x[:, i] + batch.k_drift[:, i] + np.einsum("mij,mj->mi", sig, batch.w[:, i]),
+                batch.x[:, i] + k_i + np.einsum("mij,mj->mi", sig, batch.w[:, i]),
             )
             f = dp.F(i, batch.x[:, i], mu(i, batch.x[:, i]))
-            expected_d = np.linalg.solve(sig, (f - batch.k_drift[:, i])[..., None])[..., 0]
-            np.testing.assert_array_equal(batch.d[:, i], expected_d)
-        increments = -0.5 * np.einsum("mki,mki->mk", batch.d, batch.d) + np.einsum(
-            "mki,mki->mk", batch.d, batch.w
-        )
+            expected_d = np.linalg.solve(sig, (f - k_i)[..., None])[..., 0]
+            np.testing.assert_array_equal(d_i, expected_d)
+        d = _corrections(batch)
+        increments = -0.5 * np.einsum("mki,mki->mk", d, d) + np.einsum("mki,mki->mk", d, batch.w)
         np.testing.assert_allclose(
             batch.log_theta[:, 1:], np.cumsum(increments, axis=1), rtol=1e-13, atol=1e-15
         )
@@ -151,10 +171,10 @@ class TestSampleForward:
                 sample_forward(dp, _zero_policy(dp), drift, 4, seed=0, d_cap=np.inf)
 
     def test_peak_memory_is_the_stored_arrays(self):
-        # no weight array is stored and the step boxes take no temporary the
-        # size of x: sampling and scaling peak within x, w, k_drift and d
-        # plus 1 MiB (storing the weights, or a whole-batch std temporary,
-        # would each add about 3.3 MB here)
+        # a batch stores x and w alone, and the step boxes take no temporary
+        # the size of x: sampling and scaling peak within x and w plus 1 MiB
+        # (storing the weights, the drifts or the corrections, or a
+        # whole-batch std temporary, would each add about 3.3 MB here)
         cp = make_scalar_lqr()
         dp = discretize(cp, 200)
         truth = riccati_from_lqr(cp.lqr, cp.horizon, 200)
@@ -168,7 +188,7 @@ class TestSampleForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stored = sum(a.nbytes for a in (batch.x, batch.w, batch.k_drift, batch.d))
+        stored = batch.x.nbytes + batch.w.nbytes
         assert peak <= stored + 2**20
 
 
@@ -187,7 +207,7 @@ def _pinned_d(sigma, k_pin):
     k_pin = np.asarray(k_pin, dtype=float)
     dp = discretize(_driftless_problem(sigma=sigma, dim=k_pin.size), 1)
     batch = pinned_step_batch(dp, _zero_policy(dp), 0, np.zeros(k_pin.size), k_pin, 3, seed=0)
-    return batch.d[:, 0]
+    return batch.drift_step(0)[3]
 
 
 class TestDriftCorrection:
@@ -262,8 +282,12 @@ class TestOnPolicyShortcut:
     def test_one_reference_policy_call_per_step(self):
         cp, dp, truth, mu = _scalar_setup()
         counted = _CountingPolicy(mu)
-        sample_forward(dp, counted, DriftProcess.on_policy(counted), 7, seed=2)
+        batch = sample_forward(dp, counted, DriftProcess.on_policy(counted), 7, seed=2)
         assert counted.calls == dp.n_steps
+        # each backward step reads mu once more, for Sigma, K, D and the stage
+        # cost, but step N - 1 is the one the forward pass left formed
+        backward_sweep(dp, counted, batch, list(EstimatorKind), scaling_from_batch(batch, 2))
+        assert counted.calls == 2 * dp.n_steps - 1
         counted.calls = 0
         sample_forward(dp, counted, DriftProcess.on_policy(lambda i, x: counted(i, x)), 7, seed=2)
         assert counted.calls == 2 * dp.n_steps
@@ -278,18 +302,20 @@ class TestOnPolicyShortcut:
         distinct = sample_forward(
             dp, mu, DriftProcess.on_policy(lambda i, x: mu(i, x)), n_samples, seed, d_cap
         )
-        for name in ("x", "w", "k_drift", "d", "log_theta"):
-            got, ref = getattr(shared, name), getattr(distinct, name)
+        for read in (
+            lambda b: b.x, lambda b: b.w, _drifts, _corrections, lambda b: b.log_theta
+        ):
+            got, ref = read(shared), read(distinct)
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
-        assert np.all(shared.d == 0.0)
+        assert np.all(_corrections(shared) == 0.0)
 
 
 def _stepwise_log_theta(batch):
     """The sampler's former in-step weight lines, kept verbatim as the reference."""
     log_theta = np.zeros(batch.x.shape[:2])
-    for c in range(batch.d.shape[1]):
+    for c in range(batch.w.shape[1]):
         # the sampler held D_i as the solve's fresh array and W_i as a column view
-        d_cur, w_cur = batch.d[:, c].copy(), batch.w[:, c]
+        d_cur, w_cur = batch.drift_step(batch.first_step + c)[3].copy(), batch.w[:, c]
         log_theta[:, c + 1] = log_theta[:, c] + (
             -0.5 * np.einsum("mi,mi->m", d_cur, d_cur) + np.einsum("mi,mi->m", d_cur, w_cur)
         )
@@ -319,7 +345,8 @@ class TestGirsanovWeights:
         }
         batch = sample_forward(dp, mu, drifts[drift], n_samples, seed, d_cap=np.inf)
         i = seed % n_steps
-        pinned = pinned_step_batch(dp, mu, i, batch.x[0, i], batch.k_drift[0, i], n_samples, seed)
+        k_pin = batch.drift_step(i)[2][0]
+        pinned = pinned_step_batch(dp, mu, i, batch.x[0, i], k_pin, n_samples, seed)
         for b in (batch, pinned):
             assert b.log_theta.shape == b.x.shape[:2]
             assert b.log_theta.tobytes() == _stepwise_log_theta(b).tobytes()
@@ -327,14 +354,14 @@ class TestGirsanovWeights:
     def test_zero_corrections_give_unit_weights(self):
         cp, dp, truth, mu = _scalar_setup()
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 5, seed=1)
-        assert np.all(batch.d == 0.0)
+        assert np.all(_corrections(batch) == 0.0)
         assert np.all(np.exp(batch.log_theta) == 1.0)
 
     def test_single_step_value(self):
         # D = 1 at the pinned step, so Theta_1 = exp(-1/2 + W_0)
         dp = discretize(_driftless_problem(sigma=2.0), 1)
         batch = pinned_step_batch(dp, _zero_policy(dp), 0, [0.0], [-2.0], 5, seed=1)
-        np.testing.assert_array_equal(batch.d, 1.0)
+        np.testing.assert_array_equal(_corrections(batch), 1.0)
         np.testing.assert_allclose(
             np.exp(batch.log_theta[:, 1]), np.exp(-0.5 + batch.w[:, 0, 0]), rtol=1e-15
         )
@@ -372,6 +399,78 @@ class TestGirsanovWeights:
         assert (err.value.traj, err.value.step) == (1, 3)
 
 
+class TestRecomputedStep:
+    """A batch stores X and W; ``drift_step(i)`` forms Sigma_i, mu_i(X_i), K_i
+    and D_i again, by the function the forward step used."""
+
+    @given(
+        dim=st.integers(1, 4),
+        state_sigma=st.booleans(),
+        drift=st.sampled_from(["own_policy", "other_policy", "feedback"]),
+        pinned=st.booleans(),
+        n_steps=st.integers(1, 6),
+        n_samples=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reads_rederive_the_recursion_bit_for_bit(
+        self, dim, state_sigma, drift, pinned, n_steps, n_samples, seed
+    ):
+        dp = discretize(make_linear_problem(dim, seed, state_sigma), n_steps)
+        mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
+        other = FeedbackPolicy(np.full((1, dim), 0.7), dp.control_lower, dp.control_upper)
+        drifts = {
+            "own_policy": DriftProcess.on_policy(mu),
+            "other_policy": DriftProcess.on_policy(other),
+            "feedback": DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt + 0.05),
+        }
+        batch = sample_forward(dp, mu, drifts[drift], n_samples, seed, d_cap=np.inf)
+        if pinned:
+            i = seed % n_steps
+            k_pin = batch.drift_step(i)[2][0]
+            batch = pinned_step_batch(dp, mu, i, batch.x[0, i], k_pin, n_samples, seed)
+        first = [tuple(a.copy() for a in batch.drift_step(i)) for i in _steps(batch)]
+        # read backwards, every step but the last one read is formed again
+        for i in reversed(_steps(batch)):
+            c = i - batch.first_step
+            x_i = batch.x[:, c]
+            sig, u, k, d = batch.drift_step(i)
+            assert sig.tobytes() == dp.Sigma(i, x_i).tobytes()
+            assert u.tobytes() == mu(i, x_i).tobytes()
+            x_next = x_i + k + np.einsum("mij,mj->mi", sig, batch.w[:, c])
+            assert batch.x[:, c + 1].tobytes() == x_next.tobytes()
+            expected_d = sampling_module._solve_diffusion(sig, dp.F(i, x_i, u) - k)
+            assert d.tobytes() == expected_d.tobytes()
+            for got, kept in zip((sig, u, k, d), first[c]):
+                assert got.tobytes() == kept.tobytes()
+
+    def test_each_pinned_batch_solves_its_step_once(self, monkeypatch):
+        cp, dp, truth, mu = _scalar_setup()
+        drift = DriftProcess.feedback(lambda i, x: -0.1 * x * dp.dt)
+        batch = sample_forward(dp, mu, drift, 16, seed=6)
+        spec = scaling_from_batch(batch, 2)
+        model = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
+        solves = []
+        original = sampling_module._solve_diffusion
+
+        def counting(sig, rhs):
+            solves.append(sig.shape)
+            return original(sig, rhs)
+
+        monkeypatch.setattr(sampling_module, "_solve_diffusion", counting)
+        i, kind = 4, EstimatorKind.TAYLOR_REESTIMATE
+        estimator_bias_variance(kind, dp, mu, model, i, [0.3], [0.01], 50, 1, truth=truth)
+        assert len(solves) == 1
+        solves.clear()
+        # one read of the sampled batch's step i, then one solve per pinned
+        # batch: its targets, expansion and weights reuse the step it formed
+        bias_bound_check(dp, mu, model, batch, i, truth, n_cells=3, n_rep=50, kind=kind)
+        assert len(solves) == 1 + 3
+        solves.clear()
+        bias_bound_check(dp, mu, model, batch, i, truth, n_cells=3, n_rep=50, kind=kind)
+        assert len(solves) == 3
+
+
 class TestPinnedBatch:
     def test_recursion_and_weights(self):
         cp, dp, truth, mu = _scalar_setup()
@@ -380,14 +479,15 @@ class TestPinnedBatch:
         # column 0 is step 4, the live step
         assert batch.first_step == 4
         sig = dp.Sigma(4, batch.x[:, 0])
+        _, _, k_4, d_4 = batch.drift_step(4)
         np.testing.assert_allclose(
             batch.x[:, 1],
-            batch.x[:, 0] + batch.k_drift[:, 0] + np.einsum("mij,mj->mi", sig, batch.w[:, 0]),
+            batch.x[:, 0] + k_4 + np.einsum("mij,mj->mi", sig, batch.w[:, 0]),
             rtol=1e-14,
         )
         f = dp.F(4, batch.x[:, 0], mu(4, batch.x[:, 0]))
-        expected_d = np.linalg.solve(sig, (f - batch.k_drift[:, 0])[..., None])[..., 0]
-        np.testing.assert_allclose(batch.d[:, 0], expected_d, rtol=1e-14)
+        expected_d = np.linalg.solve(sig, (f - k_4)[..., None])[..., 0]
+        np.testing.assert_allclose(d_4, expected_d, rtol=1e-14)
         assert np.all(batch.log_theta[:, 0] == 0.0)
 
     @pytest.mark.parametrize("n_rep", [2, 7, 64])
@@ -396,19 +496,22 @@ class TestPinnedBatch:
         dp, mu = setup.dp, setup.mu
         n = dp.dim_x
         for i in (0, dp.n_steps // 2, dp.n_steps - 1):
-            x_pin, k_pin = batch.x[1, i], batch.k_drift[1, i]
+            x_pin, k_pin = batch.x[1, i], batch.drift_step(i)[2][1]
             live = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed=3)
             ref = full_history_pinned(dp, mu, i, x_pin, k_pin, n_rep, seed=3)
             assert (live.first_step, live.n_steps) == (i, i + 1)
             assert live.x.shape == (n_rep, 2, n)
-            assert live.w.shape == live.k_drift.shape == live.d.shape == (n_rep, 1, n)
+            _, _, live_k, live_d = live.drift_step(i)
+            assert live.w.shape == (n_rep, 1, n)
+            assert live_k.shape == live_d.shape == (n_rep, n)
             assert live.log_theta.shape == (n_rep, 2)
+            _, _, ref_k, ref_d = ref.drift_step(i)
             pairs = [
                 (live.x[:, 0], ref.x[:, i]),
                 (live.x[:, 1], ref.x[:, i + 1]),
                 (live.w[:, 0], ref.w[:, i]),
-                (live.k_drift[:, 0], ref.k_drift[:, i]),
-                (live.d[:, 0], ref.d[:, i]),
+                (live_k, ref_k),
+                (live_d, ref_d),
                 (live.log_theta[:, 0], ref.log_theta[:, i]),
                 (live.log_theta[:, 1], ref.log_theta[:, i + 1]),
             ]

@@ -11,7 +11,6 @@ from numpy.polynomial.chebyshev import chebder, chebval
 
 from fbsde_lsmc import (
     BasisSpec,
-    TrajectoryBatch,
     ValueModel,
     basis_eval,
     lsmc_fit,
@@ -315,21 +314,17 @@ class TestScaling:
         np.testing.assert_allclose(spec.scale_hi, mean + half)
 
 
-def _states_only(x):
-    m, cols, n = x.shape
-    empty = np.zeros((m, cols - 1, n))
-    return TrajectoryBatch(x=x, w=empty, k_drift=empty, d=empty)
-
-
 class TestStepBox:
-    """The boxes are reduced in column chunks of about 512 KB.
+    """The boxes are reduced in blocks of about 512 KB of whole rows, each
+    carrying the running sum in as its first row.
 
-    A chunk one column wide with n = 1 would be reduced by pairwise
-    summation and change the bits, so the examples include shapes whose last
-    chunk would be one column wide: 4,096 paths with n = 1 have 32 KB columns
-    and 16-column chunks (17 and 65 columns), 5,000 paths with n = 1 have
-    13-column chunks (66), 2,000 paths with n = 2 have 16-column chunks (49),
-    and 5,000 paths with n = 4 have 3-column chunks (70).
+    The examples keep the shapes whose last column chunk was one column wide
+    when the reduction went by column chunks (4,096 paths with n = 1 and 17
+    or 65 columns, 5,000 with n = 1 and 66, 2,000 with n = 2 and 49, 5,000
+    with n = 4 and 70).  They add one path, rows one element wide (which numpy
+    sums pairwise, so they take one whole-array reduction), one column with
+    n = 3, and a last block of one row (1,025 rows of 512 B against
+    1,024-row blocks).
     """
 
     @given(
@@ -343,13 +338,18 @@ class TestStepBox:
     @example(n_samples=5000, n_cols=66, dim=1, seed=2)
     @example(n_samples=2000, n_cols=49, dim=2, seed=3)
     @example(n_samples=5000, n_cols=70, dim=4, seed=4)
+    @example(n_samples=1, n_cols=30, dim=2, seed=5)
+    @example(n_samples=1, n_cols=1, dim=1, seed=6)
+    @example(n_samples=4096, n_cols=1, dim=1, seed=7)
+    @example(n_samples=5000, n_cols=1, dim=3, seed=8)
+    @example(n_samples=1025, n_cols=64, dim=1, seed=9)
     @settings(max_examples=60, deadline=None)
     def test_bytes_match_whole_array_reductions(self, n_samples, n_cols, dim, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-5, 5) + rng.uniform(0.01, 10) * rng.standard_normal(
             (n_samples, n_cols, dim)
         )
-        lo, hi = _step_box(_states_only(x))
+        lo, hi = _step_box(x)
         mean = x.mean(axis=0)
         half = np.maximum(3.0 * x.std(axis=0), 1.0)
         assert lo.tobytes() == (mean - half).tobytes()
