@@ -44,35 +44,39 @@ def backward_pass(
 
     Returns a model with every step in 0..N fitted.  Errors raised while
     fitting or building targets propagate annotated with the failing step.
-    This is the one-estimator case of :func:`backward_sweep`.
+    This is the one-estimator case of :func:`backward_sweep`, with the one
+    check that ``dp`` and ``mu`` are the batch's own objects (``ValueError``).
     """
-    result = backward_sweep(dp, mu, batch, [kind], spec)[kind]
+    if dp is not batch.dp:
+        raise ValueError("dp is not the problem the batch was sampled under")
+    if mu is not batch.mu:
+        raise ValueError(f"mu {mu!r} is not the batch's reference policy {batch.mu!r}")
+    result = backward_sweep(batch, [kind], spec)[kind]
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def backward_sweep(dp: DiscreteProblem, mu, batch: TrajectoryBatch, kinds, spec: BasisSpec) -> dict:
+def backward_sweep(batch: TrajectoryBatch, kinds, spec: BasisSpec) -> dict:
     """Fit one value model per estimator kind in a single lockstep sweep.
 
-    Returns ``{kind: model}``.  A kind whose fit raised a numerical failure
-    at step i maps to that exception instead, with ``failing_step = i``;
-    any other error propagates at once, annotated the same way.  ``mu`` must
-    be the batch's reference policy (``ValueError`` otherwise).
+    The problem and reference policy are the batch's own.  Returns
+    ``{kind: model}``.  A kind whose fit raised a numerical failure at step i
+    maps to that exception instead, with ``failing_step = i``; any other
+    error propagates at once, annotated the same way.
     """
+    dp = batch.dp
     n_steps = dp.n_steps
     if batch.first_step != 0 or batch.n_steps != n_steps:
         raise ValueError(
             f"batch covers steps {batch.first_step} to {batch.n_steps} "
             f"but the problem has {n_steps}"
         )
-    if spec.n_steps_covered < n_steps + 1:
-        raise ValueError("basis scaling does not cover every timestep")
 
     out = {kind: ValueModel.empty(spec, n_steps) for kind in kinds}
     phi = None  # design matrix of the last fit: Phi_{i+1}(X_{i+1}) at step i
     for i in reversed(range(n_steps + 1)):
-        step = _Step(spec, dp, mu, batch, i, phi) if i < n_steps else None
+        step = _Step(spec, batch, i, phi) if i < n_steps else None
         phi = None
         for kind, model in out.items():
             if isinstance(model, Exception):
@@ -81,7 +85,7 @@ def backward_sweep(dp: DiscreteProblem, mu, batch: TrajectoryBatch, kinds, spec:
                 if step is None:
                     ys = dp.g(batch.x[:, i])
                 else:
-                    ys = estimate_targets(kind, model, dp, mu, batch, i, step)
+                    ys = estimate_targets(kind, model, batch, i, step)
                 if phi is None:
                     phi = basis_eval(spec, i, batch.x[:, i])
                 model.set_coeffs(i, lsmc_fit(batch.x[:, i], ys, spec, i, phi=phi))

@@ -92,7 +92,7 @@ def _cmd_diagnose(args) -> int:
     spec = scaling_from_batch(batch, cfg.degrees[0])
     step = cfg.diagnose_step if cfg.diagnose_step is not None else cfg.n_steps // 2
     kinds = [EstimatorKind(est) for est in cfg.estimators]
-    fitted = backward_sweep(setup.dp, setup.mu, batch, kinds, spec)
+    fitted = backward_sweep(batch, kinds, spec)
     reports = []
     for est, kind in zip(cfg.estimators, kinds):
         model = fitted[kind]
@@ -100,8 +100,6 @@ def _cmd_diagnose(args) -> int:
             raise model
         reports.append(
             bias_bound_check(
-                setup.dp,
-                setup.mu,
                 model,
                 batch,
                 step,

@@ -44,7 +44,6 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import DiscreteProblem
 from .sampling import TrajectoryBatch
 from .value_model import BasisSpec, ValueModel, basis_eval
 
@@ -114,35 +113,27 @@ def _quad(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Step:
     """Batch columns of step ``i`` and the pieces its estimators share.
 
-    Sigma, mu(X_i), K and D are the batch's read of step ``i``; the stage
+    Sigma, mu(X_i), K and D are read with ``batch.drift_step(i)``; the stage
     cost and the step-(i+1) features at X_i + K_i and at X_{i+1} are computed
-    on first use, and one that raised is retried.  ``mu`` must be the batch's
-    reference policy, the one object its corrections D are formed against.
+    on first use, and one that raised is retried.
     """
 
-    def __init__(self, spec: BasisSpec, dp, mu, batch: TrajectoryBatch, i: int, phi_next=None):
+    def __init__(self, spec: BasisSpec, batch: TrajectoryBatch, i: int, phi_next=None):
         if not batch.first_step <= i < batch.n_steps:
             raise ValueError(f"step {i} out of range [{batch.first_step}, {batch.n_steps})")
-        if mu is not batch.mu:
-            raise ValueError(f"mu {mu!r} is not the batch's reference policy {batch.mu!r}")
-        self.spec, self.dp, self.mu, self.batch, self.i = spec, dp, mu, batch, i
+        self.spec, self.batch, self.i = spec, batch, i
         c = i - batch.first_step
         self.x_i, self.x_next, self.w = batch.x[:, c], batch.x[:, c + 1], batch.w[:, c]
         if phi_next is not None:
             self.phi_next = phi_next
 
-    @property
-    def pieces(self) -> tuple:
-        """``(sigma, u, k, d)``: the batch's Sigma_i, mu_i(X_i), K_i and D_i."""
-        return self.batch.drift_step(self.i)
-
     @cached_property
     def stage(self) -> np.ndarray:
-        return self.dp.L(self.i, self.x_i, self.pieces[1])
+        return self.batch.dp.L(self.i, self.x_i, self.batch.drift_step(self.i)[1])
 
     @cached_property
     def phi_bar(self) -> np.ndarray:
-        return basis_eval(self.spec, self.i + 1, self.x_i + self.pieces[2])
+        return basis_eval(self.spec, self.i + 1, self.x_i + self.batch.drift_step(self.i)[2])
 
     @cached_property
     def phi_next(self) -> np.ndarray:
@@ -152,8 +143,6 @@ class _Step:
 def estimate_targets(
     kind: EstimatorKind,
     m: ValueModel,
-    dp: DiscreteProblem,
-    mu,
     batch: TrajectoryBatch,
     i: int,
     step: Optional[_Step] = None,
@@ -161,16 +150,16 @@ def estimate_targets(
     """Targets Yhat_i for every trajectory of the batch at step ``i``, shape (M,).
 
     Requires the model fitted at step ``i + 1`` and the batch populated
-    through step ``i + 1``.  ``mu`` must be the batch's reference policy
-    (the same object), since the corrections D are formed against it.
-    ``step``, built for the same ``mu``, shares the model-independent pieces
-    of step ``i`` between estimators fitted on the same batch and basis.
+    through step ``i + 1``; the stage cost and the corrections D are those of
+    the batch's problem and reference policy.  ``step``, built for the same
+    batch and step, shares the model-independent pieces of step ``i``
+    between estimators fitted on the same batch and basis.
     """
     if not isinstance(kind, EstimatorKind):
         raise ValueError(f"kind must be an EstimatorKind, got {kind!r}")
     if step is None:
-        step = _Step(m.basis, dp, mu, batch, i)
-    sigma, _, k, d = step.pieces
+        step = _Step(m.basis, batch, i)
+    sigma, _, k, d = batch.drift_step(i)
 
     if kind.is_taylor:
         tri = taylor_triple(m, i, step.x_i, k, sigma, step.phi_bar)

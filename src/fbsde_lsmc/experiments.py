@@ -197,7 +197,7 @@ def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
         if batch is not None:
             spec = scaling_from_batch(batch, deg)
             with np.errstate(over="ignore", invalid="ignore"):
-                fitted = backward_sweep(setup.dp, setup.mu, batch, kinds, spec)
+                fitted = backward_sweep(batch, kinds, spec)
                 scores = _mean_raes(fitted, setup.truth, setup.region, cfg.n_steps)
         elapsed_ms = (time.perf_counter() - start) * 1e3 / len(kinds)
         for est, kind in zip(cfg.estimators, kinds):

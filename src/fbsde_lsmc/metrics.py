@@ -64,6 +64,10 @@ class ConfidenceRegion:
     def __post_init__(self):
         if (self.dx is None) == (self.points_per_axis is None):
             raise ValueError("specify exactly one of dx or points_per_axis")
+        if self.dx is not None and not (np.isfinite(self.dx) and self.dx > 0):
+            raise ValueError(f"dx must be finite and > 0, got {self.dx!r}")
+        if self.points_per_axis is not None and self.points_per_axis < 2:
+            raise ValueError(f"points_per_axis must be >= 2, got {self.points_per_axis!r}")
 
     @property
     def dim(self) -> int:
@@ -168,24 +172,24 @@ def estimator_bias_variance(
     """
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
-    batch = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed)
-    return _pinned_bias_variance(kind, m, batch, _pinned_step(m, dp, mu, batch, i), truth)
+    pinned = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed)
+    return _pinned_bias_variance(kind, m, _pinned_step(m.basis, pinned, i), truth)
 
 
-def _pinned_step(m: ValueModel, dp, mu, pinned: TrajectoryBatch, i: int) -> _Step:
+def _pinned_step(spec, pinned: TrajectoryBatch, i: int) -> _Step:
     """Step ``i`` of a pinned batch with Phi(X + K) on one row: every row shares
     (X_i, K_i), and a product over all rows rounds its tail rows differently,
     which would make the noiseless target vary between rows.  Sigma and the
     stage cost stay per-row: taken from one row they round differently (a
     broadcast Mbar in the quadratic-form einsum, a one-row policy product)."""
-    step = _Step(m.basis, dp, mu, pinned, i)
-    step.phi_bar = basis_eval(m.basis, i + 1, step.x_i[:1] + step.pieces[2][:1])
+    step = _Step(spec, pinned, i)
+    step.phi_bar = basis_eval(spec, i + 1, step.x_i[:1] + pinned.drift_step(i)[2][:1])
     return step
 
 
-def _pinned_bias_variance(kind, m, pinned, step: _Step, truth):
-    """(bias, variance) of a target over a batch pinned at ``step.i``."""
-    yhat = estimate_targets(kind, m, step.dp, step.mu, pinned, step.i, step)
+def _pinned_bias_variance(kind, m, step: _Step, truth):
+    """(bias, variance) of a target over the pinned batch of ``step``."""
+    yhat = estimate_targets(kind, m, step.batch, step.i, step)
     variance = _centered_variance(yhat)
     if truth is None:
         return None, variance
@@ -226,8 +230,6 @@ class DiagnosticReport:
 
 
 def bias_bound_check(
-    dp: DiscreteProblem,
-    mu,
     m: ValueModel,
     batch: TrajectoryBatch,
     i: int,
@@ -251,24 +253,22 @@ def bias_bound_check(
     at ``(batch.x[0, i], batch.drift_step(i)[2][0])`` with the same ``n_rep``
     and ``seed``.
     """
-    if not 0 <= i < batch.n_steps:
-        raise ValueError(f"step {i} out of range [0, {batch.n_steps})")
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     if n_cells > batch.n_samples:
         raise ValueError(f"n_cells = {n_cells} exceeds the batch size of {batch.n_samples}")
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
-    k_i = batch.drift_step(i)[2]
+    k_i = batch.drift_step(i)[2]  # ValueError for a step the batch does not cover
     cells = []
     for cell_idx in range(n_cells):
         pinned = pinned_step_batch(
-            dp, mu, i, batch.x[cell_idx, i], k_i[cell_idx], n_rep, seed + cell_idx
+            batch.dp, batch.mu, i, batch.x[cell_idx, i], k_i[cell_idx], n_rep, seed + cell_idx
         )
-        cell, stats = _bound_cell(dp, mu, m, pinned, i, truth, kind if cell_idx == 0 else None)
+        step = _pinned_step(m.basis, pinned, i)
         if cell_idx == 0:
-            bias, variance = stats
-        cells.append(cell)
+            bias, variance = _pinned_bias_variance(kind, m, step, truth)
+        cells.append(_bound_cell(m, step, truth))
 
     resid = np.abs(
         np.asarray(m.eval(i + 1, batch.x[:, i + 1]), dtype=float)
@@ -285,12 +285,10 @@ def bias_bound_check(
     )
 
 
-def _bound_cell(dp, mu, m: ValueModel, pinned: TrajectoryBatch, i: int, truth, kind=None):
-    """One pinned cell: its :class:`BoundCell` and, when ``kind`` is given, that
-    target's (bias, variance), both from one step's Sigma and Phi(X + K)."""
-    step = _pinned_step(m, dp, mu, pinned, i)
-    stats = None if kind is None else _pinned_bias_variance(kind, m, pinned, step, truth)
-    sigma, _, k, d = step.pieces
+def _bound_cell(m: ValueModel, step: _Step, truth) -> BoundCell:
+    """The :class:`BoundCell` of a pinned step, from its Sigma and Phi(X + K)."""
+    i, pinned = step.i, step.batch
+    sigma, _, k, d = pinned.drift_step(i)
     tri = taylor_triple(m, i, step.x_i, k, sigma, step.phi_bar)
     expansion = tri.ybar + _dot(tri.zbar, step.w) + 0.5 * _quad(tri.mbar, step.w)
     delta = np.asarray(truth.value(i + 1, step.x_next), dtype=float) - expansion
@@ -302,10 +300,9 @@ def _bound_cell(dp, mu, m: ValueModel, pinned: TrajectoryBatch, i: int, truth, k
     with np.errstate(over="ignore"):
         # an infinite bound is the honest value for very large drifts
         rhs = float(np.exp(0.5 * d_norm**2) * np.sqrt(np.mean(delta**2)))
-    cell = BoundCell(
+    return BoundCell(
         d_norm=d_norm, lhs=lhs, rhs=rhs, stderr=stderr, holds=bool(lhs <= rhs + 3.0 * stderr)
     )
-    return cell, stats
 
 
 def report_to_csv(reports, path) -> None:

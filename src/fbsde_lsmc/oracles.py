@@ -78,6 +78,12 @@ class GridSpec:
         return cls(lo=center - half, hi=center + half)
 
 
+def _check_step(i: int, end: int) -> None:
+    """Reject a step outside [0, end): indexing a table would wrap a negative one."""
+    if not 0 <= i < end:
+        raise ValueError(f"step {i} out of range [0, {end})")
+
+
 @dataclass(eq=False)
 class GridTruth:
     """Tabulated value function and minimizing control per timestep.
@@ -104,11 +110,13 @@ class GridTruth:
 
     def value(self, i: int, x) -> np.ndarray:
         """Interpolated value at step ``i``; linear extrapolation at edges."""
+        _check_step(i, self.values.shape[0])
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
         return _interp(self.nodes, self.values[i], x)
 
     def control(self, i: int, x) -> np.ndarray:
+        _check_step(i, self.u_star.shape[0])
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
         return _interp(self.nodes, self.u_star[i], x)[..., None]
@@ -139,6 +147,7 @@ class RiccatiTruth:
         return self.p.shape[0] - 1
 
     def value(self, i: int, x) -> np.ndarray:
+        _check_step(i, self.p.shape[0])
         x = np.asarray(x, dtype=float)
         return np.einsum("...i,ij,...j->...", x, self.p[i], x) + self.c[i]
 

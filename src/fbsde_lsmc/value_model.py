@@ -234,6 +234,8 @@ class ValueModel:
     def from_features(self, i: int, phi: np.ndarray, order: int = 0) -> np.ndarray:
         """Value (order 0), gradient (1) or Hessian (2) at step ``i``: one product
         of the step's features ``phi`` with the step's coefficient block."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         self._require(i)
         block = self.coeffs[i]
         if order == 0:

@@ -174,9 +174,9 @@ def model_from_truth(truth, dim, n_steps, degree=2, half_width=4.0, center=None)
     return model
 
 
-def delta_y_hat(model, dp, mu, batch, i):
+def delta_y_hat(model, batch, i):
     """Taylor backward difference V~(X_{i+1}) - Yhat_i(taylor_reestimate), shape (M,)."""
-    target = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
+    target = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, batch, i)
     return model.eval(i + 1, batch.x[:, i + 1]) - target
 
 
@@ -238,7 +238,7 @@ def fitted_problem(request):
     setup = build_setup(cfg)
     batch = sample_forward(setup.dp, setup.mu, setup.drift, 64, seed=5, d_cap=cfg.d_cap)
     spec = scaling_from_batch(batch, 2)
-    models = backward_sweep(setup.dp, setup.mu, batch, list(EstimatorKind), spec)
+    models = backward_sweep(batch, list(EstimatorKind), spec)
     assert all(isinstance(m, ValueModel) for m in models.values())
     return setup, batch, models
 

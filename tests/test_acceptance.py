@@ -187,7 +187,7 @@ class TestCriterion5Unbiasedness:
         model = model_from_truth(truth, 1, n_steps)
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 10**5, seed=41)
         i = 9
-        delta_hat = delta_y_hat(model, dp, mu, batch, i)
+        delta_hat = delta_y_hat(model, batch, i)
         delta_true = truth.value(i + 1, batch.x[:, i + 1]) - truth.value(i, batch.x[:, i])
         resid = delta_true - delta_hat
         stderr = resid.std(ddof=1) / np.sqrt(batch.n_samples)
@@ -290,7 +290,7 @@ class TestCriterion7BiasBound:
             )
             batch = sample_forward(dp, mu, drift, 8, seed=seed)
             report = bias_bound_check(
-                dp, mu, cubic, batch, 5, truth, n_cells=3, n_rep=3000, seed=seed
+                cubic, batch, 5, truth, n_cells=3, n_rep=3000, seed=seed
             )
             assert all(abs(c.d_norm - d0) < 1e-9 for c in report.cells)
             all_hold &= report.verdict

@@ -143,6 +143,33 @@ class TestBackwardPass:
         pinned = pinned_step_batch(dp, mu, 11, [0.5], [0.0], 64, seed=0)
         with pytest.raises(ValueError, match="steps 11 to 12"):
             backward_pass(dp, mu, pinned, EstimatorKind.TAYLOR_NOISELESS, spec)
+        # a basis scaled over fewer steps fails at the terminal step, the sweep's first
+        short_batch = sample_forward(short, mu, DriftProcess.on_policy(mu), 8, seed=0)
+        short_spec = scaling_from_batch(short_batch, 2)
+        with pytest.raises(ValueError, match="step 12 is outside the 6 scaled steps") as err:
+            backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, short_spec)
+        assert err.value.failing_step == 12
+
+    def test_a_policy_other_than_the_batch_reference_is_rejected(self):
+        # the corrections D are formed against the batch's own mu: an equal
+        # but distinct policy object is a mismatch too
+        dp, truth, mu, batch = _lqr_pieces(n_steps=4)
+        spec = scaling_from_batch(batch, 2)
+        other = lambda i, x: mu(i, x)
+        with pytest.raises(ValueError, match="not the batch's reference policy"):
+            backward_pass(dp, other, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
+        backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
+
+    def test_a_problem_other_than_the_batchs_is_rejected(self):
+        # the stage cost and Sigma, K, D all come from the problem the batch
+        # was sampled under: another problem object, even an equal copy, is
+        # a mismatch, not a second source of the stage cost
+        dp, truth, mu, batch = _lqr_pieces(n_steps=4)
+        spec = scaling_from_batch(batch, 2)
+        costlier = dataclasses.replace(dp, L=lambda i, x, u: 2.0 * dp.L(i, x, u))
+        for other in (costlier, dataclasses.replace(dp)):
+            with pytest.raises(ValueError, match="dp is not the problem"):
+                backward_pass(other, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
 
     def test_failure_is_annotated_with_step(self):
         dp, truth, mu, batch = _lqr_pieces()
@@ -181,7 +208,7 @@ class TestBackwardSweep:
         batch = sample_forward(dp, mu, drift, 48, seed=seed, d_cap=np.inf)
         spec = scaling_from_batch(batch, degree)
         kinds = list(EstimatorKind)
-        fitted = backward_sweep(dp, mu, batch, kinds, spec)
+        fitted = backward_sweep(batch, kinds, spec)
         for kind in kinds:
             alone = backward_pass(dp, mu, batch, kind, spec)
             assert np.array_equal(fitted[kind].coeffs, alone.coeffs), kind
@@ -199,7 +226,7 @@ class TestBackwardSweep:
         w[3, 5] = np.nan
         batch = dataclasses.replace(batch, w=w)
         spec = scaling_from_batch(batch, 2)
-        fitted = backward_sweep(dp, mu, batch, list(EstimatorKind), spec)
+        fitted = backward_sweep(batch, list(EstimatorKind), spec)
         for kind in (EstimatorKind.TAYLOR_REESTIMATE, EstimatorKind.EM_NOISY):
             assert isinstance(fitted[kind], FloatingPointError)
             assert fitted[kind].failing_step == 5

@@ -11,7 +11,6 @@ from fbsde_lsmc import (
     EstimatorKind,
     FeedbackPolicy,
     ValueModel,
-    backward_pass,
     discretize,
     estimate_targets,
     estimator_bias_variance,
@@ -130,13 +129,13 @@ class TestEstimateTargets:
         # 0.2 + 4 + 4*0.5 + 0.5*2*(1 + 0.25) = 7.45
         model = _square_model()
         dp, mu, batch = _hand_case(x_i=1.0, k_i=1.0, w_i=0.3, d_i=0.5, stage_cost=0.2)
-        out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 0)
+        out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, batch, 0)
         assert out[0] == pytest.approx(7.45, rel=1e-10)
 
     def test_on_policy_noiseless_drops_correction_terms(self):
         model = _square_model()
         dp, mu, batch = _hand_case(x_i=1.0, k_i=1.0, w_i=0.3, d_i=0.0, stage_cost=0.2)
-        out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 0)
+        out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, batch, 0)
         # L + Ybar + tr(Mbar)/2 = 0.2 + 4 + 1
         assert out[0] == pytest.approx(5.2, rel=1e-10)
 
@@ -152,8 +151,8 @@ class TestEstimateTargets:
         drift = DriftProcess.feedback(lambda i, x: -0.05 * x * dp.dt)
         batch = sample_forward(dp, mu, drift, 128, seed=31)
         i = 3
-        noiseless = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, i)
-        reest = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
+        noiseless = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, batch, i)
+        reest = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, batch, i)
         np.testing.assert_allclose(reest, noiseless, rtol=1e-9, atol=1e-11)
 
     def test_noiseless_pointwise_exact_for_quadratic_truth(self, scalar_lqr_setup):
@@ -164,7 +163,7 @@ class TestEstimateTargets:
         drift = DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt)
         batch = sample_forward(dp, mu, drift, 256, seed=19)
         for i in (0, dp.n_steps // 2, dp.n_steps - 1):
-            out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, i)
+            out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, batch, i)
             v_true = truth.value(i, batch.x[:, i])
             assert np.max(np.abs(out - v_true)) < 1e-10
 
@@ -173,7 +172,7 @@ class TestEstimateTargets:
         # has curvature and the step displaces the state
         model = _square_model()
         dp, mu, batch = _hand_case(x_i=1.0, k_i=1.0, w_i=0.7, d_i=0.0)
-        em = estimate_targets(EstimatorKind.EM_NOISY, model, dp, mu, batch, 0)
+        em = estimate_targets(EstimatorKind.EM_NOISY, model, batch, 0)
         # Ztil = 2 * X_{i+1} = 2 * 2.7; target = V(2.7) - Ztil * W
         assert em[0] == pytest.approx(2.7**2 - 2 * 2.7 * 0.7, rel=1e-10)
 
@@ -181,22 +180,9 @@ class TestEstimateTargets:
         model = _square_model()
         dp, mu, batch = _hand_case(1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            estimate_targets("taylor_noiseless", model, dp, mu, batch, 0)
+            estimate_targets("taylor_noiseless", model, batch, 0)
         with pytest.raises(ValueError):
-            estimate_targets(EstimatorKind.EM_NOISY, model, dp, mu, batch, 5)
-
-
-    def test_a_policy_other_than_the_batch_reference_is_rejected(self):
-        # the corrections D are formed against the batch's own mu: an equal
-        # but distinct policy object is a mismatch too
-        model = _square_model()
-        dp, mu, batch = _hand_case(1.0, 1.0, 0.3, 0.5)
-        other = lambda i, x: mu(i, x)
-        with pytest.raises(ValueError, match="not the batch's reference policy"):
-            estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, other, batch, 0)
-        with pytest.raises(ValueError, match="not the batch's reference policy"):
-            backward_pass(dp, other, batch, EstimatorKind.TAYLOR_NOISELESS, model.basis)
-        estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 0)
+            estimate_targets(EstimatorKind.EM_NOISY, model, batch, 5)
 
 
 class TestDeltaY:
@@ -204,7 +190,7 @@ class TestDeltaY:
         # D=0, W=0, L=0, Mbar=2 -> delta = -tr(Mbar)/2 = -1
         model = _square_model()
         dp, mu, batch = _hand_case(x_i=1.0, k_i=0.0, w_i=0.0, d_i=0.0)
-        assert delta_y_hat(model, dp, mu, batch, 0)[0] == pytest.approx(-1.0, rel=1e-10)
+        assert delta_y_hat(model, batch, 0)[0] == pytest.approx(-1.0, rel=1e-10)
 
     def test_on_policy_reduction_is_bit_exact(self, scalar_lqr_setup):
         cp, dp, truth, mu = scalar_lqr_setup
@@ -213,7 +199,7 @@ class TestDeltaY:
         i = 5
         # the re-estimate target, which Delta Yhat = V~(X_{i+1}) - Yhat reads,
         # equals its D = 0 form bit for bit
-        drifted = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
+        drifted = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, batch, i)
         k_i = batch.drift_step(i)[2]
         tri = taylor_triple(model, i, batch.x[:, i], k_i, dp.Sigma(i, batch.x[:, i]))
         w = batch.w[:, i]
@@ -252,7 +238,7 @@ class TestDeltaY:
             )
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 2 * 10**4, seed=43)
         i = 7
-        delta_hat = delta_y_hat(model, dp, mu, batch, i)
+        delta_hat = delta_y_hat(model, batch, i)
         delta_true = truth.value(i + 1, batch.x[:, i + 1]) - truth.value(i, batch.x[:, i])
         resid = delta_true - delta_hat
         assert resid.std() > 1e-6  # the check is not vacuous
@@ -265,7 +251,7 @@ class TestStatisticalProperties:
         cp, dp, truth, mu = scalar_lqr_setup
         model = model_from_truth(truth, 1, dp.n_steps, degree=3)
         batch = pinned_step_batch(dp, mu, 4, np.array([0.8]), np.array([0.1]), 500, seed=3)
-        out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, dp, mu, batch, 4)
+        out = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, batch, 4)
         assert np.all(out == out[0])
 
     def test_cubic_remainder_mean_vanishes(self, scalar_lqr_setup):
@@ -383,7 +369,7 @@ class TestExactnessProperties:
         )
         scale = max(1.0, float(np.max(np.abs(expected))))
         for kind in (EstimatorKind.TAYLOR_NOISELESS, EstimatorKind.TAYLOR_REESTIMATE):
-            got = estimate_targets(kind, model, dp, mu, batch, i)
+            got = estimate_targets(kind, model, batch, i)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * scale)
 
     @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
@@ -416,7 +402,7 @@ class TestExactnessProperties:
         spec = scaling_from_batch(batch, 2)
         model = ValueModel.empty(spec, dp.n_steps)
         model.set_coeffs(i + 1, np.random.default_rng(seed).normal(size=spec.size))
-        drifted = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, dp, mu, batch, i)
+        drifted = estimate_targets(EstimatorKind.TAYLOR_REESTIMATE, model, batch, i)
         x_i, w = batch.x[:, i], batch.w[:, i]
         tri = taylor_triple(model, i, x_i, batch.drift_step(i)[2], dp.Sigma(i, x_i))
         undrifted = (
@@ -461,7 +447,7 @@ class TestExactnessProperties:
         }
         assert np.any(d != 0.0)
         for kind, ref in reference.items():
-            got = estimate_targets(kind, model, dp, mu, batch, i)
+            got = estimate_targets(kind, model, batch, i)
             assert got.tobytes() == ref.tobytes(), kind
 
 

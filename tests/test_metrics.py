@@ -51,6 +51,25 @@ class TestConfidenceRegion:
         np.testing.assert_allclose(region.lower, 0.7 - 1.0)
         np.testing.assert_allclose(region.upper, 0.7 + 1.0)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (dict(dx=-0.5), "dx must be finite and > 0"),
+            (dict(dx=0.0), "dx must be finite and > 0"),
+            (dict(dx=float("nan")), "dx must be finite and > 0"),
+            (dict(dx=float("inf")), "dx must be finite and > 0"),
+            (dict(points_per_axis=0), "points_per_axis must be >= 2"),
+            (dict(points_per_axis=1), "points_per_axis must be >= 2"),
+            (dict(), "exactly one of dx or points_per_axis"),
+            (dict(dx=0.1, points_per_axis=3), "exactly one of dx or points_per_axis"),
+        ],
+    )
+    def test_a_grid_without_two_points_per_axis_is_rejected(self, grid, message):
+        box = dict(lower=np.full((2, 1), -1.0), upper=np.full((2, 1), 1.0))
+        with pytest.raises(ValueError, match=message):
+            ConfidenceRegion(**box, **grid)
+        assert ConfidenceRegion(**box, points_per_axis=2).grid_points(1).shape == (2, 1)
+
     def test_grid_spacing_modes(self):
         x = np.zeros((8, 2, 2))
         region = confidence_region(_batch_with_states(x))
@@ -219,7 +238,7 @@ class TestBiasBoundCheck:
     def test_quadratic_model_gives_zero_remainder(self, lqr_setup_with_model):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
-        report = bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=3, n_rep=500)
+        report = bias_bound_check(model, batch, 4, truth, n_cells=3, n_rep=500)
         for cell in report.cells:
             assert cell.lhs < 1e-9
             assert cell.rhs < 1e-9
@@ -230,7 +249,7 @@ class TestBiasBoundCheck:
         n_steps = dp.n_steps
         cubic = _cubic_model(truth, n_steps, 0.3)
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 16, seed=8)
-        report = bias_bound_check(dp, mu, cubic, batch, 4, truth, n_cells=4, n_rep=2000)
+        report = bias_bound_check(cubic, batch, 4, truth, n_cells=4, n_rep=2000)
         assert report.verdict
         for cell in report.cells:
             assert cell.d_norm == 0.0
@@ -241,7 +260,7 @@ class TestBiasBoundCheck:
         for seed in (0, 1):
             batch = self._drifted_batch(dp, mu, 0.5, seed=seed)
             report = bias_bound_check(
-                dp, mu, cubic, batch, 4, truth, n_cells=4, n_rep=2000, seed=seed
+                cubic, batch, 4, truth, n_cells=4, n_rep=2000, seed=seed
             )
             assert report.verdict
             assert report.variance >= 0.0
@@ -268,23 +287,31 @@ class TestBiasBoundCheck:
 
         monkeypatch.setattr(metrics_module, "pinned_step_batch", counting)
         report = bias_bound_check(
-            dp, mu, cubic, batch, 4, truth, n_cells=3, n_rep=500, seed=7, kind=kind
+            cubic, batch, 4, truth, n_cells=3, n_rep=500, seed=7, kind=kind
         )
         assert len(built) == 3  # one pinned batch per cell, none rebuilt
         assert (report.bias, report.variance) == expect
         assert report.variance > 0.0
 
+    def test_a_step_outside_the_batch_rejected(self, lqr_setup_with_model):
+        cp, dp, truth, mu, model = lqr_setup_with_model
+        batch = self._drifted_batch(dp, mu, 0.5)
+        n = batch.n_steps
+        for step in (-1, n):
+            with pytest.raises(ValueError, match=rf"step {step} out of range \[0, {n}\)"):
+                bias_bound_check(model, batch, step, truth, n_cells=2, n_rep=50)
+
     def test_zero_cells_rejected(self, lqr_setup_with_model):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
         with pytest.raises(ValueError, match="n_cells"):
-            bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=0, n_rep=50)
+            bias_bound_check(model, batch, 4, truth, n_cells=0, n_rep=50)
 
     def test_more_cells_than_trajectories_rejected(self, lqr_setup_with_model):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
         with pytest.raises(ValueError, match="n_cells = 17 exceeds the batch size of 16"):
-            bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=17, n_rep=50)
+            bias_bound_check(model, batch, 4, truth, n_cells=17, n_rep=50)
 
     def test_single_rep_rejected(self, lqr_setup_with_model):
         # one rep leaves the standard error undefined (nan), so no cell holds
@@ -292,7 +319,7 @@ class TestBiasBoundCheck:
         batch = self._drifted_batch(dp, mu, 0.5)
         k_4 = batch.drift_step(4)[2]
         with pytest.raises(ValueError, match="n_rep"):
-            bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=2, n_rep=1)
+            bias_bound_check(model, batch, 4, truth, n_cells=2, n_rep=1)
         with pytest.raises(ValueError, match="n_rep"):
             estimator_bias_variance(
                 EstimatorKind.EM_NOISY, dp, mu, model, 4, batch.x[0, 4], k_4[0], 1, 0
@@ -301,7 +328,7 @@ class TestBiasBoundCheck:
     def test_csv_serialization(self, lqr_setup_with_model, tmp_path):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
-        report = bias_bound_check(dp, mu, model, batch, 4, truth, n_cells=2, n_rep=200)
+        report = bias_bound_check(model, batch, 4, truth, n_cells=2, n_rep=200)
         path = tmp_path / "diag.csv"
         report_to_csv([report], path)
         lines = path.read_text().splitlines()
@@ -321,7 +348,7 @@ class TestOneStepPinnedLayout:
                 kind, dp, mu, model, i, batch.x[0, i], batch.drift_step(i)[2][0], 64, 7, truth=truth
             )
             report = bias_bound_check(
-                dp, mu, model, batch, i, truth, n_cells=2, n_rep=64, seed=7, kind=kind
+                model, batch, i, truth, n_cells=2, n_rep=64, seed=7, kind=kind
             )
             cells = [vars(cell) for cell in report.cells]
             return pair, (report.bias, report.variance), cells, report.fit_residual_max

@@ -392,6 +392,22 @@ class TestGtEval:
         expect = 0.5 * (truth.values[2, 4] + truth.values[2, 5])
         assert truth.value(2, np.array([mid])) == pytest.approx(expect, rel=1e-12)
 
+    def test_a_step_outside_the_tables_is_rejected_not_wrapped(self):
+        cp = make_scalar_lqr()
+        riccati = riccati_from_lqr(cp.lqr, cp.horizon, 2)
+        dp = discretize(_uncontrolled_problem(lambda x: np.asarray(x, dtype=float)[..., 0] ** 2), 2)
+        grid = grid_bellman(dp, GridSpec(lo=np.array([-1.0]), hi=np.array([1.0]),
+                                         n_state_nodes=11, n_control_nodes=3, n_quad_nodes=7))
+        x = np.zeros(1)
+        queries = [(riccati.value, -1, 3), (riccati.value, 3, 3), (grid.value, -1, 3),
+                   (grid.value, 3, 3), (grid.control, -1, 2), (grid.control, 2, 2)]
+        for query, step, end in queries:
+            with pytest.raises(ValueError, match=rf"step {step} out of range \[0, {end}\)"):
+                query(step, x)
+        for query, _, end in queries:
+            query(0, x)
+            query(end - 1, x)
+
     def test_far_outside_grid_rejected(self):
         cp = _uncontrolled_problem(lambda x: np.asarray(x, dtype=float)[..., 0] ** 2)
         dp = discretize(cp, 2)

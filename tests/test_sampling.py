@@ -286,7 +286,7 @@ class TestOnPolicyShortcut:
         assert counted.calls == dp.n_steps
         # each backward step reads mu once more, for Sigma, K, D and the stage
         # cost, but step N - 1 is the one the forward pass left formed
-        backward_sweep(dp, counted, batch, list(EstimatorKind), scaling_from_batch(batch, 2))
+        backward_sweep(batch, list(EstimatorKind), scaling_from_batch(batch, 2))
         assert counted.calls == 2 * dp.n_steps - 1
         counted.calls = 0
         sample_forward(dp, counted, DriftProcess.on_policy(lambda i, x: counted(i, x)), 7, seed=2)
@@ -464,10 +464,10 @@ class TestRecomputedStep:
         solves.clear()
         # one read of the sampled batch's step i, then one solve per pinned
         # batch: its targets, expansion and weights reuse the step it formed
-        bias_bound_check(dp, mu, model, batch, i, truth, n_cells=3, n_rep=50, kind=kind)
+        bias_bound_check(model, batch, i, truth, n_cells=3, n_rep=50, kind=kind)
         assert len(solves) == 1 + 3
         solves.clear()
-        bias_bound_check(dp, mu, model, batch, i, truth, n_cells=3, n_rep=50, kind=kind)
+        bias_bound_check(model, batch, i, truth, n_cells=3, n_rep=50, kind=kind)
         assert len(solves) == 3
 
 

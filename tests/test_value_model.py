@@ -226,6 +226,14 @@ class TestModelDerivatives:
         with pytest.raises(NotFittedError):
             model.eval(2, np.zeros(1))
 
+    @pytest.mark.parametrize("order", [-1, 3, 1.5, None])
+    def test_from_features_rejects_an_order_other_than_0_1_2(self, order):
+        spec = unit_basis(2, 2, 0)
+        model = ValueModel.empty(spec, 0)
+        model.set_coeffs(0, np.ones(spec.size))
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            model.from_features(0, basis_eval(spec, 0, np.zeros(2)), order)
+
     def test_set_coeffs_rejects_a_step_outside_the_model(self):
         model = ValueModel.empty(unit_basis(1, 1, 2), 2)
         for step in (-1, 3):
