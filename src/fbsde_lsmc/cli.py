@@ -91,25 +91,15 @@ def _cmd_diagnose(args) -> int:
     )
     spec = scaling_from_batch(batch, cfg.degrees[0])
     step = cfg.diagnose_step if cfg.diagnose_step is not None else cfg.n_steps // 2
-    kinds = [EstimatorKind(est) for est in cfg.estimators]
-    fitted = backward_sweep(batch, kinds, spec)
-    reports = []
-    for est, kind in zip(cfg.estimators, kinds):
-        model = fitted[kind]
-        if isinstance(model, Exception):
-            raise model
-        reports.append(
-            bias_bound_check(
-                model,
-                batch,
-                step,
-                setup.truth,
-                n_cells=cfg.diagnose_cells,
-                n_rep=cfg.diagnose_reps,
-                seed=subseed(cfg.seed, f"diagnose-{est}"),
-                kind=kind,
-            )
-        )
+    reports = bias_bound_check(
+        backward_sweep(batch, [EstimatorKind(est) for est in cfg.estimators], spec),
+        batch,
+        step,
+        setup.truth,
+        n_cells=cfg.diagnose_cells,
+        n_rep=cfg.diagnose_reps,
+        seed=subseed(cfg.seed, "diagnose-cells"),
+    ).values()
     path = out_dir / "diagnostics.csv"
     report_to_csv(reports, path)
     for report in reports:

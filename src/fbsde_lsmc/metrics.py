@@ -172,18 +172,19 @@ def estimator_bias_variance(
     """
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
-    pinned = pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed)
-    return _pinned_bias_variance(kind, m, _pinned_step(m.basis, pinned, i), truth)
+    step = _pinned_step(m.basis, dp, mu, i, x_pin, k_pin, n_rep, seed)
+    return _pinned_bias_variance(kind, m, step, truth)
 
 
-def _pinned_step(spec, pinned: TrajectoryBatch, i: int) -> _Step:
-    """Step ``i`` of a pinned batch with Phi(X + K) on one row: every row shares
-    (X_i, K_i), and a product over all rows rounds its tail rows differently,
-    which would make the noiseless target vary between rows.  Sigma and the
-    stage cost stay per-row: taken from one row they round differently (a
-    broadcast Mbar in the quadratic-form einsum, a one-row policy product)."""
-    step = _Step(spec, pinned, i)
-    step.phi_bar = basis_eval(spec, i + 1, step.x_i[:1] + pinned.drift_step(i)[2][:1])
+def _pinned_step(spec, dp, mu, i: int, x_pin, k_pin, n_rep: int, seed: int) -> _Step:
+    """Step ``i`` of ``pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed)``
+    with Phi(X + K) on one row: every row shares (X_i, K_i), and a product over
+    all rows rounds its tail rows differently, which would make the noiseless
+    target vary between rows.  Sigma and the stage cost stay per-row: taken
+    from one row they round differently (a broadcast Mbar in the quadratic-form
+    einsum, a one-row policy product)."""
+    step = _Step(spec, pinned_step_batch(dp, mu, i, x_pin, k_pin, n_rep, seed), i)
+    step.phi_bar = basis_eval(spec, i + 1, step.x_i[:1] + step.batch.drift_step(i)[2][:1])
     return step
 
 
@@ -210,10 +211,11 @@ class BoundCell:
 
 @dataclass(eq=False)
 class DiagnosticReport:
-    """Bias/variance/bound measurements for one backward step.
+    """Bias/variance/bound measurements of one estimator at one backward step.
 
-    ``bias`` and ``variance`` are those of the first cell's pinned batch;
-    the fit residual is |V~_{i+1} - V_{i+1}| over the batch states at i + 1.
+    ``bias`` and ``variance`` are those of the first cell's pinned batch, and
+    the reports of one :func:`bias_bound_check` call share their cells' pinned
+    batches; the fit residual is |V~_{i+1} - V_{i+1}| at the batch's X_{i+1}.
     """
 
     step: int
@@ -230,28 +232,30 @@ class DiagnosticReport:
 
 
 def bias_bound_check(
-    m: ValueModel,
+    models: dict,
     batch: TrajectoryBatch,
     i: int,
     truth: GroundTruth,
     n_cells: int = 5,
     n_rep: int = 4000,
     seed: int = 0,
-    kind: EstimatorKind = EstimatorKind.TAYLOR_NOISELESS,
-) -> DiagnosticReport:
-    """Check the remainder-bias bound on pinned cells taken from a batch.
+) -> dict:
+    """Check the remainder-bias bound of each model on pinned cells of a batch.
 
-    For each of the first ``n_cells`` trajectories, the pair (X_i, K_i) is
-    pinned, the step noise is resampled ``n_rep`` times, and the remainder
+    ``models`` is ``{kind: model}`` as :func:`backward_sweep` returns it; the
+    models must share one basis, and a failed fit's exception is raised.  For
+    each of the first ``n_cells`` trajectories, the pair (X_i, K_i) is pinned,
+    the step noise is resampled ``n_rep`` times, and the remainder
 
         delta = V_{i+1}(X_{i+1}) - [Ybar + Zbar.W + W.Mbar.W / 2]
 
     (exact truth minus second-order expansion of the model) is measured.  The
     cell holds when |reweighted mean of delta| <= exp(||D||^2/2) *
-    rms(delta) + 3 stderr.  The report's bias and variance are those of
-    ``kind`` on the first cell's batch, equal to :func:`estimator_bias_variance`
-    at ``(batch.x[0, i], batch.drift_step(i)[2][0])`` with the same ``n_rep``
-    and ``seed``.
+    rms(delta) + 3 stderr.  Every model is scored on each cell's one pinned
+    batch, so each returned ``{kind: DiagnosticReport}`` entry equals a
+    one-model call's with the same ``seed``.  Its bias and variance are those
+    of its kind on the first cell's batch, equal to :func:`estimator_bias_variance`
+    at trajectory 0's (X_i, K_i) with the same ``n_rep`` and ``seed``.
     """
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
@@ -259,41 +263,47 @@ def bias_bound_check(
         raise ValueError(f"n_cells = {n_cells} exceeds the batch size of {batch.n_samples}")
     if n_rep < 2:
         raise ValueError(f"n_rep must be >= 2, got {n_rep}")
-    k_i = batch.drift_step(i)[2]  # ValueError for a step the batch does not cover
-    cells = []
+    for m in models.values():
+        if isinstance(m, Exception):
+            raise m
+    if len({id(m.basis) for m in models.values()}) != 1:
+        raise ValueError("checked models must be one or more sharing one basis")
+    spec = next(iter(models.values())).basis
+    step = _Step(spec, batch, i)  # ValueError for a step the batch does not cover
+    k_i = batch.drift_step(i)[2]
+    pairs, cells = {}, {kind: [] for kind in models}
     for cell_idx in range(n_cells):
-        pinned = pinned_step_batch(
-            batch.dp, batch.mu, i, batch.x[cell_idx, i], k_i[cell_idx], n_rep, seed + cell_idx
+        pinned = _pinned_step(
+            spec, batch.dp, batch.mu, i, step.x_i[cell_idx], k_i[cell_idx], n_rep, seed + cell_idx
         )
-        step = _pinned_step(m.basis, pinned, i)
-        if cell_idx == 0:
-            bias, variance = _pinned_bias_variance(kind, m, step, truth)
-        cells.append(_bound_cell(m, step, truth))
+        v_next = np.asarray(truth.value(i + 1, pinned.x_next), dtype=float)
+        theta = np.exp(pinned.batch.log_theta[:, i + 1 - pinned.batch.first_step])
+        for kind, m in models.items():
+            if cell_idx == 0:
+                pairs[kind] = _pinned_bias_variance(kind, m, pinned, truth)
+            cells[kind].append(_bound_cell(m, pinned, v_next, theta))
+        del pinned  # one cell's pinned batch alive at a time
 
-    resid = np.abs(
-        np.asarray(m.eval(i + 1, batch.x[:, i + 1]), dtype=float)
-        - np.asarray(truth.value(i + 1, batch.x[:, i + 1]), dtype=float)
-    )
-    return DiagnosticReport(
-        step=i,
-        kind=kind,
-        bias=bias,
-        variance=variance,
-        cells=cells,
-        fit_residual_mean=float(resid.mean()),
-        fit_residual_max=float(resid.max()),
-    )
+    v_true = np.asarray(truth.value(i + 1, step.x_next), dtype=float)
+    reports = {}
+    for kind, m in models.items():
+        resid = np.abs(m.from_features(i + 1, step.phi_next) - v_true)
+        reports[kind] = DiagnosticReport(
+            i, kind, *pairs[kind], cells[kind], float(resid.mean()), float(resid.max())
+        )
+    return reports
 
 
-def _bound_cell(m: ValueModel, step: _Step, truth) -> BoundCell:
-    """The :class:`BoundCell` of a pinned step, from its Sigma and Phi(X + K)."""
-    i, pinned = step.i, step.batch
-    sigma, _, k, d = pinned.drift_step(i)
+def _bound_cell(m: ValueModel, step: _Step, v_next, theta) -> BoundCell:
+    """The :class:`BoundCell` of a model on a pinned step, given V_{i+1}(X_{i+1})
+    and the weights."""
+    i = step.i
+    sigma, _, k, d = step.batch.drift_step(i)
     tri = taylor_triple(m, i, step.x_i, k, sigma, step.phi_bar)
     expansion = tri.ybar + _dot(tri.zbar, step.w) + 0.5 * _quad(tri.mbar, step.w)
-    delta = np.asarray(truth.value(i + 1, step.x_next), dtype=float) - expansion
+    delta = v_next - expansion
 
-    weighted = np.exp(pinned.log_theta[:, i + 1 - pinned.first_step]) * delta
+    weighted = theta * delta
     lhs = float(np.abs(weighted.mean()))
     stderr = float(np.std(weighted, ddof=1) / np.sqrt(delta.shape[0]))
     d_norm = float(np.linalg.norm(d[0]))

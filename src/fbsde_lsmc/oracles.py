@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .errors import GridEscapeWarning, OutOfDomainError, SingularRecursionError
-from .problems import DiscreteProblem, FeedbackPolicy, LqrStructure
+from .problems import DiscreteProblem, FeedbackPolicy, LqrStructure, _check_step
 
 __all__ = [
     "GridSpec",
@@ -76,12 +76,6 @@ class GridSpec:
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo) * (1.0 + widen)
         return cls(lo=center - half, hi=center + half)
-
-
-def _check_step(i: int, end: int) -> None:
-    """Reject a step outside [0, end): indexing a table would wrap a negative one."""
-    if not 0 <= i < end:
-        raise ValueError(f"step {i} out of range [0, {end})")
 
 
 @dataclass(eq=False)

@@ -155,11 +155,18 @@ class DiscreteProblem:
         return i * self.dt
 
 
+def _check_step(i: int, end: int) -> None:
+    """Reject a step outside [0, end): indexing a table would wrap a negative one."""
+    if not 0 <= i < end:
+        raise ValueError(f"step {i} out of range [0, {end})")
+
+
 class FeedbackPolicy:
     """Linear state feedback ``u_i = gains_i @ x``, clipped to the box.
 
     ``gains`` is either a single ``(m, n)`` matrix used at every step or an
-    array ``(N, m, n)`` of per-step matrices.
+    array ``(N, m, n)`` of per-step matrices, for steps 0..N-1 only (any
+    other step raises ``ValueError``).
     """
 
     def __init__(self, gains, lower, upper):
@@ -170,7 +177,10 @@ class FeedbackPolicy:
         self.upper = np.asarray(upper, dtype=float)
 
     def __call__(self, i: int, x: np.ndarray) -> np.ndarray:
-        gain = self.gains if self.gains.ndim == 2 else self.gains[i]
+        gain = self.gains
+        if gain.ndim == 3:
+            _check_step(i, gain.shape[0])
+            gain = gain[i]
         u = np.asarray(x, dtype=float) @ gain.T
         return np.clip(u, self.lower, self.upper)
 

@@ -289,9 +289,15 @@ class TestCriterion7BiasBound:
                 lambda i, x, d0=d0: dp.F(i, x, mu(i, x)) - d0 * np.sqrt(dp.dt) * 0.7
             )
             batch = sample_forward(dp, mu, drift, 8, seed=seed)
-            report = bias_bound_check(
-                cubic, batch, 5, truth, n_cells=3, n_rep=3000, seed=seed
-            )
+            (report,) = bias_bound_check(
+                {EstimatorKind.TAYLOR_NOISELESS: cubic},
+                batch,
+                5,
+                truth,
+                n_cells=3,
+                n_rep=3000,
+                seed=seed,
+            ).values()
             assert all(abs(c.d_norm - d0) < 1e-9 for c in report.cells)
             all_hold &= report.verdict
             details.append(f"seed {seed} |D|={d0}: {'ok' if report.verdict else 'VIOLATED'}")

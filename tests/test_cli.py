@@ -17,12 +17,16 @@ import pytest
 from fbsde_lsmc import cli as cli_module
 from fbsde_lsmc import config
 from fbsde_lsmc import experiments as experiments_module
+from fbsde_lsmc.backward import backward_sweep
 from fbsde_lsmc.cli import main
 from fbsde_lsmc.config import load_config, parse_config_text
 from fbsde_lsmc.errors import ConfigError, GridEscapeWarning, OutOfDomainError, SchemaError
+from fbsde_lsmc.estimators import EstimatorKind
 from fbsde_lsmc.experiments import build_setup, emit_heatmap, run_experiment, subseed
+from fbsde_lsmc.metrics import bias_bound_check, report_to_csv
 from fbsde_lsmc.problems import FeedbackPolicy
 from fbsde_lsmc.sampling import DriftProcess, sample_forward
+from fbsde_lsmc.value_model import scaling_from_batch
 
 TINY_LQR = """
 problem.name = cartpole_lqr
@@ -441,7 +445,7 @@ class TestRunExperiment:
 
     def test_manifest_echoes_config(self, tiny_run):
         cfg, _, manifest = tiny_run
-        data = json.loads(open(manifest).read())
+        data = json.loads(Path(manifest).read_text())
         assert data["config"]["seed"] == 99
         assert data["config"]["estimators"] == ["taylor_noiseless", "em_noisy"]
         assert data["config"]["drift_k1"] == -25.0 and "u_max" not in data["config"]
@@ -693,6 +697,28 @@ class TestCliEntry:
             cells = [r for r in rows if r["kind"] == kind]
             assert sum(math.isinf(float(r["rhs"])) for r in cells) == vacuous
             assert f"{kind}: bound holds ({vacuous} of 2 cells vacuous: rhs = inf)" in out
+
+    def test_diagnose_checks_every_estimator_on_one_set_of_cells(self, tmp_path):
+        # one bias_bound_check call of all the fitted estimators, seeded with
+        # the "diagnose-cells" subseed, writes the command's exact bytes
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(_override(
+            TINY_LQR.format(out=tmp_path / "out"),
+            "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n",
+        ))
+        assert main(["diagnose", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        setup = build_setup(cfg)
+        batch = sample_forward(
+            setup.dp, setup.mu, setup.drift, 64, subseed(cfg.seed, "diagnose"), cfg.d_cap
+        )
+        kinds = [EstimatorKind(est) for est in cfg.estimators]
+        models = backward_sweep(batch, kinds, scaling_from_batch(batch, 2))
+        seed = subseed(cfg.seed, "diagnose-cells")
+        reports = bias_bound_check(models, batch, 4, setup.truth, n_cells=2, n_rep=200, seed=seed)
+        report_to_csv(reports.values(), tmp_path / "expected.csv")
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "out" / "diagnostics.csv").read_bytes() == expected
 
     def test_diagnose_is_deterministic(self, tmp_path):
         written = []

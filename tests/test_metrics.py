@@ -16,11 +16,13 @@ from fbsde_lsmc import (
 )
 from fbsde_lsmc.errors import DegenerateDenominatorError
 from fbsde_lsmc.metrics import ConfidenceRegion, report_to_csv
-from fbsde_lsmc.sampling import TrajectoryBatch
+from fbsde_lsmc.sampling import TrajectoryBatch, pinned_step_batch
 
 import fbsde_lsmc.metrics as metrics_module
 
 from conftest import fit_function, full_history_pinned, make_scalar_lqr, model_from_truth
+
+NOISELESS = EstimatorKind.TAYLOR_NOISELESS
 
 
 def _batch_with_states(x):
@@ -238,7 +240,9 @@ class TestBiasBoundCheck:
     def test_quadratic_model_gives_zero_remainder(self, lqr_setup_with_model):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
-        report = bias_bound_check(model, batch, 4, truth, n_cells=3, n_rep=500)
+        (report,) = bias_bound_check(
+            {NOISELESS: model}, batch, 4, truth, n_cells=3, n_rep=500
+        ).values()
         for cell in report.cells:
             assert cell.lhs < 1e-9
             assert cell.rhs < 1e-9
@@ -249,7 +253,9 @@ class TestBiasBoundCheck:
         n_steps = dp.n_steps
         cubic = _cubic_model(truth, n_steps, 0.3)
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 16, seed=8)
-        report = bias_bound_check(cubic, batch, 4, truth, n_cells=4, n_rep=2000)
+        (report,) = bias_bound_check(
+            {NOISELESS: cubic}, batch, 4, truth, n_cells=4, n_rep=2000
+        ).values()
         assert report.verdict
         for cell in report.cells:
             assert cell.d_norm == 0.0
@@ -259,9 +265,9 @@ class TestBiasBoundCheck:
         cubic = _cubic_model(truth, dp.n_steps, 0.3)
         for seed in (0, 1):
             batch = self._drifted_batch(dp, mu, 0.5, seed=seed)
-            report = bias_bound_check(
-                cubic, batch, 4, truth, n_cells=4, n_rep=2000, seed=seed
-            )
+            (report,) = bias_bound_check(
+                {NOISELESS: cubic}, batch, 4, truth, n_cells=4, n_rep=2000, seed=seed
+            ).values()
             assert report.verdict
             assert report.variance >= 0.0
             assert all(cell.rhs >= 0.0 for cell in report.cells)
@@ -274,10 +280,11 @@ class TestBiasBoundCheck:
         cp, dp, truth, mu, model = lqr_setup_with_model
         cubic = _cubic_model(truth, dp.n_steps, 0.3)
         batch = self._drifted_batch(dp, mu, 0.5)
-        kind = EstimatorKind.EM_NOISY
-        expect = estimator_bias_variance(
-            kind, dp, mu, cubic, 4, batch.x[0, 4], batch.drift_step(4)[2][0], 500, 7, truth=truth
-        )
+        x_pin, k_pin = batch.x[0, 4], batch.drift_step(4)[2][0]
+        expect = {
+            kind: estimator_bias_variance(kind, dp, mu, cubic, 4, x_pin, k_pin, 500, 7, truth=truth)
+            for kind in EstimatorKind
+        }
         built = []
         original = metrics_module.pinned_step_batch
 
@@ -286,12 +293,15 @@ class TestBiasBoundCheck:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(metrics_module, "pinned_step_batch", counting)
-        report = bias_bound_check(
-            cubic, batch, 4, truth, n_cells=3, n_rep=500, seed=7, kind=kind
+        reports = bias_bound_check(
+            {kind: cubic for kind in EstimatorKind}, batch, 4, truth, n_cells=3, n_rep=500, seed=7
         )
-        assert len(built) == 3  # one pinned batch per cell, none rebuilt
-        assert (report.bias, report.variance) == expect
-        assert report.variance > 0.0
+        # one pinned batch per cell for all four models, none rebuilt
+        assert len(built) == 3
+        for kind, report in reports.items():
+            assert report.kind is kind
+            assert (report.bias, report.variance) == expect[kind]
+        assert reports[EstimatorKind.EM_NOISY].variance > 0.0
 
     def test_a_step_outside_the_batch_rejected(self, lqr_setup_with_model):
         cp, dp, truth, mu, model = lqr_setup_with_model
@@ -299,19 +309,19 @@ class TestBiasBoundCheck:
         n = batch.n_steps
         for step in (-1, n):
             with pytest.raises(ValueError, match=rf"step {step} out of range \[0, {n}\)"):
-                bias_bound_check(model, batch, step, truth, n_cells=2, n_rep=50)
+                bias_bound_check({NOISELESS: model}, batch, step, truth, n_cells=2, n_rep=50)
 
     def test_zero_cells_rejected(self, lqr_setup_with_model):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
         with pytest.raises(ValueError, match="n_cells"):
-            bias_bound_check(model, batch, 4, truth, n_cells=0, n_rep=50)
+            bias_bound_check({NOISELESS: model}, batch, 4, truth, n_cells=0, n_rep=50)
 
     def test_more_cells_than_trajectories_rejected(self, lqr_setup_with_model):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
         with pytest.raises(ValueError, match="n_cells = 17 exceeds the batch size of 16"):
-            bias_bound_check(model, batch, 4, truth, n_cells=17, n_rep=50)
+            bias_bound_check({NOISELESS: model}, batch, 4, truth, n_cells=17, n_rep=50)
 
     def test_single_rep_rejected(self, lqr_setup_with_model):
         # one rep leaves the standard error undefined (nan), so no cell holds
@@ -319,7 +329,7 @@ class TestBiasBoundCheck:
         batch = self._drifted_batch(dp, mu, 0.5)
         k_4 = batch.drift_step(4)[2]
         with pytest.raises(ValueError, match="n_rep"):
-            bias_bound_check(model, batch, 4, truth, n_cells=2, n_rep=1)
+            bias_bound_check({NOISELESS: model}, batch, 4, truth, n_cells=2, n_rep=1)
         with pytest.raises(ValueError, match="n_rep"):
             estimator_bias_variance(
                 EstimatorKind.EM_NOISY, dp, mu, model, 4, batch.x[0, 4], k_4[0], 1, 0
@@ -328,12 +338,72 @@ class TestBiasBoundCheck:
     def test_csv_serialization(self, lqr_setup_with_model, tmp_path):
         cp, dp, truth, mu, model = lqr_setup_with_model
         batch = self._drifted_batch(dp, mu, 0.5)
-        report = bias_bound_check(model, batch, 4, truth, n_cells=2, n_rep=200)
+        reports = bias_bound_check({NOISELESS: model}, batch, 4, truth, n_cells=2, n_rep=200)
         path = tmp_path / "diag.csv"
-        report_to_csv([report], path)
+        report_to_csv(reports.values(), path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("step,kind,cell,d_norm,lhs,rhs,stderr,holds")
         assert len(lines) == 3
+
+
+class TestLockstepCheck:
+    """All models of one call are checked on the same pinned cells."""
+
+    def test_each_report_equals_a_one_model_call(self, fitted_problem):
+        setup, batch, models = fitted_problem
+        i = setup.dp.n_steps // 2
+        together = bias_bound_check(models, batch, i, setup.truth, n_cells=3, n_rep=64, seed=11)
+        assert list(together) == list(models)
+        for kind, model in models.items():
+            alone = bias_bound_check(
+                {kind: model}, batch, i, setup.truth, n_cells=3, n_rep=64, seed=11
+            )
+            assert repr(together[kind]) == repr(alone[kind]), kind
+
+    def test_models_on_different_bases_rejected(self, lqr_setup_with_model):
+        cp, dp, truth, mu, model = lqr_setup_with_model
+        batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 16, seed=8)
+        mixed = {NOISELESS: model, EstimatorKind.EM_NOISY: _cubic_model(truth, dp.n_steps, 0.3)}
+        for models in (mixed, {}):
+            with pytest.raises(ValueError, match="sharing one basis"):
+                bias_bound_check(models, batch, 4, truth, n_cells=2, n_rep=50)
+
+    def test_a_failed_fit_is_raised(self, lqr_setup_with_model):
+        cp, dp, truth, mu, model = lqr_setup_with_model
+        batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 16, seed=8)
+        failed = FloatingPointError("non-finite backward target")
+        with pytest.raises(FloatingPointError, match="non-finite backward target"):
+            bias_bound_check(
+                {NOISELESS: model, EstimatorKind.EM_NOISY: failed}, batch, 4, truth, n_cells=2
+            )
+
+    @pytest.mark.parametrize("i", [1, 3])
+    def test_a_pinned_batch_is_checked_at_its_own_columns(self, i, monkeypatch):
+        from fbsde_lsmc import discretize, riccati_from_lqr
+
+        cp = make_scalar_lqr()
+        dp = discretize(cp, 6)
+        truth = riccati_from_lqr(cp.lqr, cp.horizon, 6)
+        mu = truth.policy(dp.control_lower, dp.control_upper)
+        model = model_from_truth(truth, 1, 6)
+        pinned = pinned_step_batch(dp, mu, i, [0.5], [0.0], 16, seed=0)
+        pins = []
+        original = metrics_module.pinned_step_batch
+
+        def recording(dp, mu, i, x_pin, k_pin, *rest):
+            pins.append((x_pin.copy(), k_pin.copy()))
+            return original(dp, mu, i, x_pin, k_pin, *rest)
+
+        monkeypatch.setattr(metrics_module, "pinned_step_batch", recording)
+        (report,) = bias_bound_check(
+            {NOISELESS: model}, pinned, i, truth, n_cells=2, n_rep=50
+        ).values()
+        assert [(list(x), list(k)) for x, k in pins] == [([0.5], [0.0])] * 2
+        resid = np.abs(model.eval(i + 1, pinned.x[:, 1]) - truth.value(i + 1, pinned.x[:, 1]))
+        assert report.fit_residual_max == float(resid.max())
+        for step in (i - 1, i + 1):
+            with pytest.raises(ValueError, match=rf"step {step} out of range \[{i}, {i + 1}\)"):
+                bias_bound_check({NOISELESS: model}, pinned, step, truth, n_cells=2, n_rep=50)
 
 
 class TestOneStepPinnedLayout:
@@ -348,8 +418,8 @@ class TestOneStepPinnedLayout:
                 kind, dp, mu, model, i, batch.x[0, i], batch.drift_step(i)[2][0], 64, 7, truth=truth
             )
             report = bias_bound_check(
-                model, batch, i, truth, n_cells=2, n_rep=64, seed=7, kind=kind
-            )
+                {kind: model}, batch, i, truth, n_cells=2, n_rep=64, seed=7
+            )[kind]
             cells = [vars(cell) for cell in report.cells]
             return pair, (report.bias, report.variance), cells, report.fit_residual_max
 

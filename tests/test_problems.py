@@ -154,6 +154,14 @@ class TestPolicies:
         pol = FeedbackPolicy(gains, np.array([-np.inf]), np.array([np.inf]))
         assert pol(1, np.array([3.0]))[0] == 6.0
 
+    @pytest.mark.parametrize("step", [-1, 2, 3])
+    def test_per_step_gains_reject_a_step_out_of_range(self, step):
+        # a negative step would otherwise wrap to the last gain
+        gains = np.stack([np.array([[1.0]]), np.array([[2.0]])])
+        pol = FeedbackPolicy(gains, np.array([-np.inf]), np.array([np.inf]))
+        with pytest.raises(ValueError, match=rf"step {step} out of range \[0, 2\)"):
+            pol(step, np.array([3.0]))
+
     def test_empty_control_box_rejected(self):
         with pytest.raises(ValueError):
             ContinuousProblem(

@@ -464,10 +464,10 @@ class TestRecomputedStep:
         solves.clear()
         # one read of the sampled batch's step i, then one solve per pinned
         # batch: its targets, expansion and weights reuse the step it formed
-        bias_bound_check(model, batch, i, truth, n_cells=3, n_rep=50, kind=kind)
+        bias_bound_check({kind: model}, batch, i, truth, n_cells=3, n_rep=50)
         assert len(solves) == 1 + 3
         solves.clear()
-        bias_bound_check(model, batch, i, truth, n_cells=3, n_rep=50, kind=kind)
+        bias_bound_check({kind: model}, batch, i, truth, n_cells=3, n_rep=50)
         assert len(solves) == 3
 
 
