@@ -10,8 +10,10 @@ is excluded from the average: the initial state is deterministic, so its
 regression sees a single repeated state and cannot identify the value away
 from it.
 
-Numerical divergence inside a cell, including a sampled path leaving the
-gridded oracle's domain, is recorded as a ``+inf`` error and the sweep
+The gridded oracle is built once, on the configured span, which must
+contain the reference confidence region widened by half.  Numerical
+divergence inside a cell, including a sampled path leaving the gridded
+oracle's domain, is recorded as a ``+inf`` error and the sweep
 continues.  All emitted bytes except the ``runtime_ms`` column are a
 deterministic function of (config, seed).
 """
@@ -32,7 +34,7 @@ import numpy as np
 from . import __version__
 from .backward import backward_sweep
 from .config import ExperimentConfig
-from .errors import _NUMERIC_FAILURES, SchemaError
+from .errors import _NUMERIC_FAILURES, ConfigError, SchemaError
 from .estimators import EstimatorKind
 from .metrics import confidence_region, shared_rae
 from .oracles import (
@@ -90,16 +92,6 @@ def _build_problem(cfg: ExperimentConfig):
     return cp, discretize(cp, cfg.n_steps)
 
 
-def _grid_spec_from_cfg(cfg: ExperimentConfig, lo: float, hi: float) -> GridSpec:
-    return GridSpec(
-        lo=np.array([lo], dtype=float),
-        hi=np.array([hi], dtype=float),
-        n_state_nodes=cfg.oracle_state_nodes,
-        n_control_nodes=cfg.oracle_control_nodes,
-        n_quad_nodes=cfg.oracle_quad_nodes,
-    )
-
-
 def build_drift(cfg: ExperimentConfig, dp, mu) -> DriftProcess:
     """Forward drift process named by the config."""
     if cfg.drift == "optimal":
@@ -131,28 +123,35 @@ def _reference_region(cfg: ExperimentConfig, dp, mu):
 def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
     """Problem, ground truth, reference policy, region and drift for a config.
 
-    For the gridded oracle the state span starts from the configured bounds
-    and is rebuilt once if the measured confidence region (widened 50%)
-    escapes it.
+    The gridded oracle is built once, on the configured span
+    [``oracle.state_lo``, ``oracle.state_hi``].  That span must contain the
+    reference confidence region widened by half (``GridSpec.from_region``);
+    otherwise ``ConfigError`` names both keys and the span needed.
     """
     cp, dp = _build_problem(cfg)
 
     if cfg.problem == "cartpole_lqr":
         truth = riccati_from_lqr(cp.lqr, cp.horizon, cfg.n_steps)
         mu = truth.policy(dp.control_lower, dp.control_upper)
-        region = _reference_region(cfg, dp, mu)
     else:
-        spec = _grid_spec_from_cfg(cfg, cfg.oracle_state_lo, cfg.oracle_state_hi)
+        spec = GridSpec(
+            lo=np.array([cfg.oracle_state_lo], dtype=float),
+            hi=np.array([cfg.oracle_state_hi], dtype=float),
+            n_state_nodes=cfg.oracle_state_nodes,
+            n_control_nodes=cfg.oracle_control_nodes,
+            n_quad_nodes=cfg.oracle_quad_nodes,
+        )
         truth = grid_bellman(dp, spec)
         mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
-        region = _reference_region(cfg, dp, mu)
-        want = GridSpec.from_region(region, widen=0.5)
+    region = _reference_region(cfg, dp, mu)
+    if cfg.problem == "nonlinear1d":
         lo, hi = cfg.oracle_state_lo, cfg.oracle_state_hi
-        if want.lo[0] < lo or want.hi[0] > hi:
-            merged = _grid_spec_from_cfg(cfg, min(want.lo[0], lo), max(want.hi[0], hi))
-            truth = grid_bellman(dp, merged)
-            mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
-            region = _reference_region(cfg, dp, mu)
+        need = GridSpec.from_region(region)
+        if need.lo[0] < lo or need.hi[0] > hi:
+            raise ConfigError(
+                f"oracle.state_lo = {lo:g} and oracle.state_hi = {hi:g} must contain the "
+                f"reference confidence region widened by half, [{need.lo[0]:g}, {need.hi[0]:g}]"
+            )
 
     drift = build_drift(cfg, dp, mu)
     return ExperimentSetup(cfg=cfg, dp=dp, truth=truth, mu=mu, region=region, drift=drift)

@@ -65,16 +65,15 @@ class GridSpec:
     n_quad_nodes: int = 21
 
     @classmethod
-    def from_region(cls, region, widen: float = 0.5) -> "GridSpec":
+    def from_region(cls, region) -> "GridSpec":
         """Span the union of a confidence region's per-step boxes, widened.
 
-        ``widen`` grows the union interval by that fraction of its half-width
-        on each side.
+        The union interval grows by half its half-width on each side.
         """
         lo = region.lower.min(axis=0)
         hi = region.upper.max(axis=0)
         center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * (1.0 + widen)
+        half = 0.5 * (hi - lo) * 1.5
         return cls(lo=center - half, hi=center + half)
 
 

@@ -301,30 +301,27 @@ def scaling_from_batch(batch, max_total_degree: int) -> BasisSpec:
 def _step_box(x: np.ndarray) -> tuple:
     """Per-step, per-coordinate box mean +/- max(3 std, 1) of the states ``x``.
 
-    numpy sums over axis 0 row after row (pairwise for rows one element wide,
-    which take the whole-array reductions), so blocks of about 512 KB of rows,
-    each carrying the running sum in as its first row, give the bytes of
-    ``mean``/``std(axis=0)`` with no temporary the size of ``x``.
+    numpy sums over axis 0 row after row with no temporary (pairwise for rows
+    one element wide, which take the whole-array ``std``), so ``mean`` is one
+    reduction, and blocks of about 512 KB of rows, each carrying the running
+    sum in as its first row, give the bytes of ``std(axis=0)`` with no
+    temporary the size of ``x``.
     """
+    mean = x.mean(axis=0)
     if x[0].size == 1:
-        mean, std = x.mean(axis=0), x.std(axis=0)
+        std = x.std(axis=0)
     else:
         rows = max(1, (1 << 19) // x[0].nbytes)
         buf = np.empty((rows + 1,) + x.shape[1:])
-
-        def carried_mean(term) -> np.ndarray:
-            total = None
-            for a in range(0, len(x), rows):
-                part = x[a : a + rows]
-                block = buf[1 : 1 + len(part)]
-                term(part, block)  # writes the block's terms into buf
-                if total is not None:
-                    buf[0] = total
-                    block = buf[: 1 + len(part)]
-                total = block.sum(axis=0)
-            return total / len(x)
-
-        mean = carried_mean(lambda p, o: np.copyto(o, p))
-        std = np.sqrt(carried_mean(lambda p, o: np.square(np.subtract(p, mean, out=o), out=o)))
+        total = None
+        for a in range(0, len(x), rows):
+            part = x[a : a + rows]
+            block = buf[1 : 1 + len(part)]
+            np.square(np.subtract(part, mean, out=block), out=block)
+            if total is not None:
+                buf[0] = total
+                block = buf[: 1 + len(part)]
+            total = block.sum(axis=0)
+        std = np.sqrt(total / len(x))
     half = np.maximum(3.0 * std, 1.0)
     return mean - half, mean + half

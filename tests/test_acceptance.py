@@ -313,7 +313,7 @@ class TestCriterion8OracleCrossCheck:
         mu = truth_r.policy(dp.control_lower, dp.control_upper)
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 1024, seed=7)
         region = confidence_region(batch)
-        grid = GridSpec.from_region(region, widen=0.5)
+        grid = GridSpec.from_region(region)
         truth_g = grid_bellman(dp, grid)
         worst = 0.0
         for i in range(n_steps + 1):

@@ -138,7 +138,9 @@ class TestConfigParsing:
         cfg = parse_config_text("problem.name = cartpole_lqr")
         horizon = experiments_module._build_problem(cfg)[0].horizon
         assert cfg.n_steps == 100 and horizon == 5.0 and cfg.d_cap == 1e9
-        assert parse_config_text("sampling.d_cap = inf").d_cap == float("inf")
+        # the drift-correction cap is fixed per problem, not a config key
+        with pytest.raises(ConfigError, match="unknown key 'sampling.d_cap'"):
+            parse_config_text("sampling.d_cap = inf")
 
     def test_lists_and_booleans(self):
         cfg = parse_config_text(
@@ -475,6 +477,55 @@ class TestRunExperiment:
             ]
 
         assert strip_runtime(results) == strip_runtime(results2)
+
+
+def _count_grid_builds(monkeypatch):
+    """A list that gets one entry per ``grid_bellman`` call in ``build_setup``."""
+    calls = []
+    build = experiments_module.grid_bellman
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments_module, "grid_bellman", counted)
+    return calls
+
+
+# On TINY_SCALAR this span leaves out part of the reference confidence region
+# widened by half, [-3.38031, 10.2761].
+NARROW_SPAN = "oracle.state_lo = -2\noracle.state_hi = 10\n"
+
+
+class TestOracleSpan:
+    """The gridded oracle is built once, on the configured span."""
+
+    def test_default_span_is_built_once(self, tmp_path, monkeypatch):
+        builds = _count_grid_builds(monkeypatch)
+        cfg = parse_config_text(TINY_SCALAR.format(out=tmp_path))
+        nodes = build_setup(cfg).truth.nodes
+        assert len(builds) == 1
+        assert (nodes[0], nodes[-1]) == (cfg.oracle_state_lo, cfg.oracle_state_hi)
+
+    def test_span_short_of_the_region_names_both_keys(self, tmp_path, monkeypatch):
+        builds = _count_grid_builds(monkeypatch)
+        cfg = parse_config_text(_override(TINY_SCALAR.format(out=tmp_path), NARROW_SPAN))
+        with pytest.raises(ConfigError) as err:
+            build_setup(cfg)
+        assert str(err.value) == (
+            "oracle.state_lo = -2 and oracle.state_hi = 10 must contain the reference "
+            "confidence region widened by half, [-3.38031, 10.2761]"
+        )
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("command", ["run", "oracle", "diagnose"])
+    def test_span_short_of_the_region_exits_1(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(_override(TINY_SCALAR.format(out=tmp_path / "out"), NARROW_SPAN))
+        assert main([command, str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "oracle.state_lo = -2 and oracle.state_hi = 10" in err
+        assert "[-3.38031, 10.2761]" in err and "Traceback" not in err
 
 
 class TestHeatmap:
