@@ -57,8 +57,8 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg, out_dir = _load(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     setup = build_setup(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(setup.truth, GridTruth):
         path = out_dir / "grid_truth.csv"
         export_grid_csv(setup.truth, path)
@@ -79,8 +79,8 @@ def _cmd_diagnose(args) -> int:
             "diagnose.cells must not exceed max(sweep.samples): "
             f"n_cells = {cfg.diagnose_cells} exceeds the batch size of {samples}"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
     setup = build_setup(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     batch = sample_forward(
         setup.dp,
         setup.mu,

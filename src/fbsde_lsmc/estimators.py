@@ -24,6 +24,15 @@ Taylor and end-of-interval variants is deliberate and load-bearing.
 The Taylor backward difference is V~(X_{i+1}) minus the re-estimate target:
 Delta Yhat_i = -L + Zbar.W - Zbar.D + tr(Mbar (W W^T - I - D D^T)) / 2.
 
+The re-estimate target minus the noiseless target is
+V~(X_{i+1}) - Ybar - Zbar.W - W^T Mbar W / 2, the third- and higher-order
+Taylor remainder of V~ about Xbar; it vanishes for a quadratic model.  At
+degree >= 3 each step's regression refits that remainder, and the refit
+feeds the next step's remainder, so taylor_reestimate diverges there: on the
+cartpole_sweep benchmark config its mean RAE at degrees 2 / 3 / 4 is
+3.3e-12 / 783 / 2.8e40, against 3.1e-12 / 3.6e-10 / 2.5e-8 for
+taylor_noiseless.
+
 The noiseless target uses no W at all, so for pinned (X_i, K_i) it is a
 deterministic function with exactly zero sampling variance.  Trace products
 against rank-one updates are accumulated as quadratic forms, never by forming

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -175,21 +176,22 @@ def _mean_raes(fitted: dict, truth, region, n_steps) -> dict:
 
 
 def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
-    """All cells sharing one forward pass; returns {(estimator, degree): row}.
+    """All cells sharing one forward pass; returns {(estimator, degree): (mean_rae, runtime_ms)}.
 
     The estimators of each degree are fitted in one lockstep sweep and scored
     together; each of their cells gets an equal share of that wall time.
+    The fields that do not vary per cell are left to ``run_experiment``.
     """
     cfg = setup.cfg
-    trial_seed = subseed(cfg.seed, f"trial-{trial}")
     kinds = [EstimatorKind(est) for est in cfg.estimators]
     try:
         batch = sample_forward(
-            setup.dp, setup.mu, setup.drift, samples, trial_seed, cfg.d_cap
+            setup.dp, setup.mu, setup.drift, samples, subseed(cfg.seed, f"trial-{trial}"),
+            cfg.d_cap,
         )
     except _NUMERIC_FAILURES:
         batch = None
-    rows = {}
+    cells = {}
     for deg in cfg.degrees:
         start = time.perf_counter()
         scores = dict.fromkeys(kinds, float("inf"))
@@ -200,32 +202,16 @@ def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
                 scores = _mean_raes(fitted, setup.truth, setup.region, cfg.n_steps)
         elapsed_ms = (time.perf_counter() - start) * 1e3 / len(kinds)
         for est, kind in zip(cfg.estimators, kinds):
-            rows[(est, deg)] = _row(setup, est, deg, samples, trial, scores[kind], elapsed_ms, trial_seed)
-    return rows
-
-
-def _row(setup, est, deg, samples, trial, mean_rae, runtime_ms, seed) -> dict:
-    cfg = setup.cfg
-    return {
-        "problem": cfg.problem,
-        "drift": cfg.drift,
-        "estimator": est,
-        "basis_count": math.comb(setup.dp.dim_x + deg, deg),
-        "samples": samples,
-        "trial": trial,
-        "mean_rae": mean_rae,
-        "runtime_ms": runtime_ms,
-        "seed": seed,
-    }
+            cells[(est, deg)] = (scores[kind], elapsed_ms)
+    return cells
 
 
 _WORKER_SETUP = None
 
 
-def _init_worker(cfg_dict, truth, mu, region):
+def _init_worker(cfg, truth, mu, region):
     """Rebuild the unpicklable problem closures once per worker process."""
     global _WORKER_SETUP
-    cfg = ExperimentConfig(**cfg_dict)
     _, dp = _build_problem(cfg)
     drift = build_drift(cfg, dp, mu)
     _WORKER_SETUP = ExperimentSetup(
@@ -233,9 +219,8 @@ def _init_worker(cfg_dict, truth, mu, region):
     )
 
 
-def _worker_group(args):
-    samples, trial = args
-    return _run_group(_WORKER_SETUP, samples, trial)
+def _worker_group(group):
+    return _run_group(_WORKER_SETUP, *group)
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
@@ -243,43 +228,40 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
 
     ``jobs`` > 1 distributes forward-pass groups over processes; the output
     is identical to a serial run.  ``jobs`` < 1 raises ``ValueError`` before
-    the output directory is created.
+    any work.  The output directory is created once the set-up has
+    succeeded, before the sweep.  Each group returns only its per-cell
+    scores; the rows are formed here, one per (estimator, degree, samples,
+    trial) in that order, with the constant fields taken from the config.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    setup = build_setup(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    setup = build_setup(cfg)
 
-    groups = [(samples, trial) for samples in cfg.samples for trial in range(cfg.trials)]
+    groups = list(itertools.product(cfg.samples, range(cfg.trials)))
     if jobs > 1:
-        cfg_dict = cfg.resolved()
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(cfg_dict, setup.truth, setup.mu, setup.region),
+            initargs=(cfg, setup.truth, setup.mu, setup.region),
         ) as pool:
-            group_rows = list(pool.map(_worker_group, groups))
+            scores = dict(zip(groups, pool.map(_worker_group, groups)))
     else:
-        group_rows = [_run_group(setup, samples, trial) for samples, trial in groups]
-
-    by_cell = {}
-    for (samples, trial), rows in zip(groups, group_rows):
-        for (est, deg), row in rows.items():
-            by_cell[(est, deg, samples, trial)] = row
+        scores = {group: _run_group(setup, *group) for group in groups}
 
     results_path = out_dir / "results.csv"
     with open(results_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        for est in cfg.estimators:
-            for deg in cfg.degrees:
-                for samples in cfg.samples:
-                    for trial in range(cfg.trials):
-                        row = dict(by_cell[(est, deg, samples, trial)])
-                        row["mean_rae"] = repr(row["mean_rae"])
-                        row["runtime_ms"] = repr(row["runtime_ms"])
-                        writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(RESULT_COLUMNS)
+        cells = itertools.product(cfg.estimators, cfg.degrees, cfg.samples, range(cfg.trials))
+        for est, deg, samples, trial in cells:
+            basis_count = math.comb(setup.dp.dim_x + deg, deg)
+            mean_rae, runtime_ms = scores[(samples, trial)][(est, deg)]
+            seed = subseed(cfg.seed, f"trial-{trial}")
+            writer.writerow(
+                [cfg.problem, cfg.drift, est, basis_count, samples, trial, mean_rae, runtime_ms, seed]
+            )
 
     manifest_path = out_dir / "manifest.json"
     manifest = {"version": __version__, "config": cfg.resolved()}

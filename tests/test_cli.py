@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -383,6 +384,21 @@ class TestRunExperiment:
         keys = {(r["estimator"], r["basis_count"], r["samples"], r["trial"]) for r in rows}
         assert len(keys) == len(rows)
 
+    def test_row_order_seed_and_basis_count(self, tmp_path):
+        cfg = dataclasses.replace(parse_config_text(TINY_LQR.format(out=tmp_path)), trials=2)
+        results, _ = run_experiment(cfg)
+        with open(results, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == experiments_module.RESULT_COLUMNS
+        cells = list(itertools.product(cfg.estimators, cfg.degrees, cfg.samples, range(2)))
+        assert len(rows) == len(cells) == 2 * 2 * 2 * 2
+        for row, (est, deg, samples, trial) in zip(rows, cells):
+            got = dict(zip(header, row))
+            assert (got["estimator"], got["samples"], got["trial"]) == (est, str(samples), str(trial))
+            assert got["basis_count"] == str(math.comb(4 + deg, deg))
+            assert got["seed"] == str(subseed(cfg.seed, f"trial-{trial}"))
+            assert (got["problem"], got["drift"]) == ("cartpole_lqr", "suboptimal")
+
     def test_basis_count_column(self, tiny_run, tmp_path):
         scalar = parse_config_text(ESCAPING_SCALAR.format(out=tmp_path))
         scalar = dataclasses.replace(scalar, samples=[2])
@@ -526,6 +542,7 @@ class TestOracleSpan:
         err = capsys.readouterr().err
         assert "oracle.state_lo = -2 and oracle.state_hi = 10" in err
         assert "[-3.38031, 10.2761]" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestHeatmap:
