@@ -7,7 +7,9 @@ regression inputs and the targets (no sample splitting), and the same basis
 and least-squares fit are used at every step including the terminal one.
 
 Estimators fitted on one batch and basis run in lockstep, one sweep from the
-terminal step to 0.  At step i the features Phi_{i+1}(X_i + K_i) and
+terminal step down to a chosen step (0 by default).  Step i is fitted from
+the later steps alone, so a sweep stopped early leaves the steps it fitted
+with the bits of a full one.  At step i the features Phi_{i+1}(X_i + K_i) and
 Phi_i(X_i) are evaluated once for all of them, and Phi_{i+1}(X_{i+1}) is the
 design matrix of the step-(i+1) fit; each estimator multiplies these by its
 own coefficient blocks.  The products keep the shapes of a one-estimator
@@ -57,10 +59,13 @@ def backward_pass(
     return result
 
 
-def backward_sweep(batch: TrajectoryBatch, kinds, spec: BasisSpec) -> dict:
+def backward_sweep(batch: TrajectoryBatch, kinds, spec: BasisSpec, down_to: int = 0) -> dict:
     """Fit one value model per estimator kind in a single lockstep sweep.
 
-    The problem and reference policy are the batch's own.  Returns
+    Steps N down to ``down_to`` inclusive are fitted; earlier steps stay
+    unfitted (NaN coefficients, and a query raises ``NotFittedError``).  A
+    ``down_to`` outside [0, N] raises ``ValueError`` before any fit.  The
+    problem and reference policy are the batch's own.  Returns
     ``{kind: model}``.  A kind whose fit raised a numerical failure at step i
     maps to that exception instead, with ``failing_step = i``; any other
     error propagates at once, annotated the same way.
@@ -72,10 +77,12 @@ def backward_sweep(batch: TrajectoryBatch, kinds, spec: BasisSpec) -> dict:
             f"batch covers steps {batch.first_step} to {batch.n_steps} "
             f"but the problem has {n_steps}"
         )
+    if not 0 <= down_to <= n_steps:
+        raise ValueError(f"down_to = {down_to} is outside the steps 0..{n_steps}")
 
     out = {kind: ValueModel.empty(spec, n_steps) for kind in kinds}
     phi = None  # design matrix of the last fit: Phi_{i+1}(X_{i+1}) at step i
-    for i in reversed(range(n_steps + 1)):
+    for i in reversed(range(down_to, n_steps + 1)):
         step = _Step(spec, batch, i, phi) if i < n_steps else None
         phi = None
         for kind, model in out.items():

@@ -91,8 +91,10 @@ def _cmd_diagnose(args) -> int:
     )
     spec = scaling_from_batch(batch, cfg.degrees[0])
     step = cfg.diagnose_step if cfg.diagnose_step is not None else cfg.n_steps // 2
+    # the check at step i reads only the step-(i + 1) models: fit no further
+    kinds = [EstimatorKind(est) for est in cfg.estimators]
     reports = bias_bound_check(
-        backward_sweep(batch, [EstimatorKind(est) for est in cfg.estimators], spec),
+        backward_sweep(batch, kinds, spec, down_to=step + 1),
         batch,
         step,
         setup.truth,
@@ -148,7 +150,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _NUMERIC_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        step = getattr(exc, "failing_step", None)
+        where = "" if step is None else f" (backward pass failed at step {step})"
+        print(f"numerical failure: {exc}{where}", file=sys.stderr)
         return 3
     except _INVALID_INPUT as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

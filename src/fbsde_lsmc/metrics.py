@@ -243,7 +243,9 @@ def bias_bound_check(
     """Check the remainder-bias bound of each model on pinned cells of a batch.
 
     ``models`` is ``{kind: model}`` as :func:`backward_sweep` returns it; the
-    models must share one basis, and a failed fit's exception is raised.  For
+    models must share one basis, a failed fit's exception is raised, and a
+    model without step ``i + 1`` raises ``NotFittedError`` before any pinned
+    batch is formed.  Only the step-(i + 1) coefficients are read.  For
     each of the first ``n_cells`` trajectories, the pair (X_i, K_i) is pinned,
     the step noise is resampled ``n_rep`` times, and the remainder
 
@@ -270,6 +272,8 @@ def bias_bound_check(
         raise ValueError("checked models must be one or more sharing one basis")
     spec = next(iter(models.values())).basis
     step = _Step(spec, batch, i)  # ValueError for a step the batch does not cover
+    for m in models.values():
+        m._require(i + 1)  # NotFittedError before any pinned batch is formed
     k_i = batch.drift_step(i)[2]
     pairs, cells = {}, {kind: [] for kind in models}
     for cell_idx in range(n_cells):

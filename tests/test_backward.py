@@ -20,8 +20,9 @@ from fbsde_lsmc import (
     sample_forward,
     scaling_from_batch,
 )
+from fbsde_lsmc import backward as backward_module
 from fbsde_lsmc.backward import backward_sweep
-from fbsde_lsmc.errors import RankDeficientWarning
+from fbsde_lsmc.errors import NotFittedError, RankDeficientWarning
 from fbsde_lsmc.metrics import shared_rae
 from fbsde_lsmc.sampling import pinned_step_batch
 
@@ -243,3 +244,37 @@ class TestBackwardSweep:
         ]
         with pytest.raises(ValueError, match="basis"):
             shared_rae(models, truth, confidence_region(batch), 1)
+
+
+class TestSweepTruncation:
+    """A sweep stopped at ``down_to`` keeps the full sweep's later steps."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_fitted_steps_keep_the_full_sweeps_bits(self, fitted_problem, where):
+        setup, batch, full = fitted_problem
+        n = setup.dp.n_steps
+        down_to = {"first": 1, "middle": n // 2, "last": n}[where]
+        spec = next(iter(full.values())).basis
+        part = backward_sweep(batch, list(full), spec, down_to=down_to)
+        for kind, model in part.items():
+            assert np.array_equal(model.coeffs[down_to:], full[kind].coeffs[down_to:]), kind
+            assert model.fitted[down_to:].all()
+            assert not model.fitted[:down_to].any()
+            assert np.isnan(model.coeffs[:down_to]).all()
+            with pytest.raises(NotFittedError):
+                model.eval(down_to - 1, batch.x[:, down_to - 1])
+
+    def test_a_step_outside_the_horizon_is_rejected_before_any_fit(
+        self, fitted_problem, monkeypatch
+    ):
+        setup, batch, full = fitted_problem
+        n = setup.dp.n_steps
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("lsmc_fit called")
+
+        monkeypatch.setattr(backward_module, "lsmc_fit", no_fit)
+        spec = next(iter(full.values())).basis
+        for down_to in (-1, n + 1):
+            with pytest.raises(ValueError, match=rf"down_to = {down_to} is outside"):
+                backward_sweep(batch, list(full), spec, down_to=down_to)

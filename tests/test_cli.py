@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fbsde_lsmc import backward as backward_module
 from fbsde_lsmc import cli as cli_module
 from fbsde_lsmc import config
 from fbsde_lsmc import experiments as experiments_module
@@ -799,3 +800,78 @@ class TestCliEntry:
             assert main(["diagnose", str(cfg_path)]) == 0
             written.append((tmp_path / name / "diagnostics.csv").read_bytes())
         assert written[0] == written[1]
+
+
+DIAGNOSE_KNOBS = "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
+
+
+class TestDiagnoseSweepDepth:
+    """diagnose fits steps N down to diagnose.step + 1, the ones its check reads."""
+
+    @pytest.mark.parametrize("text", [TINY_LQR, TINY_SCALAR], ids=["cartpole", "scalar"])
+    def test_full_sweep_bytes_from_n_minus_step_fits_per_estimator(
+        self, tmp_path, monkeypatch, text
+    ):
+        text = _override(text.format(out=tmp_path / "out"), DIAGNOSE_KNOBS)
+        cfg = parse_config_text(text)
+        setup = build_setup(cfg)
+        batch = sample_forward(
+            setup.dp, setup.mu, setup.drift, max(cfg.samples),
+            subseed(cfg.seed, "diagnose"), cfg.d_cap,
+        )
+        kinds = [EstimatorKind(est) for est in cfg.estimators]
+        full = backward_sweep(batch, kinds, scaling_from_batch(batch, 2))
+        fitted_steps = []
+        real_fit = backward_module.lsmc_fit
+
+        def counting(x, ys, spec, i, **kwargs):
+            fitted_steps.append(i)
+            return real_fit(x, ys, spec, i, **kwargs)
+
+        monkeypatch.setattr(backward_module, "lsmc_fit", counting)
+        n = cfg.n_steps
+        for step in (0, n // 2, n - 1):
+            reports = bias_bound_check(
+                full, batch, step, setup.truth, n_cells=2, n_rep=200,
+                seed=subseed(cfg.seed, "diagnose-cells"),
+            )
+            report_to_csv(reports.values(), tmp_path / "expected.csv")
+            cfg_path = tmp_path / f"step{step}.cfg"
+            cfg_path.write_text(_override(text, f"diagnose.step = {step}\n"))
+            fitted_steps.clear()
+            out = tmp_path / f"out{step}"
+            assert main(["diagnose", str(cfg_path), "--output", str(out)]) == 0
+            expected = (tmp_path / "expected.csv").read_bytes()
+            assert (out / "diagnostics.csv").read_bytes() == expected, step
+            assert len(fitted_steps) == (n - step) * len(kinds)
+            assert sorted(set(fitted_steps)) == list(range(step + 1, n + 1))
+
+    def test_only_a_failure_above_the_checked_step_exits_3(self, tmp_path, monkeypatch, capsys):
+        step = 4
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(_override(
+            TINY_LQR.format(out=tmp_path / "out"), DIAGNOSE_KNOBS + f"diagnose.step = {step}\n"
+        ))
+        assert main(["diagnose", str(cfg_path), "--output", str(tmp_path / "clean")]) == 0
+        real_targets = backward_module.estimate_targets
+
+        def failing_at(steps):
+            def targets(kind, m, batch, i, shared=None):
+                if i in steps:
+                    raise FloatingPointError("poisoned backward target")
+                return real_targets(kind, m, batch, i, shared)
+
+            return targets
+
+        # no reported number reads a step at or below the checked one
+        monkeypatch.setattr(backward_module, "estimate_targets", failing_at(range(step + 1)))
+        assert main(["diagnose", str(cfg_path), "--output", str(tmp_path / "below")]) == 0
+        clean = (tmp_path / "clean" / "diagnostics.csv").read_bytes()
+        assert (tmp_path / "below" / "diagnostics.csv").read_bytes() == clean
+
+        monkeypatch.setattr(backward_module, "estimate_targets", failing_at({step + 2}))
+        capsys.readouterr()
+        assert main(["diagnose", str(cfg_path), "--output", str(tmp_path / "above")]) == 3
+        err = capsys.readouterr().err
+        assert "poisoned backward target" in err
+        assert f"backward pass failed at step {step + 2}" in err

@@ -14,7 +14,8 @@ from fbsde_lsmc import (
     rae,
     sample_forward,
 )
-from fbsde_lsmc.errors import DegenerateDenominatorError
+from fbsde_lsmc.backward import backward_sweep
+from fbsde_lsmc.errors import DegenerateDenominatorError, NotFittedError
 from fbsde_lsmc.metrics import ConfidenceRegion, report_to_csv
 from fbsde_lsmc.sampling import TrajectoryBatch, pinned_step_batch
 
@@ -359,6 +360,22 @@ class TestLockstepCheck:
                 {kind: model}, batch, i, setup.truth, n_cells=3, n_rep=64, seed=11
             )
             assert repr(together[kind]) == repr(alone[kind]), kind
+
+    def test_an_unfitted_next_step_is_raised_before_any_pinned_batch(
+        self, fitted_problem, monkeypatch
+    ):
+        setup, batch, models = fitted_problem
+        i = setup.dp.n_steps // 2
+        spec = next(iter(models.values())).basis
+        short = backward_sweep(batch, list(models), spec, down_to=i + 2)
+
+        def no_pin(*args, **kwargs):
+            raise AssertionError("pinned_step_batch called")
+
+        monkeypatch.setattr(metrics_module, "pinned_step_batch", no_pin)
+        with pytest.raises(NotFittedError) as err:
+            bias_bound_check(short, batch, i, setup.truth, n_cells=3, n_rep=64)
+        assert err.value.step == i + 1
 
     def test_models_on_different_bases_rejected(self, lqr_setup_with_model):
         cp, dp, truth, mu, model = lqr_setup_with_model
