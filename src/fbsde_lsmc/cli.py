@@ -57,7 +57,7 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg, out_dir = _load(args)
-    setup = build_setup(cfg)
+    setup = build_setup(cfg, scoring=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(setup.truth, GridTruth):
         path = out_dir / "grid_truth.csv"
@@ -79,7 +79,7 @@ def _cmd_diagnose(args) -> int:
             "diagnose.cells must not exceed max(sweep.samples): "
             f"n_cells = {cfg.diagnose_cells} exceeds the batch size of {samples}"
         )
-    setup = build_setup(cfg)
+    setup = build_setup(cfg, scoring=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     batch = sample_forward(
         setup.dp,

@@ -8,10 +8,12 @@ configured ground truth, averaged over timesteps 1..N; the grid features
 and truth values of a step are computed once for all of them.  Step 0
 is excluded from the average: the initial state is deterministic, so its
 regression sees a single repeated state and cannot identify the value away
-from it.
+from it.  No score reads step 0, so the sweep stops at step 1.
 
 The gridded oracle is built once, on the configured span, which must
-contain the reference confidence region widened by half.  Numerical
+contain the reference confidence region widened by half.  That region is
+the domain of the scores; the set-up samples it only for a caller that
+scores against it, or for the gridded oracle's span check.  Numerical
 divergence inside a cell, including a sampled path leaving the gridded
 oracle's domain, is recorded as a ``+inf`` error and the sweep
 continues.  All emitted bytes except the ``runtime_ms`` column are a
@@ -75,7 +77,11 @@ def subseed(base: int, tag: str) -> int:
 
 @dataclass(eq=False)
 class ExperimentSetup:
-    """Everything a sweep cell needs besides the forward batch."""
+    """Everything a sweep cell needs besides the forward batch.
+
+    ``region`` is ``None`` when the set-up formed no reference region (see
+    :func:`build_setup`).
+    """
 
     cfg: ExperimentConfig
     dp: object
@@ -121,13 +127,18 @@ def _reference_region(cfg: ExperimentConfig, dp, mu):
     )
 
 
-def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
+def build_setup(cfg: ExperimentConfig, *, scoring: bool = True) -> ExperimentSetup:
     """Problem, ground truth, reference policy, region and drift for a config.
 
     The gridded oracle is built once, on the configured span
     [``oracle.state_lo``, ``oracle.state_hi``].  That span must contain the
     reference confidence region widened by half (``GridSpec.from_region``);
     otherwise ``ConfigError`` names both keys and the span needed.
+
+    The reference region is sampled only where something reads it: when the
+    caller scores against it (``scoring``, the default) or for the gridded
+    oracle's span check.  A caller that scores nothing passes
+    ``scoring=False``; on the Riccati truth its ``region`` is then ``None``.
     """
     cp, dp = _build_problem(cfg)
 
@@ -144,8 +155,9 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
         )
         truth = grid_bellman(dp, spec)
         mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
-    region = _reference_region(cfg, dp, mu)
-    if cfg.problem == "nonlinear1d":
+    gridded = cfg.problem == "nonlinear1d"
+    region = _reference_region(cfg, dp, mu) if scoring or gridded else None
+    if gridded:
         lo, hi = cfg.oracle_state_lo, cfg.oracle_state_hi
         need = GridSpec.from_region(region)
         if need.lo[0] < lo or need.hi[0] > hi:
@@ -198,7 +210,7 @@ def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
         if batch is not None:
             spec = scaling_from_batch(batch, deg)
             with np.errstate(over="ignore", invalid="ignore"):
-                fitted = backward_sweep(batch, kinds, spec)
+                fitted = backward_sweep(batch, kinds, spec, down_to=1)
                 scores = _mean_raes(fitted, setup.truth, setup.region, cfg.n_steps)
         elapsed_ms = (time.perf_counter() - start) * 1e3 / len(kinds)
         for est, kind in zip(cfg.estimators, kinds):

@@ -196,11 +196,13 @@ def _normals(seed: int, n_samples: int, shape: tuple) -> np.ndarray:
     # an explicit seed skips the OS-entropy draw that the first re-key overwrites
     bitgen = Philox(0)
     gen = Generator(bitgen)
-    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    # the setter reads each word by index: Python ints are read faster than
+    # the numpy uint64 scalars that indexing an array makes
+    key = [seed % 2**64, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,13 @@ from fbsde_lsmc import experiments as experiments_module
 from fbsde_lsmc.backward import backward_sweep
 from fbsde_lsmc.cli import main
 from fbsde_lsmc.config import load_config, parse_config_text
-from fbsde_lsmc.errors import ConfigError, GridEscapeWarning, OutOfDomainError, SchemaError
+from fbsde_lsmc.errors import (
+    ConfigError,
+    GridEscapeWarning,
+    OutOfDomainError,
+    RankDeficientWarning,
+    SchemaError,
+)
 from fbsde_lsmc.estimators import EstimatorKind
 from fbsde_lsmc.experiments import build_setup, emit_heatmap, run_experiment, subseed
 from fbsde_lsmc.metrics import bias_bound_check, report_to_csv
@@ -105,6 +112,10 @@ def _override(text, extra):
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _strip_runtime(path):
+    return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in _read_rows(path)]
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -473,27 +484,13 @@ class TestRunExperiment:
         cfg, results, _ = tiny_run
         cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path / "again"))
         results2, _ = run_experiment(cfg2)
-
-        def strip_runtime(path):
-            rows = _read_rows(path)
-            return [
-                {k: v for k, v in row.items() if k != "runtime_ms"} for row in rows
-            ]
-
-        assert strip_runtime(results) == strip_runtime(results2)
+        assert _strip_runtime(results) == _strip_runtime(results2)
 
     def test_parallel_matches_serial(self, tiny_run, tmp_path):
         cfg, results, _ = tiny_run
         cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path / "par"))
         results2, _ = run_experiment(cfg2, jobs=2)
-
-        def strip_runtime(path):
-            rows = _read_rows(path)
-            return [
-                {k: v for k, v in row.items() if k != "runtime_ms"} for row in rows
-            ]
-
-        assert strip_runtime(results) == strip_runtime(results2)
+        assert _strip_runtime(results) == _strip_runtime(results2)
 
 
 def _count_grid_builds(monkeypatch):
@@ -875,3 +872,102 @@ class TestDiagnoseSweepDepth:
         err = capsys.readouterr().err
         assert "poisoned backward target" in err
         assert f"backward pass failed at step {step + 2}" in err
+
+
+def _full_sweeps(monkeypatch):
+    """Make ``run`` fit every step down to 0: the reference its sweep must match."""
+    real_sweep = experiments_module.backward_sweep
+    monkeypatch.setattr(
+        experiments_module, "backward_sweep",
+        lambda batch, kinds, spec, down_to=0: real_sweep(batch, kinds, spec),
+    )
+
+
+class TestRunSweepDepth:
+    """run fits steps N down to 1: no score reads step 0."""
+
+    def test_n_fits_per_estimator_and_group(self, tmp_path, monkeypatch):
+        cfg = dataclasses.replace(parse_config_text(TINY_LQR.format(out=tmp_path)), trials=2)
+        fitted_steps = []
+        real_fit = backward_module.lsmc_fit
+
+        def counting(x, ys, spec, i, **kwargs):
+            fitted_steps.append(i)
+            return real_fit(x, ys, spec, i, **kwargs)
+
+        monkeypatch.setattr(backward_module, "lsmc_fit", counting)
+        run_experiment(cfg)
+        groups = len(cfg.samples) * cfg.trials * len(cfg.degrees)
+        assert len(fitted_steps) == groups * cfg.n_steps * len(cfg.estimators)
+        assert sorted(set(fitted_steps)) == list(range(1, cfg.n_steps + 1))
+
+    @pytest.mark.parametrize("text", [TINY_LQR, TINY_SCALAR], ids=["cartpole", "scalar"])
+    def test_results_equal_a_full_sweep_apart_from_runtime(self, tmp_path, monkeypatch, text):
+        cfg = dataclasses.replace(parse_config_text(text.format(out=tmp_path / "a")), trials=2)
+        results, _ = run_experiment(cfg)
+        _full_sweeps(monkeypatch)
+        full, _ = run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "full")))
+        assert _strip_runtime(results) == _strip_runtime(full)
+
+    def test_no_rank_warning_when_only_step_0_is_rank_deficient(self, tmp_path, monkeypatch):
+        cfg = dataclasses.replace(parse_config_text(TINY_LQR.format(out=tmp_path)), trials=1)
+
+        def rank_warnings(out):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / out)))
+            return {str(w.message) for w in caught if w.category is RankDeficientWarning}
+
+        assert rank_warnings("stopped") == set()
+        # a full sweep shows that step 0 is this config's one rank-deficient design
+        _full_sweeps(monkeypatch)
+        full = rank_warnings("full")
+        assert full and all(m.startswith("design matrix at step 0 ") for m in full)
+
+
+class TestReferenceRegion:
+    """The set-up samples the reference region only where something reads it."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (TINY_LQR, {"run": 1, "diagnose": 0, "oracle": 0}),
+            # the gridded oracle's span check reads the region on every command
+            (TINY_SCALAR, {"run": 1, "diagnose": 1, "oracle": 1}),
+        ],
+        ids=["cartpole", "scalar"],
+    )
+    def test_region_formed_once_where_read(self, tmp_path, monkeypatch, text, expected):
+        calls = []
+        real_region = experiments_module._reference_region
+
+        def counted(*args):
+            calls.append(None)
+            return real_region(*args)
+
+        monkeypatch.setattr(experiments_module, "_reference_region", counted)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(_override(
+            text.format(out=tmp_path / "out"), DIAGNOSE_KNOBS + "run.trials = 1\n"
+        ))
+        got = {}
+        for command in expected:
+            calls.clear()
+            assert main([command, str(cfg_path)]) == 0
+            got[command] = len(calls)
+        assert got == expected
+
+    def test_cartpole_outputs_do_not_read_the_reference_samples(self, tmp_path):
+        text = _override(TINY_LQR.format(out=tmp_path / "out"), DIAGNOSE_KNOBS)
+        assert build_setup(parse_config_text(text), scoring=False).region is None
+        written = {}
+        for samples in (64, 1):
+            cfg_path = tmp_path / f"ref{samples}.cfg"
+            cfg_path.write_text(_override(text, f"sampling.reference_samples = {samples}\n"))
+            out = tmp_path / f"out{samples}"
+            for command in ("diagnose", "oracle"):
+                assert main([command, str(cfg_path), "--output", str(out)]) == 0
+            written[samples] = [
+                (out / name).read_bytes() for name in ("diagnostics.csv", "riccati_truth.json")
+            ]
+        assert written[1] == written[64]
