@@ -25,10 +25,12 @@ formed: step N - 1 after sampling, where a backward sweep starts.
 Policies are deterministic functions of ``(i, x)``, as every policy in the
 package is.  So a step whose drift is ``DriftProcess.on_policy(mu)`` for the
 batch's own ``mu`` (the same object) takes K_i as the F_i(X_i, mu_i(X_i)) it
-has just computed for D_i instead of calling ``mu`` and F again: the bits are
-those of a second call, and D_i = 0 exactly.  A 1x1 Sigma is divided by
-rather than factorized; the quotient is bit for bit what ``np.linalg.solve``
-returns.
+has just computed instead of calling ``mu`` and F again: the bits are those
+of a second call.  Its D_i = F_i - K_i is formed without Sigma^{-1}: +0.0
+where F_i is finite and NaN where it is not, the bits the solve gives for a
+Sigma with positive pivots.  So only the other steps solve with Sigma, and a
+singular Sigma stops only them.  A 1x1 Sigma is divided by rather than
+factorized; the quotient is bit for bit what ``np.linalg.solve`` returns.
 
 Pinned batches for the conditional diagnostics advance through the same step,
 from a pinned state and increment, and store that one step alone.
@@ -73,7 +75,8 @@ class DriftProcess:
     The two constructors cover the drifts in use:
 
     - ``on_policy(policy)``: K_i = F_i(X_i, policy(i, X_i)); when ``policy``
-      is the batch's reference policy the corrections D vanish identically.
+      is the batch's reference policy the corrections D vanish identically
+      and are formed without Sigma^{-1}.
     - ``feedback(fn)``: K_i = fn(i, X_i), a deterministic state feedback.
     """
 
@@ -130,9 +133,11 @@ class TrajectoryBatch:
             f_ref = self.dp.F(i, x_i, u)
             if self.drift._policy is self.mu:
                 k = np.asarray(f_ref, dtype=float)
+                d = f_ref - k  # +0.0 where F is finite, NaN where it is not
             else:
                 k = np.asarray(self.drift.increments(self.dp, i, x_i), dtype=float)
-            self._last = (i, (sig, u, k, _solve_diffusion(sig, f_ref - k)))
+                d = _solve_diffusion(sig, f_ref - k)
+            self._last = (i, (sig, u, k, d))
         return self._last[1]
 
     @property
@@ -168,6 +173,7 @@ class TrajectoryBatch:
 def _solve_diffusion(sig: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Sigma^{-1} rhs over the stacked (..., n, n) ``sig`` and (..., n) ``rhs``.
 
+    Only steps off the batch's own policy reach it; see the module docstring.
     A 1x1 Sigma is a division, with the bits of ``np.linalg.solve``: like
     it, it raises :class:`SingularDiffusionError` when any pivot is zero
     (-0.0 included) and lets inf, NaN, overflow and underflow through without
@@ -242,7 +248,8 @@ def sample_forward(
     Raises
     ------
     SingularDiffusionError
-        If Sigma_i is singular at a visited state.
+        If Sigma_i is singular at a visited state of a step that solves with
+        it: any step unless ``drift`` is ``DriftProcess.on_policy(mu)``.
     DriftUnboundedError
         Naming the offending (trajectory, step) when ``||D|| > d_cap`` or a
         correction is NaN.

@@ -20,6 +20,7 @@ from fbsde_lsmc import backward as backward_module
 from fbsde_lsmc import cli as cli_module
 from fbsde_lsmc import config
 from fbsde_lsmc import experiments as experiments_module
+from fbsde_lsmc import sampling as sampling_module
 from fbsde_lsmc.backward import backward_sweep
 from fbsde_lsmc.cli import main
 from fbsde_lsmc.config import load_config, parse_config_text
@@ -491,6 +492,34 @@ class TestRunExperiment:
         cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path / "par"))
         results2, _ = run_experiment(cfg2, jobs=2)
         assert _strip_runtime(results) == _strip_runtime(results2)
+
+    def test_on_policy_run_matches_parallel_and_solved(self, tmp_path, monkeypatch):
+        # an optimal drift forms its corrections without Sigma^{-1}; the same
+        # drift as a distinct object takes the solve, and must give the same
+        # results.csv bytes outside runtime_ms
+        text = _override(TINY_LQR, "drift.kind = optimal\nrun.trials = 2\n")
+        solves = []
+        solve = sampling_module._solve_diffusion
+
+        def counting(sig, rhs):
+            solves.append(sig.shape)
+            return solve(sig, rhs)
+
+        monkeypatch.setattr(sampling_module, "_solve_diffusion", counting)
+        serial, _ = run_experiment(parse_config_text(text.format(out=tmp_path / "serial")))
+        assert solves == []
+        parallel, _ = run_experiment(parse_config_text(text.format(out=tmp_path / "par")), jobs=2)
+        monkeypatch.setattr(
+            experiments_module,
+            "build_drift",
+            lambda cfg, dp, mu: DriftProcess.on_policy(lambda i, x: mu(i, x)),
+        )
+        solved, _ = run_experiment(parse_config_text(text.format(out=tmp_path / "solved")))
+        assert solves
+        rows = _strip_runtime(serial)
+        assert rows and all(math.isfinite(float(r["mean_rae"])) for r in rows)
+        assert _strip_runtime(parallel) == rows
+        assert _strip_runtime(solved) == rows
 
 
 def _count_grid_builds(monkeypatch):

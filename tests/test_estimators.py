@@ -21,6 +21,7 @@ from fbsde_lsmc import (
 from fbsde_lsmc.errors import NotFittedError
 from fbsde_lsmc.estimators import _dot, _quad
 from fbsde_lsmc.sampling import pinned_step_batch
+from fbsde_lsmc.value_model import basis_eval
 
 from conftest import (
     delta_y_hat,
@@ -449,6 +450,72 @@ class TestExactnessProperties:
         for kind, ref in reference.items():
             got = estimate_targets(kind, model, batch, i)
             assert got.tobytes() == ref.tobytes(), kind
+
+
+def _em_against_taylor(dim, state_sigma, seed):
+    """EM targets minus taylor_noiseless, the pieces of their closed forms, and
+    the rounding allowance, for a random degree-2 model under a feedback drift.
+
+    The identities are exact in real arithmetic.  Each side adds at most ten
+    terms, each a product of the model's B = binom(n + 2, 2) features with
+    their coefficients (a few roundings per feature) or a quadratic form of
+    n^2 products, so each side is within (B + n^2 + 10) eps of the same sums
+    taken over absolute values, ``scale``; the allowance covers both sides.
+    """
+    dp, mu, batch = _random_setup(dim, seed, state_sigma)
+    i = 1
+    spec = scaling_from_batch(batch, 2)
+    model = ValueModel.empty(spec, dp.n_steps)
+    coeffs = np.random.default_rng(seed).normal(size=spec.size)
+    model.set_coeffs(i + 1, coeffs)
+    x_i, x_next, w = batch.x[:, i], batch.x[:, i + 1], batch.w[:, i]
+    sig, u, k, d = batch.drift_step(i)
+    assert np.all(np.any(d != 0.0, axis=-1))
+    tri = taylor_triple(model, i, x_i, k, sig)
+    z_til = np.einsum("...ji,...j->...i", sig, model.grad(i + 1, x_next))
+    noiseless = estimate_targets(EstimatorKind.TAYLOR_NOISELESS, model, batch, i)
+    diffs = {
+        kind: estimate_targets(kind, model, batch, i) - noiseless
+        for kind in (EstimatorKind.EM_NOISY, EstimatorKind.EM_NOISELESS)
+    }
+    abs_w, abs_d, abs_m = np.abs(w), np.abs(d), np.abs(tri.mbar)
+    scale = (
+        np.abs(basis_eval(spec, i + 1, x_next)) @ np.abs(coeffs)
+        + np.abs(basis_eval(spec, i + 1, x_i + k)) @ np.abs(coeffs)
+        + np.abs(dp.L(i, x_i, u))
+        + _dot(np.abs(tri.zbar) + np.abs(z_til), abs_w + abs_d)
+        + _quad(abs_m, abs_w + abs_d)
+        + np.trace(abs_m, axis1=-2, axis2=-1)
+    )
+    allowance = 2 * (spec.size + dim**2 + 10) * np.finfo(float).eps * scale
+    return tri, w, d, diffs, allowance
+
+
+class TestEmAgainstTaylor:
+    """For a quadratic model, X_{i+1} = Xbar + Sigma W gives V~(X_{i+1}) =
+    Ybar + Zbar.W + W^T Mbar W / 2 and Ztil = Zbar + Mbar W, so each EM target
+    differs from taylor_noiseless by a closed form quadratic in D and W."""
+
+    @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
+    @settings(max_examples=20, deadline=None)
+    def test_em_noisy_minus_taylor_noiseless(self, dim, state_sigma, seed):
+        # -[(W - D)^T Mbar (W - D) + tr Mbar] / 2
+        tri, w, d, diffs, allowance = _em_against_taylor(dim, state_sigma, seed)
+        closed = -0.5 * (_quad(tri.mbar, w - d) + np.trace(tri.mbar, axis1=-2, axis2=-1))
+        assert np.all(np.abs(diffs[EstimatorKind.EM_NOISY] - closed) <= allowance)
+
+    @given(dim=_DIMS, state_sigma=st.booleans(), seed=_SEEDS)
+    @settings(max_examples=20, deadline=None)
+    def test_em_noiseless_minus_taylor_noiseless(self, dim, state_sigma, seed):
+        # Zbar.W + (W + D)^T Mbar (W + D) / 2 - D^T Mbar D - tr Mbar / 2
+        tri, w, d, diffs, allowance = _em_against_taylor(dim, state_sigma, seed)
+        closed = (
+            _dot(tri.zbar, w)
+            + 0.5 * _quad(tri.mbar, w + d)
+            - _quad(tri.mbar, d)
+            - 0.5 * np.trace(tri.mbar, axis1=-2, axis2=-1)
+        )
+        assert np.all(np.abs(diffs[EstimatorKind.EM_NOISELESS] - closed) <= allowance)
 
 
 class TestMbarRounding:

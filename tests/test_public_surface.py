@@ -1,4 +1,5 @@
-"""The exported names and the layer boundaries the traced benchmark wraps."""
+"""The exported names, README's library sketch, and the layer boundaries the
+traced benchmark wraps."""
 
 import importlib
 import importlib.util
@@ -12,7 +13,8 @@ import pytest
 import fbsde_lsmc
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fbsde_lsmc.__path__))
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -40,6 +42,13 @@ def test_module_all_resolves(module_name):
     module = importlib.import_module(f"fbsde_lsmc.{module_name}")
     names = getattr(module, "__all__", [])
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_readme_library_sketch_runs():
+    # README's first python block, run as a reader would paste it: a renamed
+    # or deleted public name breaks it here
+    readme = (ROOT / "README.md").read_text()
+    exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), {})
 
 
 def test_trace_targets_and_counter_parameters_exist():

@@ -145,14 +145,16 @@ class TestSampleForward:
 
     def test_nan_correction_is_reported(self):
         # the quadratic drift 0.1 (x - 3)^2 from x0 = 7 overflows before
-        # t = 2.5 under a zero control, so F - K becomes inf - inf = NaN
+        # t = 2.5 under a zero control, so F - K becomes inf - inf = NaN;
+        # a distinct on-policy object takes the solve and fails at the same place
         dp = discretize(build_nonlinear_1d(), 50)
         mu = _zero_policy(dp)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DriftUnboundedError) as err:
-                sample_forward(dp, mu, DriftProcess.on_policy(mu), 64, seed=5)
-        assert np.isnan(err.value.norm)
-        assert (err.value.traj, err.value.step) == (0, 20)
+        for drift in (DriftProcess.on_policy(mu), DriftProcess.on_policy(lambda i, x: mu(i, x))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DriftUnboundedError) as err:
+                    sample_forward(dp, mu, drift, 64, seed=5)
+            assert np.isnan(err.value.norm)
+            assert (err.value.traj, err.value.step) == (0, 20)
 
     def test_non_finite_state_is_reported(self):
         # an infinite increment under an infinite cap gives an infinite
@@ -267,6 +269,19 @@ class TestScalarDivision:
         np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
+def _count_solves(monkeypatch):
+    """A list that gets one entry per ``_solve_diffusion`` call."""
+    solves = []
+    original = sampling_module._solve_diffusion
+
+    def counting(sig, rhs):
+        solves.append(sig.shape)
+        return original(sig, rhs)
+
+    monkeypatch.setattr(sampling_module, "_solve_diffusion", counting)
+    return solves
+
+
 class _CountingPolicy:
     def __init__(self, policy):
         self.policy, self.calls = policy, 0
@@ -277,7 +292,8 @@ class _CountingPolicy:
 
 
 class TestOnPolicyShortcut:
-    """An on-policy drift around the batch's own ``mu`` reuses F_i(X_i, mu_i(X_i))."""
+    """An on-policy drift around the batch's own ``mu`` reuses F_i(X_i, mu_i(X_i))
+    and forms D_i = F_i - K_i without Sigma^{-1}."""
 
     def test_one_reference_policy_call_per_step(self):
         cp, dp, truth, mu = _scalar_setup()
@@ -308,6 +324,51 @@ class TestOnPolicyShortcut:
             got, ref = read(shared), read(distinct)
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert np.all(_corrections(shared) == 0.0)
+        # formed without Sigma^{-1}, they have the bits of LAPACK's solve
+        for i in range(dp.n_steps):
+            sig, u, k, d = shared.drift_step(i)
+            ref = np.linalg.solve(sig, (dp.F(i, shared.x[:, i], u) - k)[..., None])[..., 0]
+            np.testing.assert_array_equal(d.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_on_policy_steps_solve_nothing(self, monkeypatch, dim):
+        dp = discretize(make_linear_problem(dim, seed=4), 5)
+        mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
+        solves = _count_solves(monkeypatch)
+        batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 16, seed=2)
+        backward_sweep(batch, list(EstimatorKind), scaling_from_batch(batch, 2))
+        assert solves == []
+        # a feedback drift solves once per step it forms: the sweep forms
+        # again every step but N - 1, which the forward pass left formed
+        drift = DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt)
+        batch = sample_forward(dp, mu, drift, 16, seed=2, d_cap=np.inf)
+        assert len(solves) == dp.n_steps
+        backward_sweep(batch, list(EstimatorKind), scaling_from_batch(batch, 2))
+        assert len(solves) == 2 * dp.n_steps - 1
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_singular_diffusion_samples_on_policy(self, sigma, dim):
+        # nothing inverts Sigma on policy; the solve path still rejects it
+        dp = discretize(_driftless_problem(sigma=sigma, dim=dim), 4)
+        mu = _zero_policy(dp)
+        batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 3, seed=0)
+        assert np.all(_corrections(batch) == 0.0)
+        assert np.all(batch.log_theta == 0.0)
+        np.testing.assert_array_equal(batch.x, 0.0)
+        with pytest.raises(SingularDiffusionError):
+            sample_forward(dp, mu, DriftProcess.on_policy(lambda i, x: mu(i, x)), 3, seed=0)
+
+    def test_non_finite_diffusion_on_policy_is_a_non_finite_state(self):
+        # the solve turns a NaN Sigma into NaN corrections; on policy D stays
+        # 0, and the state the NaN Sigma moves to is reported instead
+        dp = discretize(_driftless_problem(sigma=np.nan), 4)
+        mu = _zero_policy(dp)
+        with pytest.raises(FloatingPointError, match="trajectory 0, step 0"):
+            sample_forward(dp, mu, DriftProcess.on_policy(mu), 3, seed=0)
+        with pytest.raises(DriftUnboundedError) as err:
+            sample_forward(dp, mu, DriftProcess.on_policy(lambda i, x: mu(i, x)), 3, seed=0)
+        assert (err.value.traj, err.value.step) == (0, 0)
 
 
 def _stepwise_log_theta(batch):
@@ -450,14 +511,7 @@ class TestRecomputedStep:
         batch = sample_forward(dp, mu, drift, 16, seed=6)
         spec = scaling_from_batch(batch, 2)
         model = backward_pass(dp, mu, batch, EstimatorKind.TAYLOR_NOISELESS, spec)
-        solves = []
-        original = sampling_module._solve_diffusion
-
-        def counting(sig, rhs):
-            solves.append(sig.shape)
-            return original(sig, rhs)
-
-        monkeypatch.setattr(sampling_module, "_solve_diffusion", counting)
+        solves = _count_solves(monkeypatch)
         i, kind = 4, EstimatorKind.TAYLOR_REESTIMATE
         estimator_bias_variance(kind, dp, mu, model, i, [0.3], [0.01], 50, 1, truth=truth)
         assert len(solves) == 1
