@@ -26,7 +26,7 @@ from .estimators import EstimatorKind
 from .experiments import build_setup, emit_heatmap, run_experiment, subseed
 from .metrics import bias_bound_check, report_to_csv
 from .oracles import GridTruth, export_grid_csv, export_riccati_json
-from .sampling import sample_forward
+from .sampling import TrajectoryBatch, sample_forward
 from .value_model import scaling_from_batch
 
 _INVALID_INPUT = (ConfigError, SchemaError, ValueError)
@@ -93,8 +93,14 @@ def _cmd_diagnose(args) -> int:
     step = cfg.diagnose_step if cfg.diagnose_step is not None else cfg.n_steps // 2
     # the check at step i reads only the step-(i + 1) models: fit no further
     kinds = [EstimatorKind(est) for est in cfg.estimators]
+    models = backward_sweep(batch, kinds, spec, down_to=step + 1)
+    # and only the batch's step i: keep copies of its columns, freeing the rest
+    batch = TrajectoryBatch(
+        batch.x[:, step : step + 2].copy(), batch.w[:, step : step + 1].copy(),
+        batch.dp, batch.mu, batch.drift, first_step=step,
+    )
     reports = bias_bound_check(
-        backward_sweep(batch, kinds, spec, down_to=step + 1),
+        models,
         batch,
         step,
         setup.truth,

@@ -33,6 +33,18 @@ cartpole_sweep benchmark config its mean RAE at degrees 2 / 3 / 4 is
 3.3e-12 / 783 / 2.8e40, against 3.1e-12 / 3.6e-10 / 2.5e-8 for
 taylor_noiseless.
 
+For a quadratic model X_{i+1} = Xbar + Sigma W gives
+V~(X_{i+1}) = Ybar + Zbar.W + W^T Mbar W / 2 and Ztil = Zbar + Mbar W, so
+
+    em_noisy - taylor_noiseless = -[(W - D)^T Mbar (W - D) + tr Mbar] / 2,
+    em_noiseless - taylor_noiseless = Zbar.W + (W + D)^T Mbar (W + D) / 2
+                                      - D^T Mbar D - tr Mbar / 2,
+
+whose means under the sampling measure are -tr Mbar - D^T Mbar D / 2 and
+-D^T Mbar D / 2.  Both EM targets carry a bias quadratic in D that the
+Taylor targets cancel, and the noise terms Zbar.W and W^T Mbar D that the
+noiseless Taylor target does not.
+
 The noiseless target uses no W at all, so for pinned (X_i, K_i) it is a
 deterministic function with exactly zero sampling variance.  Trace products
 against rank-one updates are accumulated as quadratic forms, never by forming

@@ -8,7 +8,9 @@ configured ground truth, averaged over timesteps 1..N; the grid features
 and truth values of a step are computed once for all of them.  Step 0
 is excluded from the average: the initial state is deterministic, so its
 regression sees a single repeated state and cannot identify the value away
-from it.  No score reads step 0, so the sweep stops at step 1.
+from it.  No score reads step 0, so the sweep stops at step 1.  A score
+reads only the fitted models, so a group's batch is released once every
+degree's sweep is done, before any of them is scored.
 
 The gridded oracle is built once, on the configured span, which must
 contain the reference confidence region widened by half.  That region is
@@ -170,10 +172,9 @@ def build_setup(cfg: ExperimentConfig, *, scoring: bool = True) -> ExperimentSet
     return ExperimentSetup(cfg=cfg, dp=dp, truth=truth, mu=mu, region=region, drift=drift)
 
 
-def _mean_raes(fitted: dict, truth, region, n_steps) -> dict:
-    """Mean RAE over steps 1..N per kind; +inf where the fit or the scoring failed."""
-    models = {kind: m for kind, m in fitted.items() if not isinstance(m, Exception)}
-    out = dict.fromkeys(fitted, float("inf"))
+def _mean_raes(models: dict, truth, region, n_steps) -> dict:
+    """Mean RAE over steps 1..N of each fitted ``{kind: model}``; +inf where the scoring failed."""
+    out = dict.fromkeys(models, float("inf"))
     if not models:
         return out
     scored = list(models.values())
@@ -190,9 +191,13 @@ def _mean_raes(fitted: dict, truth, region, n_steps) -> dict:
 def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
     """All cells sharing one forward pass; returns {(estimator, degree): (mean_rae, runtime_ms)}.
 
-    The estimators of each degree are fitted in one lockstep sweep and scored
-    together; each of their cells gets an equal share of that wall time.
-    The fields that do not vary per cell are left to ``run_experiment``.
+    The estimators of each degree are fitted in one lockstep sweep, every
+    degree's sweep first.  A score reads only the fitted models, so the batch
+    is released before any degree is scored; a failed fit's cell stays
+    ``inf`` and its exception, whose traceback frames hold the batch, is
+    dropped.  Each of a degree's cells gets an equal share of that degree's
+    sweep and scoring wall time.  The fields that do not vary per cell are
+    left to ``run_experiment``.
     """
     cfg = setup.cfg
     kinds = [EstimatorKind(est) for est in cfg.estimators]
@@ -203,16 +208,24 @@ def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
         )
     except _NUMERIC_FAILURES:
         batch = None
-    cells = {}
+    fits = {}
     for deg in cfg.degrees:
         start = time.perf_counter()
-        scores = dict.fromkeys(kinds, float("inf"))
+        models = {}
         if batch is not None:
             spec = scaling_from_batch(batch, deg)
             with np.errstate(over="ignore", invalid="ignore"):
                 fitted = backward_sweep(batch, kinds, spec, down_to=1)
-                scores = _mean_raes(fitted, setup.truth, setup.region, cfg.n_steps)
-        elapsed_ms = (time.perf_counter() - start) * 1e3 / len(kinds)
+            models = {kind: m for kind, m in fitted.items() if not isinstance(m, Exception)}
+        fits[deg] = (models, time.perf_counter() - start)
+    batch = fitted = None
+    cells = {}
+    for deg, (models, elapsed) in fits.items():
+        start = time.perf_counter()
+        scores = dict.fromkeys(kinds, float("inf"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores.update(_mean_raes(models, setup.truth, setup.region, cfg.n_steps))
+        elapsed_ms = (elapsed + time.perf_counter() - start) * 1e3 / len(kinds)
         for est, kind in zip(cfg.estimators, kinds):
             cells[(est, deg)] = (scores[kind], elapsed_ms)
     return cells

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from fbsde_lsmc.errors import (
 )
 from fbsde_lsmc.estimators import EstimatorKind
 from fbsde_lsmc.experiments import build_setup, emit_heatmap, run_experiment, subseed
-from fbsde_lsmc.metrics import bias_bound_check, report_to_csv
+from fbsde_lsmc.metrics import bias_bound_check, report_to_csv, shared_rae
 from fbsde_lsmc.problems import FeedbackPolicy
 from fbsde_lsmc.sampling import DriftProcess, sample_forward
 from fbsde_lsmc.value_model import scaling_from_batch
@@ -389,6 +390,37 @@ def tiny_run(tmp_path_factory):
     return cfg, results, manifest
 
 
+def _mean_raes_written(results):
+    """``mean_rae`` of ``results.csv`` per (estimator, basis_count, samples, trial)."""
+    keys = ("estimator", "basis_count", "samples", "trial")
+    return {tuple(r[k] for k in keys): r["mean_rae"] for r in _read_rows(results)}
+
+
+def _mean_raes_by_hand(cfg):
+    """The ``mean_rae`` column as its definition gives it, keyed as
+    :func:`_mean_raes_written`: each degree swept on its group's batch, then
+    ``np.mean`` of the ``shared_rae`` of steps 1..N."""
+    setup = build_setup(cfg)
+    kinds = [EstimatorKind(est) for est in cfg.estimators]
+    out = {}
+    for samples, trial in itertools.product(cfg.samples, range(cfg.trials)):
+        batch = sample_forward(
+            setup.dp, setup.mu, setup.drift, samples, subseed(cfg.seed, f"trial-{trial}"),
+            cfg.d_cap,
+        )
+        for deg in cfg.degrees:
+            spec = scaling_from_batch(batch, deg)
+            models = list(backward_sweep(batch, kinds, spec, down_to=1).values())
+            per_step = [
+                shared_rae(models, setup.truth, setup.region, i)
+                for i in range(1, cfg.n_steps + 1)
+            ]
+            basis_count = str(math.comb(setup.dp.dim_x + deg, deg))
+            for est, vals in zip(cfg.estimators, zip(*per_step)):
+                out[(est, basis_count, str(samples), str(trial))] = repr(float(np.mean(vals)))
+    return out
+
+
 class TestRunExperiment:
     def test_row_count_and_uniqueness(self, tiny_run):
         cfg, results, _ = tiny_run
@@ -492,6 +524,51 @@ class TestRunExperiment:
         cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path / "par"))
         results2, _ = run_experiment(cfg2, jobs=2)
         assert _strip_runtime(results) == _strip_runtime(results2)
+        # each scalar worker rebuilds the on-policy drift and the reference
+        # policy from one unpickled GridPolicy
+        scalar = parse_config_text(TINY_SCALAR.format(out=tmp_path / "scalar"))
+        serial, _ = run_experiment(scalar)
+        parallel, _ = run_experiment(
+            dataclasses.replace(scalar, output_dir=str(tmp_path / "scalar_par")), jobs=2
+        )
+        rows = _strip_runtime(serial)
+        assert rows and all(math.isfinite(float(r["mean_rae"])) for r in rows)
+        assert _strip_runtime(parallel) == rows
+
+    @pytest.mark.parametrize("text", [TINY_LQR, TINY_SCALAR], ids=["cartpole", "scalar"])
+    def test_mean_rae_is_the_mean_of_shared_rae_over_steps_1_to_n(self, tmp_path, text):
+        # the paper's averaged error, bit for bit: step 0 is left out, step N is not
+        cfg = dataclasses.replace(parse_config_text(text.format(out=tmp_path)), trials=2)
+        results, _ = run_experiment(cfg)
+        written = _mean_raes_written(results)
+        assert all(math.isfinite(float(v)) for v in written.values())
+        assert written == _mean_raes_by_hand(cfg)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_is_released_before_scoring(self, tmp_path, monkeypatch, jobs):
+        # a score reads only the fitted models: every batch sampled so far is
+        # freed before any degree of its group is scored
+        cfg = dataclasses.replace(parse_config_text(TINY_LQR.format(out=tmp_path)), trials=2)
+        assert len(cfg.degrees) == 2
+        sampled, scored = [], []
+        real_sample, real_scores = experiments_module.sample_forward, experiments_module._mean_raes
+
+        def sampling(*args):
+            batch = real_sample(*args)
+            sampled.append(weakref.ref(batch.x))
+            return batch
+
+        def scoring(*args):
+            assert sampled and all(ref() is None for ref in sampled)
+            scored.append(None)
+            return real_scores(*args)
+
+        monkeypatch.setattr(experiments_module, "sample_forward", sampling)
+        monkeypatch.setattr(experiments_module, "_mean_raes", scoring)
+        results, _ = run_experiment(cfg, jobs=jobs)
+        if jobs == 1:  # workers score in their own processes
+            assert len(scored) == len(cfg.samples) * cfg.trials * len(cfg.degrees)
+        assert _mean_raes_written(results) == _mean_raes_by_hand(cfg)
 
     def test_on_policy_run_matches_parallel_and_solved(self, tmp_path, monkeypatch):
         # an optimal drift forms its corrections without Sigma^{-1}; the same
@@ -832,7 +909,8 @@ DIAGNOSE_KNOBS = "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
 
 
 class TestDiagnoseSweepDepth:
-    """diagnose fits steps N down to diagnose.step + 1, the ones its check reads."""
+    """diagnose fits steps N down to diagnose.step + 1, the ones its check
+    reads, and keeps only the batch's step diagnose.step for the check."""
 
     @pytest.mark.parametrize("text", [TINY_LQR, TINY_SCALAR], ids=["cartpole", "scalar"])
     def test_full_sweep_bytes_from_n_minus_step_fits_per_estimator(
@@ -855,6 +933,26 @@ class TestDiagnoseSweepDepth:
             return real_fit(x, ys, spec, i, **kwargs)
 
         monkeypatch.setattr(backward_module, "lsmc_fit", counting)
+        # the check reads the batch's step i alone: it gets copies of state
+        # columns i and i + 1 and noise column i, the sampled batch freed
+        sampled, checked = [], []
+        real_sample, real_check = cli_module.sample_forward, cli_module.bias_bound_check
+
+        def sampling(*args):
+            batch = real_sample(*args)
+            sampled.append(weakref.ref(batch.x))
+            return batch
+
+        def check(models, batch, *args, **kwargs):
+            released = bool(sampled) and all(ref() is None for ref in sampled)
+            checked.append(
+                (batch.first_step, batch.x.shape, batch.w.shape, batch.x.base is None, released)
+            )
+            return real_check(models, batch, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "sample_forward", sampling)
+        monkeypatch.setattr(cli_module, "bias_bound_check", check)
+        m, dim = batch.n_samples, batch.dim
         n = cfg.n_steps
         for step in (0, n // 2, n - 1):
             reports = bias_bound_check(
@@ -871,6 +969,7 @@ class TestDiagnoseSweepDepth:
             assert (out / "diagnostics.csv").read_bytes() == expected, step
             assert len(fitted_steps) == (n - step) * len(kinds)
             assert sorted(set(fitted_steps)) == list(range(step + 1, n + 1))
+            assert checked[-1] == (step, (m, 2, dim), (m, 1, dim), True, True), step
 
     def test_only_a_failure_above_the_checked_step_exits_3(self, tmp_path, monkeypatch, capsys):
         step = 4

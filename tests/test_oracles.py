@@ -408,6 +408,26 @@ class TestGtEval:
             query(0, x)
             query(end - 1, x)
 
+    def test_grid_policy_clips_the_margin_extrapolation_to_the_control_box(self):
+        # the edge cells' slopes carry the tabulated controls out of [-1, 1]
+        # in the extrapolation margin; the policy's controls stay admissible
+        truth = oracles.GridTruth(
+            nodes=np.array([0.0, 1.0, 2.0]),
+            values=np.zeros((2, 3)),
+            u_star=np.array([[-0.9, 0.0, 0.9]]),
+            lo=np.array([0.0]),
+            hi=np.array([2.0]),
+            margin=np.array([1.0]),
+        )
+        policy = oracles.GridPolicy(truth, [-1.0], [1.0])
+        x = np.array([[-0.5], [0.5], [1.5], [2.5]])
+        raw = truth.control(0, x)
+        assert raw.min() < -1.0 and raw.max() > 1.0
+        u = policy(0, x)
+        assert u.shape == raw.shape == (4, 1)
+        assert np.all((u >= -1.0) & (u <= 1.0))
+        np.testing.assert_array_equal(u, np.clip(raw, -1.0, 1.0))
+
     def test_far_outside_grid_rejected(self):
         cp = _uncontrolled_problem(lambda x: np.asarray(x, dtype=float)[..., 0] ** 2)
         dp = discretize(cp, 2)
