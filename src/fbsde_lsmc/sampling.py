@@ -29,8 +29,7 @@ has just computed instead of calling ``mu`` and F again: the bits are those
 of a second call.  Its D_i = F_i - K_i is formed without Sigma^{-1}: +0.0
 where F_i is finite and NaN where it is not, the bits the solve gives for a
 Sigma with positive pivots.  So only the other steps solve with Sigma, and a
-singular Sigma stops only them.  A 1x1 Sigma is divided by rather than
-factorized; the quotient is bit for bit what ``np.linalg.solve`` returns.
+singular Sigma stops only them.
 
 Pinned batches for the conditional diagnostics advance through the same step,
 from a pinned state and increment, and store that one step alone.
@@ -174,16 +173,10 @@ def _solve_diffusion(sig: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Sigma^{-1} rhs over the stacked (..., n, n) ``sig`` and (..., n) ``rhs``.
 
     Only steps off the batch's own policy reach it; see the module docstring.
-    A 1x1 Sigma is a division, with the bits of ``np.linalg.solve``: like
-    it, it raises :class:`SingularDiffusionError` when any pivot is zero
-    (-0.0 included) and lets inf, NaN, overflow and underflow through without
-    a floating-point warning.  Larger Sigma go through LAPACK.
+    A zero pivot (-0.0 included) in LAPACK's LU solve raises
+    :class:`SingularDiffusionError`; inf and NaN entries raise no
+    floating-point warning.
     """
-    if sig.shape[-2:] == (1, 1):
-        if np.any(sig[..., 0, 0] == 0.0):
-            raise SingularDiffusionError("diffusion matrix is singular: zero pivot")
-        with np.errstate(all="ignore"):
-            return rhs / sig[..., 0]
     try:
         return np.linalg.solve(sig, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:

@@ -91,6 +91,10 @@ metrics.dx = 0.05
 """
 
 
+# Two cells of 200 reps at degree 2: a diagnose that runs in well under a second.
+DIAGNOSE_KNOBS = "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
+
+
 def _escaping_drift(cfg, dp, mu):
     """The feedback drift u = -1.5 x, in place of ``experiments.build_drift``.
 
@@ -373,13 +377,21 @@ class TestConfigParsing:
         assert parse_config_text("run.n_steps = 10\ndiagnose.step = 9").diagnose_step == 9
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
-        # the config file is the seed's only source: FBSDE_SEED is not read
+        # the config file is the seed's only source: FBSDE_SEED is not read,
+        # by the parser or anywhere in a run
         path = tmp_path / "c.cfg"
         path.write_text("run.seed = 5")
         monkeypatch.setenv("FBSDE_SEED", "77")
         assert load_config(path).seed == 5
         monkeypatch.setenv("FBSDE_SEED", "x")
         assert load_config(path).seed == 5
+        path.write_text(_override(TINY_LQR.format(out=tmp_path / "env"), "run.trials = 1\n"))
+        monkeypatch.setenv("FBSDE_SEED", "7")
+        assert main(["run", str(path)]) == 0
+        monkeypatch.delenv("FBSDE_SEED")
+        assert main(["run", str(path), "--output", str(tmp_path / "plain")]) == 0
+        env, plain = (_strip_runtime(tmp_path / d / "results.csv") for d in ("env", "plain"))
+        assert env and env == plain
 
 
 @pytest.fixture(scope="module")
@@ -524,16 +536,19 @@ class TestRunExperiment:
         cfg2 = dataclasses.replace(cfg, output_dir=str(tmp_path / "par"))
         results2, _ = run_experiment(cfg2, jobs=2)
         assert _strip_runtime(results) == _strip_runtime(results2)
-        # each scalar worker rebuilds the on-policy drift and the reference
-        # policy from one unpickled GridPolicy
-        scalar = parse_config_text(TINY_SCALAR.format(out=tmp_path / "scalar"))
-        serial, _ = run_experiment(scalar)
-        parallel, _ = run_experiment(
-            dataclasses.replace(scalar, output_dir=str(tmp_path / "scalar_par")), jobs=2
-        )
-        rows = _strip_runtime(serial)
-        assert rows and all(math.isfinite(float(r["mean_rae"])) for r in rows)
-        assert _strip_runtime(parallel) == rows
+        # degree 4 forms the benchmark's cart-pole feature products (70
+        # features, more than the 32 paths); each scalar worker rebuilds the
+        # on-policy drift and the reference policy from one unpickled GridPolicy
+        degree4 = _override(TINY_LQR, "sweep.degrees = 4\nsweep.samples = 32\nrun.trials = 2\n")
+        for name, text in (("degree4", degree4), ("scalar", TINY_SCALAR)):
+            cfg = parse_config_text(text.format(out=tmp_path / name))
+            serial, _ = run_experiment(cfg)
+            parallel, _ = run_experiment(
+                dataclasses.replace(cfg, output_dir=str(tmp_path / f"{name}_par")), jobs=2
+            )
+            rows = _strip_runtime(serial)
+            assert rows and all(math.isfinite(float(r["mean_rae"])) for r in rows), name
+            assert _strip_runtime(parallel) == rows, name
 
     @pytest.mark.parametrize("text", [TINY_LQR, TINY_SCALAR], ids=["cartpole", "scalar"])
     def test_mean_rae_is_the_mean_of_shared_rae_over_steps_1_to_n(self, tmp_path, text):
@@ -749,10 +764,13 @@ class TestCliEntry:
             ("run", "run.ridge = nan\n", "run.ridge"),
             ("run", "run.ridge = -1\n", "run.ridge"),
             ("run", "run.horizon = inf\n", "run.horizon"),
+            ("run", "run.horizon = 5\n", "run.horizon"),
             ("diagnose", "metrics.dx = inf\n", "metrics.dx"),
             ("oracle", "problem.name = nonlinear1d\noracle.state_lo = 12\n", "oracle.state_lo"),
             ("oracle", "problem.u_max = 5\n", "problem.u_max"),
             ("run", "drift.kind = custom\ndrift.gains = 1,2\n", "drift.gains"),
+            ("run", "drift.kind = custom\n", "drift.kind"),
+            ("run", "sampling.d_cap = inf\n", "sampling.d_cap"),
         ],
         ids=[
             "repeated_degree",
@@ -761,10 +779,13 @@ class TestCliEntry:
             "nan_ridge",
             "negative_ridge",
             "inf_horizon",
+            "finite_horizon",
             "inf_dx",
             "scalar_span_past_default_hi",
             "u_max_on_cartpole",
             "short_custom_gains",
+            "custom_drift",
+            "d_cap",
         ],
     )
     def test_rejected_before_any_work_exits_1(self, tmp_path, capsys, command, extra, key):
@@ -803,6 +824,10 @@ class TestCliEntry:
         assert lines[0] == "step,x_0,value,u_star_0"
         assert len(lines) == 21 * 401 + 1
         assert len(_read_rows(tmp_path / "out" / "results.csv")) == 2
+        # the tables do not depend on which optional packages are importable
+        assert main(["oracle", str(cfg_path), "--output", str(tmp_path / "here")]) == 0
+        here = (tmp_path / "here" / "grid_truth.csv").read_bytes()
+        assert here == (tmp_path / "out" / "grid_truth.csv").read_bytes()
 
     def test_scalar_suboptimal_drift_run(self, tmp_path):
         # the scalar problem's comparison drift is the rate -0.2 x, scaled by dt
@@ -842,42 +867,46 @@ class TestCliEntry:
 
     def test_diagnose_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(_override(
-            TINY_LQR.format(out=tmp_path / "out"),
-            "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n",
-        ))
+        cfg_path.write_text(_override(TINY_LQR.format(out=tmp_path / "out"), DIAGNOSE_KNOBS))
         assert main(["diagnose", str(cfg_path)]) == 0
         lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
         assert lines[0].startswith("step,kind,cell")
         assert len(lines) == 1 + 2 * 2  # two estimators x two cells
 
-    @pytest.mark.parametrize("drift, vacuous", [("suboptimal", 2), ("optimal", 0)])
-    def test_diagnose_counts_vacuous_cells(self, tmp_path, capsys, drift, vacuous):
+    @pytest.mark.parametrize(
+        "text, drift, vacuous",
+        [
+            (_override(TINY_LQR, DIAGNOSE_KNOBS), "suboptimal", 2),
+            (_override(TINY_LQR, DIAGNOSE_KNOBS), "optimal", 0),
+            (TINY_SCALAR, "optimal", 0),
+        ],
+        ids=["suboptimal-2", "optimal-0", "scalar-optimal-0"],
+    )
+    def test_diagnose_counts_vacuous_cells(self, tmp_path, capsys, text, drift, vacuous):
         # the suboptimal drift's corrections (norms near 1e4 here) underflow
         # every weight: lhs is 0, rhs is inf and the cell holds whatever its
-        # remainder; the on-policy drift has D = 0 and a finite bound
+        # remainder; an on-policy drift has D = 0, and every cell's lhs, rhs
+        # and stderr are finite and its bound holds
         cfg_path = tmp_path / "exp.cfg"
-        text = _override(
-            TINY_LQR.format(out=tmp_path / "out"),
-            "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n",
-        )
-        cfg_path.write_text(text.replace("drift.kind = suboptimal", f"drift.kind = {drift}"))
+        cfg_path.write_text(_override(text.format(out=tmp_path / "out"), f"drift.kind = {drift}\n"))
         assert main(["diagnose", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         rows = _read_rows(tmp_path / "out" / "diagnostics.csv")
+        n_cells = load_config(cfg_path).diagnose_cells
         for kind in ("taylor_noiseless", "em_noisy"):
             cells = [r for r in rows if r["kind"] == kind]
+            assert len(cells) == n_cells
             assert sum(math.isinf(float(r["rhs"])) for r in cells) == vacuous
-            assert f"{kind}: bound holds ({vacuous} of 2 cells vacuous: rhs = inf)" in out
+            assert f"{kind}: bound holds ({vacuous} of {n_cells} cells vacuous: rhs = inf)" in out
+        if not vacuous:
+            finite = [math.isfinite(float(r[k])) for r in rows for k in ("lhs", "rhs", "stderr")]
+            assert all(finite) and all(r["holds"] == "1" for r in rows)
 
     def test_diagnose_checks_every_estimator_on_one_set_of_cells(self, tmp_path):
         # one bias_bound_check call of all the fitted estimators, seeded with
         # the "diagnose-cells" subseed, writes the command's exact bytes
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(_override(
-            TINY_LQR.format(out=tmp_path / "out"),
-            "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n",
-        ))
+        cfg_path.write_text(_override(TINY_LQR.format(out=tmp_path / "out"), DIAGNOSE_KNOBS))
         assert main(["diagnose", str(cfg_path)]) == 0
         cfg = load_config(cfg_path)
         setup = build_setup(cfg)
@@ -893,19 +922,16 @@ class TestCliEntry:
         assert (tmp_path / "out" / "diagnostics.csv").read_bytes() == expected
 
     def test_diagnose_is_deterministic(self, tmp_path):
-        written = []
-        for name in ("a", "b"):
-            cfg_path = tmp_path / f"{name}.cfg"
-            cfg_path.write_text(_override(
-                TINY_LQR.format(out=tmp_path / name),
-                "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n",
-            ))
-            assert main(["diagnose", str(cfg_path)]) == 0
-            written.append((tmp_path / name / "diagnostics.csv").read_bytes())
-        assert written[0] == written[1]
-
-
-DIAGNOSE_KNOBS = "diagnose.cells = 2\ndiagnose.reps = 200\nsweep.degrees = 2\n"
+        # every step is formed again on read; on the scalar problem through
+        # the GridPolicy
+        for text in (_override(TINY_LQR, DIAGNOSE_KNOBS), TINY_SCALAR):
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(text.format(out=tmp_path / "a"))
+            written = []
+            for name in ("a", "b"):
+                assert main(["diagnose", str(cfg_path), "--output", str(tmp_path / name)]) == 0
+                written.append((tmp_path / name / "diagnostics.csv").read_bytes())
+            assert written[0] == written[1]
 
 
 class TestDiagnoseSweepDepth:
