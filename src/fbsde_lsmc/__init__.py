@@ -20,7 +20,6 @@ from .estimators import (
 )
 from .metrics import (
     ConfidenceRegion,
-    DiagnosticReport,
     bias_bound_check,
     confidence_region,
     estimator_bias_variance,
@@ -63,7 +62,6 @@ __all__ = [
     "estimate_targets",
     "taylor_triple",
     "ConfidenceRegion",
-    "DiagnosticReport",
     "bias_bound_check",
     "confidence_region",
     "estimator_bias_variance",

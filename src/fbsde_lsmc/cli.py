@@ -87,7 +87,6 @@ def _cmd_diagnose(args) -> int:
         setup.drift,
         samples,
         subseed(cfg.seed, "diagnose"),
-        cfg.d_cap,
     )
     spec = scaling_from_batch(batch, cfg.degrees[0])
     step = cfg.diagnose_step if cfg.diagnose_step is not None else cfg.n_steps // 2

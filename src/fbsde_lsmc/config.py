@@ -1,14 +1,16 @@
 """Flat key=value experiment configuration.
 
-The format is plain text, one ``section.key = value`` per line, ``#`` for
-comments.  Lists are comma separated.  It parses with no dependencies and
-diffs cleanly.  Unknown and repeated keys are rejected so typos fail
-loudly.
+The format is plain text, one ``section.key = value`` per line.  A ``#``
+at the start of a line or after whitespace starts a comment; elsewhere it
+is part of the value.  Lists are comma separated.  It parses with no
+dependencies and diffs cleanly.  Unknown and repeated keys are rejected so
+typos fail loudly.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -123,15 +125,6 @@ class ExperimentConfig:
         if self.metrics_points_per_axis is not None and self.metrics_points_per_axis < 2:
             raise ConfigError("metrics.points_per_axis must be >= 2")
 
-    @property
-    def d_cap(self) -> float:
-        """Drift-correction norm cap checked while sampling, fixed per problem.
-
-        Corrections on the linear benchmark's ill-conditioned diffusion are
-        legitimately large; the scalar benchmark keeps the tight cap.
-        """
-        return 10.0 if self.problem == "nonlinear1d" else 1e9
-
     def _reads(self, key: str) -> bool:
         """Whether this problem and drift kind read the config ``key``."""
         problems, kinds = _SCOPES.get(key, (_VALID_PROBLEMS, _VALID_DRIFTS))
@@ -140,6 +133,9 @@ class ExperimentConfig:
     def resolved(self) -> dict:
         """The settings this run reads, by attribute name."""
         return {attr: getattr(self, attr) for key, (attr, _) in _KEYS.items() if self._reads(key)}
+
+
+_COMMENT = re.compile(r"(?<!\S)#")
 
 
 def _parse_int_list(s: str) -> list:
@@ -207,7 +203,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse configuration text into a validated :class:`ExperimentConfig`."""
     kwargs, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -8,7 +8,7 @@ class SingularDiffusionError(ValueError):
 
 
 class DriftUnboundedError(RuntimeError):
-    """A drift correction exceeded the configured norm cap."""
+    """A drift correction exceeded the problem's norm cap."""
 
     def __init__(self, traj: int, step: int, norm: float, cap: float):
         self.traj = traj

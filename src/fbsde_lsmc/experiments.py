@@ -122,7 +122,6 @@ def _reference_region(cfg: ExperimentConfig, dp, mu):
         DriftProcess.on_policy(mu),
         cfg.reference_samples,
         subseed(cfg.seed, "reference"),
-        cfg.d_cap,
     )
     return confidence_region(
         ref, dx=cfg.metrics_dx, points_per_axis=cfg.metrics_points_per_axis
@@ -203,8 +202,7 @@ def _run_group(setup: ExperimentSetup, samples: int, trial: int) -> dict:
     kinds = [EstimatorKind(est) for est in cfg.estimators]
     try:
         batch = sample_forward(
-            setup.dp, setup.mu, setup.drift, samples, subseed(cfg.seed, f"trial-{trial}"),
-            cfg.d_cap,
+            setup.dp, setup.mu, setup.drift, samples, subseed(cfg.seed, f"trial-{trial}")
         )
     except _NUMERIC_FAILURES:
         batch = None

@@ -101,6 +101,9 @@ class ContinuousProblem:
         Control-affine/quadratic decomposition when available.
     lqr : LqrStructure, optional
         Exact matrices when the problem is linear-quadratic.
+    d_cap : float
+        Drift-correction norm cap that sampling enforces; change-of-measure
+        error bounds degrade like exp(||D||^2 / 2).
     """
 
     dim_x: int
@@ -115,6 +118,7 @@ class ContinuousProblem:
     x0: np.ndarray
     structure: Optional[ControlStructure] = None
     lqr: Optional[LqrStructure] = None
+    d_cap: float = 10.0
 
     def __post_init__(self):
         lo = np.asarray(self.control_lower, dtype=float)
@@ -135,6 +139,7 @@ class DiscreteProblem:
     follow the same broadcasting convention as :class:`ContinuousProblem`.
     Instances built by :func:`discretize` satisfy the dt-scaling relations in
     the module docstring; hand-built instances only need the shapes to match.
+    ``d_cap`` is the drift-correction norm cap that ``sample_forward`` checks.
     """
 
     n_steps: int
@@ -149,6 +154,7 @@ class DiscreteProblem:
     control_upper: np.ndarray
     x0: np.ndarray
     structure: Optional[ControlStructure] = None
+    d_cap: float = 10.0
 
     def t(self, i: int) -> float:
         """Physical time of step ``i``."""
@@ -223,6 +229,7 @@ def discretize(cp: ContinuousProblem, n_steps: int) -> DiscreteProblem:
         control_upper=cp.control_upper,
         x0=cp.x0,
         structure=cp.structure,
+        d_cap=cp.d_cap,
     )
 
 
@@ -284,7 +291,9 @@ def build_cartpole_lqr() -> ContinuousProblem:
 
     so the drift is f(t, x, u) = A x + B u.  The diffusion is a constant 4x4
     matrix, the running cost x^T x + u^2, the terminal cost x^T x, the
-    horizon 5 s and the initial state [0, 0, pi/9, 0].
+    horizon 5 s and the initial state [0, 0, pi/9, 0].  The diffusion matrix
+    is poorly conditioned, so legitimate comparison drifts give large
+    corrections: the drift-correction cap is 1e9, effectively off.
     """
     cart_mass, pole_mass, half_length, gravity = 1.0, 0.1, 0.5, 9.81
     a = np.array(
@@ -342,4 +351,5 @@ def build_cartpole_lqr() -> ContinuousProblem:
         x0=np.array([0.0, 0.0, math.pi / 9.0, 0.0]),
         structure=structure,
         lqr=LqrStructure(a=a, b=b, q=q, r=r, g_mat=g_mat, sigma_mat=sigma_mat),
+        d_cap=1e9,
     )

@@ -219,7 +219,6 @@ def sample_forward(
     drift: DriftProcess,
     n_samples: int,
     seed: int,
-    d_cap: float = 10.0,
 ) -> TrajectoryBatch:
     """Sample ``n_samples`` forward trajectories under the given drift.
 
@@ -234,9 +233,6 @@ def sample_forward(
         Number of trajectories M (>= 1).
     seed : int
         Base seed; identical inputs give bit-identical batches.
-    d_cap : float
-        Fail loudly if any correction norm exceeds this cap; change-of-measure
-        error bounds degrade like exp(||D||^2 / 2).
 
     Raises
     ------
@@ -244,8 +240,8 @@ def sample_forward(
         If Sigma_i is singular at a visited state of a step that solves with
         it: any step unless ``drift`` is ``DriftProcess.on_policy(mu)``.
     DriftUnboundedError
-        Naming the offending (trajectory, step) when ``||D|| > d_cap`` or a
-        correction is NaN.
+        Naming the offending (trajectory, step) when ``||D||`` exceeds the
+        problem's cap ``dp.d_cap`` or a correction is NaN.
     FloatingPointError
         Naming the (trajectory, step) whose next state is not finite.
 
@@ -258,7 +254,7 @@ def sample_forward(
     batch = TrajectoryBatch(np.zeros((n_samples, dp.n_steps + 1, dp.dim_x)), w, dp, mu, drift)
     batch.x[:, 0] = dp.x0
     for i in range(dp.n_steps):
-        _advance_step(batch, i, d_cap)
+        _advance_step(batch, i, dp.d_cap)
     return batch
 
 

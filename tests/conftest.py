@@ -236,7 +236,7 @@ def fitted_problem(request):
         _TINY_PROBLEMS[request.param] + "run.seed = 99\nsampling.reference_samples = 64\n"
     )
     setup = build_setup(cfg)
-    batch = sample_forward(setup.dp, setup.mu, setup.drift, 64, seed=5, d_cap=cfg.d_cap)
+    batch = sample_forward(setup.dp, setup.mu, setup.drift, 64, seed=5)
     spec = scaling_from_batch(batch, 2)
     models = backward_sweep(batch, list(EstimatorKind), spec)
     assert all(isinstance(m, ValueModel) for m in models.values())

@@ -201,12 +201,13 @@ class TestBackwardSweep:
         self, dim, degree, state_sigma, on_policy, seed
     ):
         dp = discretize(make_linear_problem(dim, seed, state_sigma), 3)
+        dp = dataclasses.replace(dp, d_cap=np.inf)
         mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
         if on_policy:
             drift = DriftProcess.on_policy(mu)
         else:
             drift = DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt)
-        batch = sample_forward(dp, mu, drift, 48, seed=seed, d_cap=np.inf)
+        batch = sample_forward(dp, mu, drift, 48, seed=seed)
         spec = scaling_from_batch(batch, degree)
         kinds = list(EstimatorKind)
         fitted = backward_sweep(batch, kinds, spec)

@@ -152,23 +152,29 @@ class TestConfigParsing:
     def test_defaults_per_problem(self):
         # the horizon is the problem builder's, not a config key
         cfg = parse_config_text("problem.name = nonlinear1d")
-        horizon = experiments_module._build_problem(cfg)[0].horizon
-        assert cfg.n_steps == 200 and horizon == 10.0 and cfg.d_cap == 10.0
+        cp, dp = experiments_module._build_problem(cfg)
+        assert cfg.n_steps == 200 and cp.horizon == 10.0 and dp.d_cap == 10.0
         cfg = parse_config_text("problem.name = cartpole_lqr")
-        horizon = experiments_module._build_problem(cfg)[0].horizon
-        assert cfg.n_steps == 100 and horizon == 5.0 and cfg.d_cap == 1e9
-        # the drift-correction cap is fixed per problem, not a config key
+        cp, dp = experiments_module._build_problem(cfg)
+        assert cfg.n_steps == 100 and cp.horizon == 5.0 and dp.d_cap == 1e9
+        # the drift-correction cap is the problem's, not a config key
         with pytest.raises(ConfigError, match="unknown key 'sampling.d_cap'"):
             parse_config_text("sampling.d_cap = inf")
 
     def test_lists_and_booleans(self):
+        # a "#" starts a comment only at the start of a line or after whitespace
         cfg = parse_config_text(
+            "# a comment line\n"
             "problem.name = cartpole_lqr\n"
             "sweep.degrees = 2, 3\n"
-            "sweep.samples = 16\n"
+            "sweep.samples = 16,64 # two counts\n"
+            "run.seed = 3\t# after a tab\n"
+            "run.output_dir = results/run#2\n"
         )
         assert cfg.degrees == [2, 3]
-        assert cfg.samples == [16]
+        assert cfg.samples == [16, 64]
+        assert cfg.seed == 3
+        assert cfg.output_dir == "results/run#2"
 
     def test_fixed_cartpole_keys_are_unknown(self):
         # the cart-pole instance is fixed: its constants, cost diagonals and
@@ -417,8 +423,7 @@ def _mean_raes_by_hand(cfg):
     out = {}
     for samples, trial in itertools.product(cfg.samples, range(cfg.trials)):
         batch = sample_forward(
-            setup.dp, setup.mu, setup.drift, samples, subseed(cfg.seed, f"trial-{trial}"),
-            cfg.d_cap,
+            setup.dp, setup.mu, setup.drift, samples, subseed(cfg.seed, f"trial-{trial}")
         )
         for deg in cfg.degrees:
             spec = scaling_from_batch(batch, deg)
@@ -474,9 +479,7 @@ class TestRunExperiment:
         with pytest.warns(GridEscapeWarning):
             setup = build_setup(cfg)
         with pytest.raises(OutOfDomainError):
-            sample_forward(
-                setup.dp, setup.mu, setup.drift, 256, subseed(cfg.seed, "trial-0"), cfg.d_cap
-            )
+            sample_forward(setup.dp, setup.mu, setup.drift, 256, subseed(cfg.seed, "trial-0"))
         rows = _read_rows(results)
         assert len(rows) == 2 * 2 * 2 * 2  # estimators x degrees x samples x trials
         escaped = [r["mean_rae"] for r in rows if r["samples"] == "256"]
@@ -835,7 +838,7 @@ class TestCliEntry:
         cfg_path.write_text(TINY_SCALAR.format(out=tmp_path / "out") + "drift.kind = suboptimal\n")
         cfg = parse_config_text(cfg_path.read_text())
         setup = build_setup(cfg)
-        batch = sample_forward(setup.dp, setup.mu, setup.drift, 8, seed=0, d_cap=cfg.d_cap)
+        batch = sample_forward(setup.dp, setup.mu, setup.drift, 8, seed=0)
         steps = [batch.drift_step(i) for i in range(batch.n_steps)]
         k_drift = np.stack([k for _, _, k, _ in steps], axis=1)
         np.testing.assert_array_equal(k_drift, -0.2 * batch.x[:, :-1] * setup.dp.dt)
@@ -910,9 +913,7 @@ class TestCliEntry:
         assert main(["diagnose", str(cfg_path)]) == 0
         cfg = load_config(cfg_path)
         setup = build_setup(cfg)
-        batch = sample_forward(
-            setup.dp, setup.mu, setup.drift, 64, subseed(cfg.seed, "diagnose"), cfg.d_cap
-        )
+        batch = sample_forward(setup.dp, setup.mu, setup.drift, 64, subseed(cfg.seed, "diagnose"))
         kinds = [EstimatorKind(est) for est in cfg.estimators]
         models = backward_sweep(batch, kinds, scaling_from_batch(batch, 2))
         seed = subseed(cfg.seed, "diagnose-cells")
@@ -946,8 +947,7 @@ class TestDiagnoseSweepDepth:
         cfg = parse_config_text(text)
         setup = build_setup(cfg)
         batch = sample_forward(
-            setup.dp, setup.mu, setup.drift, max(cfg.samples),
-            subseed(cfg.seed, "diagnose"), cfg.d_cap,
+            setup.dp, setup.mu, setup.drift, max(cfg.samples), subseed(cfg.seed, "diagnose")
         )
         kinds = [EstimatorKind(est) for est in cfg.estimators]
         full = backward_sweep(batch, kinds, scaling_from_batch(batch, 2))

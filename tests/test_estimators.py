@@ -1,5 +1,6 @@
 """Backward target estimators and their exactness/variance properties."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -306,14 +307,15 @@ class TestStatisticalProperties:
 
 def _random_setup(dim, seed, state_sigma, drift="feedback", n_samples=16):
     """Two-step random linear problem, its policy and a batch under ``drift``."""
+    # no cap: large corrections are legitimate here and the claims still hold
     dp = discretize(make_linear_problem(dim, seed, state_sigma), 2)
+    dp = dataclasses.replace(dp, d_cap=np.inf)
     mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
     drifts = {
         "on_policy": DriftProcess.on_policy(mu),
         "feedback": DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt),
     }
-    # no cap: large corrections are legitimate here and the claims still hold
-    return dp, mu, sample_forward(dp, mu, drifts[drift], n_samples, seed=seed, d_cap=np.inf)
+    return dp, mu, sample_forward(dp, mu, drifts[drift], n_samples, seed=seed)
 
 
 def _random_quadratic(dim, seed):

@@ -1,5 +1,6 @@
 """Forward sampling, drift corrections, and change-of-measure weights."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -98,7 +99,7 @@ class TestSampleForward:
         k_const = 0.3
         drift = DriftProcess.feedback(lambda i, x: np.full_like(x, k_const))
         m_samples = 10**5
-        batch = sample_forward(dp, mu, drift, m_samples, seed=9, d_cap=10.0)
+        batch = sample_forward(dp, mu, drift, m_samples, seed=9)
         step = batch.x[:, 1, 0] - dp.x0[0]
         tol = 3.0 * (0.8 * np.sqrt(0.05)) / np.sqrt(m_samples)
         assert abs(step.mean() - k_const) < tol
@@ -135,14 +136,36 @@ class TestSampleForward:
         )
 
     def test_drift_cap_enforced(self):
+        # a hand-built problem keeps the default cap of 10; ||D|| = 5 / sqrt(1e-3)
         cp = _driftless_problem(sigma=0.1, horizon=0.4)
         dp = discretize(cp, 4)
+        assert dp.d_cap == 10.0
         mu = _zero_policy(dp)
         drift = DriftProcess.feedback(lambda i, x: np.full_like(x, 5.0))
         with pytest.raises(DriftUnboundedError) as err:
-            sample_forward(dp, mu, drift, 3, seed=0, d_cap=10.0)
+            sample_forward(dp, mu, drift, 3, seed=0)
         assert err.value.step == 0
         assert err.value.traj == 0
+        assert err.value.norm == pytest.approx(5.0 / np.sqrt(1e-3), rel=1e-12)
+        assert err.value.cap == 10.0
+
+    def test_each_problem_carries_its_cap(self):
+        # the cart-pole diffusion is ill-conditioned, so the shipped suboptimal
+        # drift's corrections (33.03 at step 0) sample under its 1e9 cap
+        assert discretize(build_nonlinear_1d(), 200).d_cap == 10.0
+        cp = build_cartpole_lqr()
+        dp = discretize(cp, 100)
+        assert dp.d_cap == 1e9
+        mu = riccati_from_lqr(cp.lqr, cp.horizon, 100).policy(dp.control_lower, dp.control_upper)
+        drift = DriftProcess.on_policy(
+            FeedbackPolicy([[0, 0, -25, -5]], dp.control_lower, dp.control_upper)
+        )
+        batch = sample_forward(dp, mu, drift, 64, seed=0)
+        assert batch.x.shape == (64, 101, 4)
+        with pytest.raises(DriftUnboundedError) as err:
+            sample_forward(dataclasses.replace(dp, d_cap=10.0), mu, drift, 64, seed=0)
+        assert (err.value.traj, err.value.step) == (0, 0)
+        assert err.value.norm == pytest.approx(33.03, abs=0.01)
 
     def test_nan_correction_is_reported(self):
         # the quadratic drift 0.1 (x - 3)^2 from x0 = 7 overflows before
@@ -161,7 +184,7 @@ class TestSampleForward:
         # an infinite increment under an infinite cap gives an infinite
         # correction norm, which the cap allows, so the state check fires
         cp = _driftless_problem(sigma=1.0, horizon=4.0)
-        dp = discretize(cp, 4)
+        dp = dataclasses.replace(discretize(cp, 4), d_cap=np.inf)
 
         def fn(i, x):
             k = np.zeros_like(x)
@@ -171,7 +194,7 @@ class TestSampleForward:
         drift = DriftProcess.feedback(fn)
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="trajectory 2, step 1"):
-                sample_forward(dp, _zero_policy(dp), drift, 4, seed=0, d_cap=np.inf)
+                sample_forward(dp, _zero_policy(dp), drift, 4, seed=0)
 
     def test_peak_memory_is_the_stored_arrays(self):
         # a batch stores x and w alone, and the step boxes take no temporary
@@ -280,10 +303,10 @@ class TestOnPolicyShortcut:
     def test_shared_policy_matches_a_distinct_one(self, fitted_problem, n_samples, seed):
         # the distinct object takes the path that calls mu and F again
         setup = fitted_problem[0]
-        dp, mu, d_cap = setup.dp, setup.mu, setup.cfg.d_cap
-        shared = sample_forward(dp, mu, DriftProcess.on_policy(mu), n_samples, seed, d_cap)
+        dp, mu = setup.dp, setup.mu
+        shared = sample_forward(dp, mu, DriftProcess.on_policy(mu), n_samples, seed)
         distinct = sample_forward(
-            dp, mu, DriftProcess.on_policy(lambda i, x: mu(i, x)), n_samples, seed, d_cap
+            dp, mu, DriftProcess.on_policy(lambda i, x: mu(i, x)), n_samples, seed
         )
         for read in (
             lambda b: b.x, lambda b: b.w, _drifts, _corrections, lambda b: b.log_theta
@@ -308,7 +331,7 @@ class TestOnPolicyShortcut:
         # a feedback drift solves once per step it forms: the sweep forms
         # again every step but N - 1, which the forward pass left formed
         drift = DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt)
-        batch = sample_forward(dp, mu, drift, 16, seed=2, d_cap=np.inf)
+        batch = sample_forward(dataclasses.replace(dp, d_cap=np.inf), mu, drift, 16, seed=2)
         assert len(solves) == dp.n_steps
         backward_sweep(batch, list(EstimatorKind), scaling_from_batch(batch, 2))
         assert len(solves) == 2 * dp.n_steps - 1
@@ -364,6 +387,7 @@ class TestGirsanovWeights:
         self, dim, state_sigma, drift, n_steps, n_samples, seed
     ):
         dp = discretize(make_linear_problem(dim, seed, state_sigma), n_steps)
+        dp = dataclasses.replace(dp, d_cap=np.inf)
         mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
         other = FeedbackPolicy(np.full((1, dim), 0.7), dp.control_lower, dp.control_upper)
         drifts = {
@@ -371,7 +395,7 @@ class TestGirsanovWeights:
             "other_policy": DriftProcess.on_policy(other),
             "feedback": DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt + 0.05),
         }
-        batch = sample_forward(dp, mu, drifts[drift], n_samples, seed, d_cap=np.inf)
+        batch = sample_forward(dp, mu, drifts[drift], n_samples, seed)
         i = seed % n_steps
         k_pin = batch.drift_step(i)[2][0]
         pinned = pinned_step_batch(dp, mu, i, batch.x[0, i], k_pin, n_samples, seed)
@@ -418,7 +442,7 @@ class TestGirsanovWeights:
         mu = _zero_policy(dp)
         if builder == "sample_forward":
             drift = DriftProcess.feedback(lambda i, x: np.full_like(x, -40.0 * (i == 3)))
-            batch = sample_forward(dp, mu, drift, 3, seed=0, d_cap=np.inf)
+            batch = sample_forward(dataclasses.replace(dp, d_cap=np.inf), mu, drift, 3, seed=0)
         else:
             batch = pinned_step_batch(dp, mu, 3, [0.0], [-40.0], 3, seed=0)
         # building the batch forms no weights; reading them does
@@ -445,6 +469,7 @@ class TestRecomputedStep:
         self, dim, state_sigma, drift, pinned, n_steps, n_samples, seed
     ):
         dp = discretize(make_linear_problem(dim, seed, state_sigma), n_steps)
+        dp = dataclasses.replace(dp, d_cap=np.inf)
         mu = FeedbackPolicy(np.full((1, dim), -0.5), dp.control_lower, dp.control_upper)
         other = FeedbackPolicy(np.full((1, dim), 0.7), dp.control_lower, dp.control_upper)
         drifts = {
@@ -452,7 +477,7 @@ class TestRecomputedStep:
             "other_policy": DriftProcess.on_policy(other),
             "feedback": DriftProcess.feedback(lambda i, x: -0.2 * x * dp.dt + 0.05),
         }
-        batch = sample_forward(dp, mu, drifts[drift], n_samples, seed, d_cap=np.inf)
+        batch = sample_forward(dp, mu, drifts[drift], n_samples, seed)
         if pinned:
             i = seed % n_steps
             k_pin = batch.drift_step(i)[2][0]
