@@ -98,7 +98,7 @@ def _build_problem(cfg: ExperimentConfig):
         cp = build_nonlinear_1d(u_max=cfg.u_max)
     else:
         cp = build_cartpole_lqr()
-    return cp, discretize(cp, cfg.n_steps)
+    return discretize(cp, cfg.n_steps)
 
 
 def build_drift(cfg: ExperimentConfig, dp, mu) -> DriftProcess:
@@ -141,11 +141,11 @@ def build_setup(cfg: ExperimentConfig, *, scoring: bool = True) -> ExperimentSet
     oracle's span check.  A caller that scores nothing passes
     ``scoring=False``; on the Riccati truth its ``region`` is then ``None``.
     """
-    cp, dp = _build_problem(cfg)
+    dp = _build_problem(cfg)
 
     if cfg.problem == "cartpole_lqr":
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, cfg.n_steps)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
     else:
         spec = GridSpec(
             lo=np.array([cfg.oracle_state_lo], dtype=float),
@@ -155,7 +155,7 @@ def build_setup(cfg: ExperimentConfig, *, scoring: bool = True) -> ExperimentSet
             n_quad_nodes=cfg.oracle_quad_nodes,
         )
         truth = grid_bellman(dp, spec)
-        mu = GridPolicy(truth, dp.control_lower, dp.control_upper)
+        mu = GridPolicy(truth)
     gridded = cfg.problem == "nonlinear1d"
     region = _reference_region(cfg, dp, mu) if scoring or gridded else None
     if gridded:
@@ -235,7 +235,7 @@ _WORKER_SETUP = None
 def _init_worker(cfg, truth, mu, region):
     """Rebuild the unpicklable problem closures once per worker process."""
     global _WORKER_SETUP
-    _, dp = _build_problem(cfg)
+    dp = _build_problem(cfg)
     drift = build_drift(cfg, dp, mu)
     _WORKER_SETUP = ExperimentSetup(
         cfg=cfg, dp=dp, truth=truth, mu=mu, region=region, drift=drift

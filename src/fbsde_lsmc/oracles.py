@@ -14,9 +14,10 @@ Linear-quadratic problems get the exact backward Riccati recursion
     P_i = Q + A^T P_{i+1} (A - B gain_i),
     c_i = c_{i+1} + tr(Sigma^T P_{i+1} Sigma),
 
-in the discrete-time matrices (A = I + A_c dt, B = B_c dt, dt-scaled costs,
-Sigma = sigma sqrt(dt)), giving V_i(x) = x^T P_i x + c_i and the optimal
-feedback u_i = -gain_i x.
+in the discrete-time matrices ``DiscreteProblem.lqr`` that
+:func:`problems.discretize` forms, giving V_i(x) = x^T P_i x + c_i and the
+optimal feedback u_i = -gain_i x.  Each truth records the control box of the
+problem it was built from, so its policy needs no other input.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .errors import GridEscapeWarning, OutOfDomainError, SingularRecursionError
-from .problems import DiscreteProblem, FeedbackPolicy, LqrStructure, _check_step
+from .problems import DiscreteProblem, FeedbackPolicy, _check_step
 
 __all__ = [
     "GridSpec",
@@ -82,7 +83,7 @@ class GridTruth:
     """Tabulated value function and minimizing control per timestep.
 
     ``values`` has shape (N+1, nodes); ``u_star`` has shape (N, nodes) and
-    covers steps 0..N-1.
+    covers steps 0..N-1; ``control_lower``/``control_upper`` are the problem's control box.
     """
 
     nodes: np.ndarray
@@ -91,6 +92,8 @@ class GridTruth:
     lo: np.ndarray
     hi: np.ndarray
     margin: np.ndarray
+    control_lower: np.ndarray
+    control_upper: np.ndarray
     escape_count: int = 0
 
     @property
@@ -116,24 +119,25 @@ class GridTruth:
 
 
 class GridPolicy:
-    """Feedback policy interpolating the tabulated minimizing controls."""
+    """Feedback policy interpolating the tabulated minimizing controls, clipped to the box."""
 
-    def __init__(self, truth: GridTruth, lower, upper):
+    def __init__(self, truth: GridTruth):
         self.truth = truth
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
 
     def __call__(self, i: int, x: np.ndarray) -> np.ndarray:
-        return np.clip(self.truth.control(i, x), self.lower, self.upper)
+        truth = self.truth
+        return np.clip(truth.control(i, x), truth.control_lower, truth.control_upper)
 
 
 @dataclass(frozen=True, eq=False)
 class RiccatiTruth:
-    """Exact quadratic value data: V_i(x) = x^T P_i x + c_i."""
+    """Exact quadratic value data V_i(x) = x^T P_i x + c_i, and the problem's control box."""
 
     p: np.ndarray
     c: np.ndarray
     gain: np.ndarray
+    control_lower: np.ndarray
+    control_upper: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -144,9 +148,9 @@ class RiccatiTruth:
         x = np.asarray(x, dtype=float)
         return np.einsum("...i,ij,...j->...", x, self.p[i], x) + self.c[i]
 
-    def policy(self, lower, upper) -> FeedbackPolicy:
-        """The optimal feedback u_i = -gain_i x as a Policy."""
-        return FeedbackPolicy(-self.gain, lower, upper)
+    def policy(self) -> FeedbackPolicy:
+        """The optimal feedback u_i = -gain_i x, clipped to the box, as a Policy."""
+        return FeedbackPolicy(-self.gain, self.control_lower, self.control_upper)
 
 
 GroundTruth = Union[GridTruth, RiccatiTruth]
@@ -325,26 +329,27 @@ def grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
         lo=grid.lo,
         hi=grid.hi,
         margin=margin,
+        control_lower=dp.control_lower,
+        control_upper=dp.control_upper,
         escape_count=escape_count,
     )
 
 
-def riccati_from_lqr(lqr: LqrStructure, horizon: float, n_steps: int) -> RiccatiTruth:
-    """Backward Riccati recursion for a continuous LQR discretized by the forward scheme.
+def riccati_from_lqr(dp: DiscreteProblem) -> RiccatiTruth:
+    """Backward Riccati recursion in the discrete-time matrices ``dp.lqr``, over ``dp.n_steps``.
 
     Raises
     ------
+    ValueError
+        If ``dp`` carries no linear-quadratic matrices.
     SingularRecursionError
-        If ``r dt + b_d^T P b_d`` is singular at some step.
+        If ``r + b^T P b`` is singular at some step.
     """
-    dt = horizon / n_steps
-    n = lqr.a.shape[0]
-    m = lqr.b.shape[1]
-    a_d = np.eye(n) + lqr.a * dt
-    b_d = lqr.b * dt
-    q = lqr.q * dt
-    r = lqr.r * dt
-    sigma_d = lqr.sigma_mat * math.sqrt(dt)
+    lqr = dp.lqr
+    if lqr is None:
+        raise ValueError("the Riccati recursion needs a linear-quadratic problem (dp.lqr is None)")
+    a_d, b_d, q, r, sigma_d = lqr.a, lqr.b, lqr.q, lqr.r, lqr.sigma_mat
+    n_steps, (n, m) = dp.n_steps, b_d.shape
 
     p = np.empty((n_steps + 1, n, n))
     c = np.empty(n_steps + 1)
@@ -363,7 +368,7 @@ def riccati_from_lqr(lqr: LqrStructure, horizon: float, n_steps: int) -> Riccati
         p_i = q + a_d.T @ p_next @ (a_d - b_d @ gain[i])
         p[i] = 0.5 * (p_i + p_i.T)
         c[i] = c[i + 1] + np.trace(sigma_d.T @ p_next @ sigma_d)
-    return RiccatiTruth(p=p, c=c, gain=gain)
+    return RiccatiTruth(p, c, gain, dp.control_lower, dp.control_upper)
 
 
 def export_grid_csv(gt: GridTruth, path) -> None:

@@ -88,7 +88,7 @@ def hamiltonian_policy(
     x = np.asarray(x, dtype=float)
     st = dp.structure
     if st is not None:
-        gain = st.drift_gain(dp.t(i), x)
+        gain = st.drift_gain(i, x)
         lin = np.einsum("...nj,...n->...j", gain, m.grad(i, x))
         return _quadratic_argmin(st.cost_quad[0], lin, dp.control_lower[0], dp.control_upper[0])
 
@@ -116,9 +116,9 @@ def improve_policy(
 
     The closed form applies when the problem declares control-affine
     structure and the model has total degree <= 2 (its expansion is exact
-    and the trace term constant in u).  It minimizes (R dt + Mbar / 2) u^2
-    + Zbar u, with (Zbar, Mbar) the expansion at x + drift_state dt against
-    the column drift_gain dt.  Otherwise the control interval is grid
+    and the trace term constant in u).  It minimizes (cost_quad + Mbar / 2)
+    u^2 + Zbar u, with (Zbar, Mbar) the expansion at x + F_i(x, 0) against
+    the column drift_gain_i.  Otherwise the control interval is grid
     searched once per state.  Either way the result broadcasts over leading
     axes of ``x``.  Raises ``ValueError`` unless ``dp.dim_u == 1``.
     """
@@ -127,9 +127,8 @@ def improve_policy(
     x = np.asarray(x, dtype=float)
     st = dp.structure
     if st is not None and m.basis.max_total_degree <= 2:
-        t, dt = dp.t(i), dp.dt
-        tri = taylor_triple(m, i, x, st.drift_state(t, x) * dt, st.drift_gain(t, x) * dt)
-        quad = (st.cost_quad * dt + 0.5 * tri.mbar)[..., 0]
+        tri = taylor_triple(m, i, x, dp.F(i, x, np.zeros_like(x[..., :1])), st.drift_gain(i, x))
+        quad = (st.cost_quad + 0.5 * tri.mbar)[..., 0]
         return _quadratic_argmin(quad, tri.zbar, dp.control_lower[0], dp.control_upper[0])
 
     return _grid_search(dp, grid_points, x, lambda xs, us: taylor_q(m, dp, i, xs, us))

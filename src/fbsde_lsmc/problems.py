@@ -9,7 +9,7 @@ controls.  Discretization replaces these with per-step increment maps
     Sigma_i(x) = sigma(t_i, x) * sqrt(dt)
     L_i(x, u) = ell(t_i, x, u) * dt
 
-on the uniform grid t_i = i * dt, dt = T / N.
+on the uniform grid t_i = i * dt, dt = T / N; :func:`discretize` is the one place dt enters.
 
 All problem callables broadcast over leading axes: states carry a trailing
 axis of length ``dim_x`` and controls a trailing axis of length ``dim_u``,
@@ -46,24 +46,27 @@ __all__ = [
 class ControlStructure:
     """Decomposition of drift and cost as functions of the control.
 
-    Declares that ``f(t, x, u) = drift_state(t, x) + drift_gain(t, x) @ u``
-    and ``ell(t, x, u) = c(t, x) + u^T cost_quad u``; the minimization over
-    u never needs the state-only cost ``c``.
-    Policy-improvement code uses this to minimize over controls in closed
-    form; problems without the decomposition fall back to grid search.
+    On a continuous problem it declares ``f(t, x, u) = f(t, x, 0) +
+    drift_gain(t, x) @ u`` and ``ell(t, x, u) = ell(t, x, 0) + u^T cost_quad
+    u``.  On a discretized one ``drift_gain`` takes the step ``i`` and both
+    terms are dt-scaled, so ``F(i, x, u) = F(i, x, 0) + drift_gain(i, x) @ u``
+    and ``L(i, x, u) = L(i, x, 0) + u^T cost_quad u``.  Policy-improvement
+    code uses this to minimize over controls in closed form; problems
+    without the decomposition fall back to grid search.
     """
 
-    drift_state: Callable[[float, np.ndarray], np.ndarray]
     drift_gain: Callable[[float, np.ndarray], np.ndarray]
     cost_quad: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class LqrStructure:
-    """Continuous-time matrices of a linear-quadratic problem.
+    """Matrices of a linear-quadratic problem.
 
-    Dynamics dX = (a x + b u) dt + sigma_mat dW, running cost
-    x^T q x + u^T r u, terminal cost x^T g_mat x.
+    On a continuous problem: dynamics dX = (a x + b u) dt + sigma_mat dW,
+    running cost x^T q x + u^T r u, terminal cost x^T g_mat x.  On a
+    discretized one: X_{i+1} = a X_i + b u_i + sigma_mat xi_i with standard
+    normal xi_i, step cost x^T q x + u^T r u, the same terminal cost.
     """
 
     a: np.ndarray
@@ -135,10 +138,12 @@ class ContinuousProblem:
 class DiscreteProblem:
     """Discrete-time problem on a uniform grid of ``n_steps`` intervals.
 
-    ``F``, ``Sigma`` and ``L`` take the step index ``i`` in place of time and
-    follow the same broadcasting convention as :class:`ContinuousProblem`.
-    Instances built by :func:`discretize` satisfy the dt-scaling relations in
-    the module docstring; hand-built instances only need the shapes to match.
+    ``F``, ``Sigma``, ``L`` and ``structure.drift_gain`` take the step index
+    ``i`` in place of time and follow the same broadcasting convention as
+    :class:`ContinuousProblem`.  Instances built by :func:`discretize` satisfy
+    the dt-scaling relations in the module docstring, and their ``structure``
+    and ``lqr`` are the discrete (step ``i``) readings of the continuous
+    problem's; hand-built instances only need the shapes to match.
     ``d_cap`` is the drift-correction norm cap that ``sample_forward`` checks.
     """
 
@@ -154,11 +159,8 @@ class DiscreteProblem:
     control_upper: np.ndarray
     x0: np.ndarray
     structure: Optional[ControlStructure] = None
+    lqr: Optional[LqrStructure] = None
     d_cap: float = 10.0
-
-    def t(self, i: int) -> float:
-        """Physical time of step ``i``."""
-        return i * self.dt
 
 
 def _check_step(i: int, end: int) -> None:
@@ -196,6 +198,8 @@ def discretize(cp: ContinuousProblem, n_steps: int) -> DiscreteProblem:
 
     Drift and cost increments are scaled by ``dt`` and the diffusion by
     ``sqrt(dt)``; the returned closures capture ``cp`` (immutable) by value.
+    The control structure and linear-quadratic matrices, when ``cp`` declares
+    them, are scaled the same way: ``a`` becomes ``I + a dt``.
 
     Raises
     ------
@@ -216,6 +220,13 @@ def discretize(cp: ContinuousProblem, n_steps: int) -> DiscreteProblem:
     def L(i, x, u):
         return cp.ell(i * dt, x, u) * dt
 
+    st, lq = cp.structure, cp.lqr
+    structure = lqr = None
+    if st is not None:
+        structure = ControlStructure(lambda i, x: st.drift_gain(i * dt, x) * dt, st.cost_quad * dt)
+    if lq is not None:
+        a_d = np.eye(cp.dim_x) + lq.a * dt
+        lqr = LqrStructure(a_d, lq.b * dt, lq.q * dt, lq.r * dt, lq.g_mat, lq.sigma_mat * sqrt_dt)
     return DiscreteProblem(
         n_steps=n_steps,
         dt=dt,
@@ -228,7 +239,8 @@ def discretize(cp: ContinuousProblem, n_steps: int) -> DiscreteProblem:
         control_lower=cp.control_lower,
         control_upper=cp.control_upper,
         x0=cp.x0,
-        structure=cp.structure,
+        structure=structure,
+        lqr=lqr,
         d_cap=cp.d_cap,
     )
 
@@ -259,7 +271,6 @@ def build_nonlinear_1d(u_max: float = 20.0) -> ContinuousProblem:
         return 25.0 * np.asarray(x, dtype=float)[..., 0] ** 2
 
     structure = ControlStructure(
-        drift_state=lambda t, x: 0.1 * (np.asarray(x, dtype=float) - 3.0) ** 2,
         drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), 0.2),
         cost_quad=np.array([[0.4]]),
     )
@@ -334,7 +345,6 @@ def build_cartpole_lqr() -> ContinuousProblem:
         return np.einsum("...i,ij,...j->...", x, g_mat, x)
 
     structure = ControlStructure(
-        drift_state=lambda t, x: np.asarray(x, dtype=float) @ a.T,
         drift_gain=lambda t, x: np.broadcast_to(b, np.shape(x)[:-1] + (4, 1)).copy(),
         cost_quad=r,
     )

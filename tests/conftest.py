@@ -74,7 +74,6 @@ def make_scalar_lqr(
     from fbsde_lsmc.problems import ControlStructure
 
     structure = ControlStructure(
-        drift_state=lambda t, x: a * np.asarray(x, dtype=float),
         drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), b),
         cost_quad=np.array([[r]]),
     )
@@ -186,8 +185,8 @@ def scalar_lqr_setup():
     cp = make_scalar_lqr()
     n_steps = 20
     dp = discretize(cp, n_steps)
-    truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-    mu = truth.policy(dp.control_lower, dp.control_upper)
+    truth = riccati_from_lqr(dp)
+    mu = truth.policy()
     return cp, dp, truth, mu
 
 
@@ -373,6 +372,8 @@ def reference_grid_bellman(dp: DiscreteProblem, grid: GridSpec) -> GridTruth:
         lo=grid.lo,
         hi=grid.hi,
         margin=margin,
+        control_lower=dp.control_lower,
+        control_upper=dp.control_upper,
         escape_count=escape_count,
     )
 

@@ -153,8 +153,8 @@ class TestCriterion4ZeroVariance:
         cp = build_cartpole_lqr()
         n_steps = 30
         dp = discretize(cp, n_steps)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
         model = model_from_truth(truth, 4, n_steps)
         rng = np.random.default_rng(0)
         worst = 0.0
@@ -182,8 +182,8 @@ class TestCriterion5Unbiasedness:
         cp = make_scalar_lqr()
         n_steps = 20
         dp = discretize(cp, n_steps)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
         model = model_from_truth(truth, 1, n_steps)
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 10**5, seed=41)
         i = 9
@@ -262,8 +262,8 @@ class TestCriterion7BiasBound:
         cp = make_scalar_lqr()
         n_steps = 12
         dp = discretize(cp, n_steps)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
 
         spec = BasisSpec(
             1,
@@ -309,8 +309,8 @@ class TestCriterion8OracleCrossCheck:
         cp = make_scalar_lqr(u_max=20.0)
         n_steps = 20
         dp = discretize(cp, n_steps)
-        truth_r = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-        mu = truth_r.policy(dp.control_lower, dp.control_upper)
+        truth_r = riccati_from_lqr(dp)
+        mu = truth_r.policy()
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 1024, seed=7)
         region = confidence_region(batch)
         grid = GridSpec.from_region(region)
@@ -328,7 +328,7 @@ class TestCriterion9PolicyExactness:
         cp = build_cartpole_lqr()
         n_steps = 50
         dp = discretize(cp, n_steps)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
+        truth = riccati_from_lqr(dp)
         model = model_from_truth(truth, 4, n_steps)
         rng = np.random.default_rng(8)
         i = 17

@@ -49,8 +49,8 @@ def _lqr_pieces(n_steps=12, n_samples=192, seed=2):
 
     cp = make_scalar_lqr()
     dp = discretize(cp, n_steps)
-    truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-    mu = truth.policy(dp.control_lower, dp.control_upper)
+    truth = riccati_from_lqr(dp)
+    mu = truth.policy()
     drift = DriftProcess.feedback(lambda i, x: -0.1 * x * dp.dt)
     batch = sample_forward(dp, mu, drift, n_samples, seed=seed)
     return dp, truth, mu, batch
@@ -118,8 +118,8 @@ class TestBackwardPass:
         cp = make_scalar_lqr()
         n_steps = 10
         dp = discretize(cp, n_steps)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
         drift = DriftProcess.feedback(lambda i, x: -0.1 * x * dp.dt)
 
         def run(n_samples, seed):

@@ -152,8 +152,8 @@ class TestEstimateTargets:
 
         n_steps = 8
         dp = discretize(cp, n_steps)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
         model = model_from_truth(truth, 1, n_steps)
         drift = DriftProcess.feedback(lambda i, x: -0.05 * x * dp.dt)
         batch = sample_forward(dp, mu, drift, 128, seed=31)

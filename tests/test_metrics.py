@@ -86,11 +86,11 @@ class TestConfidenceRegion:
 
 @pytest.fixture(scope="module")
 def lqr_model_truth():
-    from fbsde_lsmc import riccati_from_lqr
+    from fbsde_lsmc import discretize, riccati_from_lqr
 
     cp = make_scalar_lqr()
     n_steps = 6
-    truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
+    truth = riccati_from_lqr(discretize(cp, n_steps))
     model = model_from_truth(truth, 1, n_steps)
     region = ConfidenceRegion(
         lower=np.full((n_steps + 1, 1), -2.0),
@@ -157,8 +157,8 @@ def lqr_setup_with_model():
     cp = make_scalar_lqr()
     n_steps = 12
     dp = discretize(cp, n_steps)
-    truth = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
-    mu = truth.policy(dp.control_lower, dp.control_upper)
+    truth = riccati_from_lqr(dp)
+    mu = truth.policy()
     model = model_from_truth(truth, 1, n_steps)
     return cp, dp, truth, mu, model
 
@@ -400,8 +400,8 @@ class TestLockstepCheck:
 
         cp = make_scalar_lqr()
         dp = discretize(cp, 6)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 6)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
         model = model_from_truth(truth, 1, 6)
         pinned = pinned_step_batch(dp, mu, i, [0.5], [0.0], 16, seed=0)
         pins = []

@@ -30,16 +30,18 @@ from conftest import make_scalar_lqr, reference_grid_bellman
 
 
 def _unit_step_riccati(a_d, b_d, q, r, g_mat, sigma_d, n_steps):
-    """Riccati truth for the discrete-time matrices, through the forward scheme at dt = 1.
+    """Riccati truth for a problem holding these discrete-time matrices.
 
-    With ``horizon = n_steps`` the scheme multiplies b_d, q, r and sigma_d by
-    exactly 1; a_d comes back as I + (a_d - I), exact on the hand-value inputs
-    and within rounding of a_d otherwise.
+    The recursion reads only ``lqr``, ``n_steps`` and the control box, so the
+    problem's callables are left out.
     """
-    lqr = LqrStructure(
-        a=a_d - np.eye(len(a_d)), b=b_d, q=q, r=r, g_mat=g_mat, sigma_mat=sigma_d
+    n, m = b_d.shape
+    dp = DiscreteProblem(
+        n_steps=n_steps, dt=1.0, dim_x=n, dim_u=m, F=None, Sigma=None, L=None, g=None,
+        control_lower=np.full(m, -np.inf), control_upper=np.full(m, np.inf), x0=np.zeros(n),
+        lqr=LqrStructure(a=a_d, b=b_d, q=q, r=r, g_mat=g_mat, sigma_mat=sigma_d),
     )
-    return riccati_from_lqr(lqr, horizon=float(n_steps), n_steps=n_steps)
+    return riccati_from_lqr(dp)
 
 
 class TestRiccati:
@@ -82,14 +84,14 @@ class TestRiccati:
         from fbsde_lsmc import build_cartpole_lqr
 
         cp = build_cartpole_lqr()
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 100)
+        truth = riccati_from_lqr(discretize(cp, 100))
         for i in range(0, 101, 10):
             eigs = np.linalg.eigvalsh(truth.p[i])
             assert np.min(eigs) > -1e-12
 
     def test_noise_constant_nonincreasing_in_step(self):
         cp = make_scalar_lqr()
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 30)
+        truth = riccati_from_lqr(discretize(cp, 30))
         assert np.all(np.diff(truth.c) <= 1e-15)
         assert truth.c[-1] == 0.0
 
@@ -149,7 +151,7 @@ class TestGridBellman:
         cp = make_scalar_lqr(u_max=20.0)
         n_steps = 10
         dp = discretize(cp, n_steps)
-        truth_r = riccati_from_lqr(cp.lqr, cp.horizon, n_steps)
+        truth_r = riccati_from_lqr(dp)
         grid = GridSpec(lo=np.array([-4.0]), hi=np.array([4.0]), n_state_nodes=2001,
                         n_control_nodes=201, n_quad_nodes=21)
         truth_g = grid_bellman(dp, grid)
@@ -371,7 +373,7 @@ class TestInterp:
 class TestGtEval:
     def test_riccati_origin_gives_noise_constant(self):
         cp = make_scalar_lqr()
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 10)
+        truth = riccati_from_lqr(discretize(cp, 10))
         assert truth.value(3, np.zeros(1)) == pytest.approx(truth.c[3])
 
     def test_grid_node_and_midpoint_queries(self):
@@ -394,7 +396,7 @@ class TestGtEval:
 
     def test_a_step_outside_the_tables_is_rejected_not_wrapped(self):
         cp = make_scalar_lqr()
-        riccati = riccati_from_lqr(cp.lqr, cp.horizon, 2)
+        riccati = riccati_from_lqr(discretize(cp, 2))
         dp = discretize(_uncontrolled_problem(lambda x: np.asarray(x, dtype=float)[..., 0] ** 2), 2)
         grid = grid_bellman(dp, GridSpec(lo=np.array([-1.0]), hi=np.array([1.0]),
                                          n_state_nodes=11, n_control_nodes=3, n_quad_nodes=7))
@@ -418,8 +420,10 @@ class TestGtEval:
             lo=np.array([0.0]),
             hi=np.array([2.0]),
             margin=np.array([1.0]),
+            control_lower=np.array([-1.0]),
+            control_upper=np.array([1.0]),
         )
-        policy = oracles.GridPolicy(truth, [-1.0], [1.0])
+        policy = oracles.GridPolicy(truth)
         x = np.array([[-0.5], [0.5], [1.5], [2.5]])
         raw = truth.control(0, x)
         assert raw.min() < -1.0 and raw.max() > 1.0
@@ -478,7 +482,7 @@ class TestExports:
 
     def test_riccati_json_round_trip(self, tmp_path):
         cp = make_scalar_lqr()
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 4)
+        truth = riccati_from_lqr(discretize(cp, 4))
         path = tmp_path / "riccati.json"
         export_riccati_json(truth, path)
         data = json.loads(path.read_text())

@@ -87,7 +87,6 @@ def _two_control_problem():
         control_upper=np.full(2, 5.0),
         x0=np.zeros(1),
         structure=ControlStructure(
-            drift_state=lambda t, x: -0.2 * np.asarray(x, dtype=float),
             drift_gain=lambda t, x: np.broadcast_to(gain, np.shape(x)[:-1] + (1, 2)),
             cost_quad=np.eye(2),
         ),
@@ -182,9 +181,7 @@ class TestTaylorQ:
         cp, dp, truth, mu = scalar_lqr_setup
         model = model_from_truth(truth, 1, dp.n_steps)
         dt = dp.dt
-        a_d = 1.0 + cp.lqr.a[0, 0] * dt
-        b_d = cp.lqr.b[0, 0] * dt
-        sig_d = cp.lqr.sigma_mat[0, 0] * np.sqrt(dt)
+        a_d, b_d, sig_d = dp.lqr.a[0, 0], dp.lqr.b[0, 0], dp.lqr.sigma_mat[0, 0]
         rng = np.random.default_rng(9)
         i = 4
         for _ in range(20):
@@ -238,7 +235,7 @@ class TestImprovePolicy:
     def test_matches_riccati_gain_on_cartpole(self):
         cp = build_cartpole_lqr()
         dp = discretize(cp, 100)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 100)
+        truth = riccati_from_lqr(dp)
         model = model_from_truth(truth, 4, dp.n_steps)
         rng = np.random.default_rng(17)
         for i in (0, 50, 98):

@@ -13,6 +13,7 @@ from fbsde_lsmc import (
     build_cartpole_lqr,
     build_nonlinear_1d,
     discretize,
+    riccati_from_lqr,
 )
 
 from conftest import ConstantPolicy
@@ -68,6 +69,51 @@ class TestDiscretize:
     def test_halving_steps_doubles_dt(self, n):
         cp = build_nonlinear_1d()
         assert discretize(cp, n).dt == 2.0 * discretize(cp, 2 * n).dt
+
+
+class TestDiscreteStructure:
+    """The structure and matrices that ``discretize`` forms, against F and L."""
+
+    @pytest.mark.parametrize("build, n_steps", [(build_nonlinear_1d, 200), (build_cartpole_lqr, 100)])
+    def test_structure_matches_the_increments(self, build, n_steps):
+        # F(i, x, u) - F(i, x, 0) = drift_gain(i, x) u, L(i, x, u) - L(i, x, 0) = u^T cost_quad u
+        dp = discretize(build(), n_steps)
+        st = dp.structure
+        rng = np.random.default_rng(4)
+        for i in (0, 7, n_steps - 1):
+            x = rng.uniform(-5.0, 5.0, size=(16, dp.dim_x))
+            u = rng.uniform(-3.0, 3.0, size=(16, dp.dim_u))
+            zero = np.zeros_like(u)
+            np.testing.assert_allclose(
+                dp.F(i, x, u) - dp.F(i, x, zero),
+                np.einsum("...nj,...j->...n", st.drift_gain(i, x), u),
+                rtol=1e-12,
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                dp.L(i, x, u) - dp.L(i, x, zero),
+                np.einsum("...j,jk,...k->...", u, st.cost_quad, u),
+                rtol=1e-12,
+                atol=1e-12,
+            )
+
+    def test_cartpole_matrices_are_the_dt_scaled_continuous_ones(self):
+        cp = build_cartpole_lqr()
+        dp = discretize(cp, 100)
+        dt, c, d = dp.dt, cp.lqr, dp.lqr
+        np.testing.assert_array_equal(d.a, np.eye(4) + c.a * dt)
+        np.testing.assert_array_equal(d.b, c.b * dt)
+        np.testing.assert_array_equal(d.q, c.q * dt)
+        np.testing.assert_array_equal(d.r, c.r * dt)
+        np.testing.assert_array_equal(d.g_mat, c.g_mat)
+        np.testing.assert_array_equal(d.sigma_mat, c.sigma_mat * math.sqrt(dt))
+        assert riccati_from_lqr(dp).n_steps == dp.n_steps == 100
+
+    def test_riccati_needs_linear_quadratic_matrices(self):
+        dp = discretize(build_nonlinear_1d(), 200)
+        assert dp.lqr is None
+        with pytest.raises(ValueError, match="linear-quadratic"):
+            riccati_from_lqr(dp)
 
 
 class TestNonlinear1d:

@@ -156,7 +156,7 @@ class TestSampleForward:
         cp = build_cartpole_lqr()
         dp = discretize(cp, 100)
         assert dp.d_cap == 1e9
-        mu = riccati_from_lqr(cp.lqr, cp.horizon, 100).policy(dp.control_lower, dp.control_upper)
+        mu = riccati_from_lqr(dp).policy()
         drift = DriftProcess.on_policy(
             FeedbackPolicy([[0, 0, -25, -5]], dp.control_lower, dp.control_upper)
         )
@@ -203,8 +203,8 @@ class TestSampleForward:
         # whole-batch std temporary, would each add about 3.3 MB here)
         cp = make_scalar_lqr()
         dp = discretize(cp, 200)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 200)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
         drift = DriftProcess.feedback(lambda i, x: dp.F(i, x, mu(i, x)) - 0.01)
         scaling_from_batch(sample_forward(dp, mu, drift, 8, seed=0), 4)  # first-call allocations
         tracemalloc.start()
@@ -223,8 +223,8 @@ def _scalar_setup():
 
     cp = make_scalar_lqr()
     dp = discretize(cp, 10)
-    truth = riccati_from_lqr(cp.lqr, cp.horizon, 10)
-    mu = truth.policy(dp.control_lower, dp.control_upper)
+    truth = riccati_from_lqr(dp)
+    mu = truth.policy()
     return cp, dp, truth, mu
 
 
@@ -567,8 +567,8 @@ class TestPinnedBatch:
     def test_memory_does_not_grow_with_the_step(self):
         cp = build_cartpole_lqr()
         dp = discretize(cp, 100)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 100)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
         x_pin, k_pin = np.array([0.1, -0.2, 0.05, 0.3]), np.full(4, 1e-3)
 
         def peak(i):

@@ -311,8 +311,8 @@ class TestScaling:
 
         cp = make_scalar_lqr()
         dp = discretize(cp, 6)
-        truth = riccati_from_lqr(cp.lqr, cp.horizon, 6)
-        mu = truth.policy(dp.control_lower, dp.control_upper)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
         batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 64, seed=5)
         spec = scaling_from_batch(batch, 2)
         mean = batch.x.mean(axis=0)
