@@ -1,10 +1,11 @@
 """Backward value-function pass: terminal fit, then per-step regression.
 
-The terminal step regresses the terminal cost on the sampled terminal states;
-each earlier step builds targets from the freshly fitted next-step model and
-regresses them on the states at that step.  The same batch supplies both the
-regression inputs and the targets (no sample splitting), and the same basis
-and least-squares fit are used at every step including the terminal one.
+The terminal step regresses the terminal cost, checked finite, on the sampled
+terminal states, once for every estimator; each earlier step builds targets
+from the freshly fitted next-step model and regresses them on the states at
+that step.  The same batch supplies both the regression inputs and the
+targets (no sample splitting), and the same basis and least-squares fit are
+used at every step including the terminal one.
 
 Estimators fitted on one batch and basis run in lockstep, one sweep from the
 terminal step down to a chosen step (0 by default).  Step i is fitted from
@@ -20,7 +21,7 @@ alone.  An estimator that hits a numerical failure stops; the others go on.
 from __future__ import annotations
 
 from .errors import _NUMERIC_FAILURES
-from .estimators import EstimatorKind, _Step, estimate_targets
+from .estimators import EstimatorKind, _finite_targets, _Step, estimate_targets
 from .problems import DiscreteProblem
 from .sampling import TrajectoryBatch
 from .value_model import BasisSpec, ValueModel, basis_eval, lsmc_fit
@@ -67,8 +68,9 @@ def backward_sweep(batch: TrajectoryBatch, kinds, spec: BasisSpec, down_to: int 
     ``down_to`` outside [0, N] raises ``ValueError`` before any fit.  The
     problem and reference policy are the batch's own.  Returns
     ``{kind: model}``.  A kind whose fit raised a numerical failure at step i
-    maps to that exception instead, with ``failing_step = i``; any other
-    error propagates at once, annotated the same way.
+    maps to that exception instead, with ``failing_step = i``; a failure at
+    the shared terminal step N maps every kind to it.  Any other error
+    propagates at once, annotated the same way.
     """
     dp = batch.dp
     n_steps = dp.n_steps
@@ -80,19 +82,25 @@ def backward_sweep(batch: TrajectoryBatch, kinds, spec: BasisSpec, down_to: int 
     if not 0 <= down_to <= n_steps:
         raise ValueError(f"down_to = {down_to} is outside the steps 0..{n_steps}")
 
+    x_n = batch.x[:, n_steps]
+    try:
+        ys = _finite_targets(dp.g(x_n), n_steps)
+        phi = basis_eval(spec, n_steps, x_n)  # Phi_{i+1}(X_{i+1}) at step i
+        terminal = lsmc_fit(x_n, ys, spec, n_steps, phi=phi)
+    except _NUMERIC_FAILURES as exc:
+        return dict.fromkeys(kinds, _annotate(exc, n_steps))
+    except Exception as exc:
+        raise _annotate(exc, n_steps)
     out = {kind: ValueModel.empty(spec, n_steps) for kind in kinds}
-    phi = None  # design matrix of the last fit: Phi_{i+1}(X_{i+1}) at step i
-    for i in reversed(range(down_to, n_steps + 1)):
-        step = _Step(spec, batch, i, phi) if i < n_steps else None
-        phi = None
+    for model in out.values():
+        model.set_coeffs(n_steps, terminal)
+    for i in reversed(range(down_to, n_steps)):
+        step, phi = _Step(spec, batch, i, phi), None
         for kind, model in out.items():
             if isinstance(model, Exception):
                 continue
             try:
-                if step is None:
-                    ys = dp.g(batch.x[:, i])
-                else:
-                    ys = estimate_targets(kind, model, batch, i, step)
+                ys = estimate_targets(kind, model, batch, i, step)
                 if phi is None:
                     phi = basis_eval(spec, i, batch.x[:, i])
                 model.set_coeffs(i, lsmc_fit(batch.x[:, i], ys, spec, i, phi=phi))

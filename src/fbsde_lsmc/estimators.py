@@ -161,6 +161,14 @@ class _Step:
         return basis_eval(self.spec, self.i + 1, self.x_next)
 
 
+def _finite_targets(yhat: np.ndarray, i: int) -> np.ndarray:
+    """``yhat`` itself; ``FloatingPointError`` naming the first non-finite target."""
+    if not np.all(np.isfinite(yhat)):
+        bad = int(np.argmax(~np.isfinite(yhat)))
+        raise FloatingPointError(f"non-finite backward target at trajectory {bad}, step {i}")
+    return yhat
+
+
 def estimate_targets(
     kind: EstimatorKind,
     m: ValueModel,
@@ -202,9 +210,4 @@ def estimate_targets(
         else:
             yhat = v_next + step.stage - _dot(z_til, step.w) + _dot(z_til, d)
 
-    if not np.all(np.isfinite(yhat)):
-        bad = int(np.argmax(~np.isfinite(yhat)))
-        raise FloatingPointError(
-            f"non-finite backward target at trajectory {bad}, step {i}"
-        )
-    return yhat
+    return _finite_targets(yhat, i)

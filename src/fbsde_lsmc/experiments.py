@@ -30,7 +30,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -264,6 +263,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
 
     groups = list(itertools.product(cfg.samples, range(cfg.trials)))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never load the pool
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,

@@ -17,9 +17,10 @@ so ``f(t, x, u)`` maps ``(..., n), (..., m) -> (..., n)``, ``sigma`` maps
 ``(..., n) -> (..., n, n)`` and the costs map to shape ``(...)``.  This
 lets samplers and grid solvers evaluate whole batches at once.
 
-Two benchmark instances are provided: a scalar problem with nonlinear drift
-and an absolute-value running cost, and a four-dimensional linear-quadratic
-cart-pole balancing problem.
+A linear-quadratic problem is stated by its matrices alone, through
+:meth:`ContinuousProblem.from_lqr`.  Two benchmark instances are provided: a
+scalar problem with nonlinear drift and an absolute-value running cost, and
+the four-dimensional LQR of cart-pole balancing.
 """
 
 from __future__ import annotations
@@ -132,6 +133,44 @@ class ContinuousProblem:
             raise ValueError("control box has an empty interval (lower > upper)")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+
+    @classmethod
+    def from_lqr(cls, lqr: LqrStructure, horizon, x0, lower, upper, d_cap=10.0):
+        """Linear-quadratic problem stated by its continuous-time matrices.
+
+        The dimensions are read off ``lqr.a`` (n, n) and ``lqr.b`` (n, m); a
+        matrix of another shape raises ``ValueError`` naming it.  The drift is
+        ``x a^T + u b^T``, the diffusion the constant ``sigma_mat``, the costs
+        the quadratic forms of ``q``, ``r`` and ``g_mat``, and the control
+        structure (b, r).  ``lqr`` is attached as given.
+        """
+        a, b, q, r, g_mat, sigma_mat = lqr.a, lqr.b, lqr.q, lqr.r, lqr.g_mat, lqr.sigma_mat
+        n, m = (np.shape(a) + (0,))[0], (np.shape(b) + (0, 0))[1]  # 0 for a missing axis
+        shapes = dict(a=(n, n), b=(n, m), q=(n, n), r=(m, m), g_mat=(n, n), sigma_mat=(n, n))
+        for name, shape in shapes.items():
+            got = np.shape(getattr(lqr, name))
+            if got != shape:
+                raise ValueError(f"lqr.{name} has shape {got}, not {shape}")
+
+        def f(t, x, u):
+            return np.asarray(x, dtype=float) @ a.T + np.asarray(u, dtype=float) @ b.T
+
+        def sigma(t, x):
+            return np.broadcast_to(sigma_mat, np.shape(x)[:-1] + (n, n)).copy()
+
+        def ell(t, x, u):
+            x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+            return np.einsum("...i,ij,...j->...", x, q, x) + np.einsum("...i,ij,...j->...", u, r, u)
+
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            return np.einsum("...i,ij,...j->...", x, g_mat, x)
+
+        def drift_gain(t, x):
+            return np.broadcast_to(b, np.shape(x)[:-1] + (n, m)).copy()
+
+        structure = ControlStructure(drift_gain, r)
+        return cls(n, m, horizon, f, sigma, ell, g, lower, upper, x0, structure, lqr, d_cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,42 +363,7 @@ def build_cartpole_lqr() -> ContinuousProblem:
             [0.0, 0.0, 0.0, 0.1],
         ]
     )
-    q, r, g_mat = np.eye(4), np.eye(1), np.eye(4)
-
-    def f(t, x, u):
-        return np.asarray(x, dtype=float) @ a.T + np.asarray(u, dtype=float) @ b.T
-
-    def sigma(t, x):
-        shape = np.shape(x)[:-1] + (4, 4)
-        return np.broadcast_to(sigma_mat, shape).copy()
-
-    def ell(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, q, x) + np.einsum(
-            "...i,ij,...j->...", u, r, u
-        )
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, g_mat, x)
-
-    structure = ControlStructure(
-        drift_gain=lambda t, x: np.broadcast_to(b, np.shape(x)[:-1] + (4, 1)).copy(),
-        cost_quad=r,
-    )
-    return ContinuousProblem(
-        dim_x=4,
-        dim_u=1,
-        horizon=5.0,
-        f=f,
-        sigma=sigma,
-        ell=ell,
-        g=g,
-        control_lower=np.array([-np.inf]),
-        control_upper=np.array([np.inf]),
-        x0=np.array([0.0, 0.0, math.pi / 9.0, 0.0]),
-        structure=structure,
-        lqr=LqrStructure(a=a, b=b, q=q, r=r, g_mat=g_mat, sigma_mat=sigma_mat),
-        d_cap=1e9,
-    )
+    lqr = LqrStructure(a=a, b=b, q=np.eye(4), r=np.eye(1), g_mat=np.eye(4), sigma_mat=sigma_mat)
+    x0 = np.array([0.0, 0.0, math.pi / 9.0, 0.0])
+    box = np.array([-np.inf]), np.array([np.inf])
+    return ContinuousProblem.from_lqr(lqr, 5.0, x0, *box, d_cap=1e9)

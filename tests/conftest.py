@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fbsde_lsmc import (
     BasisSpec,
@@ -58,54 +59,55 @@ def make_scalar_lqr(
     u_max=50.0,
 ) -> ContinuousProblem:
     """Scalar linear-quadratic problem with full structure metadata."""
-
-    def f(t, x, u):
-        return a * x + b * u
-
-    def sig(t, x):
-        return np.full(np.shape(x)[:-1] + (1, 1), sigma)
-
-    def ell(t, x, u):
-        return q * x[..., 0] ** 2 + r * u[..., 0] ** 2
-
-    def term(x):
-        return g * np.asarray(x, dtype=float)[..., 0] ** 2
-
-    from fbsde_lsmc.problems import ControlStructure
-
-    structure = ControlStructure(
-        drift_gain=lambda t, x: np.full(np.shape(x)[:-1] + (1, 1), b),
-        cost_quad=np.array([[r]]),
+    lqr = LqrStructure(*(np.array([[v]], dtype=float) for v in (a, b, q, r, g, sigma)))
+    return ContinuousProblem.from_lqr(
+        lqr, horizon, np.array([x0]), np.array([-u_max]), np.array([u_max])
     )
-    return ContinuousProblem(
-        dim_x=1,
-        dim_u=1,
-        horizon=horizon,
-        f=f,
-        sigma=sig,
-        ell=ell,
-        g=term,
-        control_lower=np.array([-u_max]),
-        control_upper=np.array([u_max]),
-        x0=np.array([x0]),
-        structure=structure,
-        lqr=LqrStructure(
-            a=np.array([[a]]),
-            b=np.array([[b]]),
-            q=np.array([[q]]),
-            r=np.array([[r]]),
-            g_mat=np.array([[g]]),
-            sigma_mat=np.array([[sigma]]),
-        ),
-    )
+
+
+def driftless_lqr(sigma_mat, dim_u=1) -> LqrStructure:
+    """Matrices of a problem with no drift and no cost: only the diffusion ``sigma_mat``."""
+    n = len(sigma_mat)
+    zero = np.zeros((n, n))
+    return LqrStructure(zero, np.zeros((n, dim_u)), zero, np.zeros((dim_u, dim_u)), zero, sigma_mat)
+
+
+def random_lqr(n: int, seed: int) -> tuple:
+    """``(problem, gain)``: a random LQR with ``n`` states and one control, and
+    a random ``(1, n)`` feedback gain for the sampling drift.
+
+    Sigma = U diag(s) V^T with random orthogonal U, V and s in [0.3, 1] is
+    invertible, with condition number at most 10 / 3, and not symmetric for
+    n >= 2; q and g_mat are random positive semidefinite, r lies in [0.5, 2],
+    the dynamics matrix ``a`` is random and the horizon is 1.  The box is
+    unbounded, so the Riccati value is the optimal policy's, and the
+    drift-correction cap is 1e9: a random feedback gives large corrections,
+    as on cart-pole.
+    """
+    rng = np.random.default_rng(seed)
+    a = 0.5 * rng.normal(size=(n, n))
+    b = rng.normal(size=(n, 1))
+    u_orth, v_orth = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+    sigma_mat = (u_orth * rng.uniform(0.3, 1.0, n)) @ v_orth.T
+    c, h = rng.normal(size=(2, n, n))
+    lqr = LqrStructure(a, b, c @ c.T / n, rng.uniform(0.5, 2.0, (1, 1)), h @ h.T / n, sigma_mat)
+    box = np.array([-np.inf]), np.array([np.inf])
+    cp = ContinuousProblem.from_lqr(lqr, 1.0, rng.normal(size=n), *box, d_cap=1e9)
+    return cp, rng.normal(size=(1, n))
+
+
+@st.composite
+def random_lqrs(draw):
+    """:func:`random_lqr` with n = 1..4 and a random seed."""
+    return random_lqr(draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)))
 
 
 def make_linear_problem(dim, seed, state_sigma=False, horizon=1.0) -> ContinuousProblem:
     """Random ``dim``-D linear problem with one control and quadratic costs.
 
-    The diffusion is a fixed well-conditioned matrix; with ``state_sigma`` it
-    is scaled by the smooth positive factor 1 + tanh(x_0)^2 / 2, so it stays
-    invertible everywhere.
+    The diffusion is a fixed well-conditioned matrix, and the problem is an
+    LQR; with ``state_sigma`` the diffusion is scaled by the smooth positive
+    factor 1 + tanh(x_0)^2 / 2, so it stays invertible everywhere.
     """
     rng = np.random.default_rng(seed)
     a = 0.3 * rng.normal(size=(dim, dim))
@@ -113,12 +115,15 @@ def make_linear_problem(dim, seed, state_sigma=False, horizon=1.0) -> Continuous
     s = 0.6 * np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
     q = np.diag(rng.uniform(0.5, 1.5, dim))
     g_mat = np.diag(rng.uniform(0.5, 1.5, dim))
+    x0 = 0.5 * rng.normal(size=dim)
+    box = np.array([-5.0]), np.array([5.0])
+    if not state_sigma:
+        lqr = LqrStructure(a, b, q, np.eye(1), g_mat, s)
+        return ContinuousProblem.from_lqr(lqr, horizon, x0, *box)
 
     def sig(t, x):
         x = np.asarray(x, dtype=float)
         base = np.broadcast_to(s, x.shape[:-1] + (dim, dim))
-        if not state_sigma:
-            return base.copy()
         return base * (1.0 + 0.5 * np.tanh(x[..., :1, None]) ** 2)
 
     return ContinuousProblem(
@@ -129,9 +134,9 @@ def make_linear_problem(dim, seed, state_sigma=False, horizon=1.0) -> Continuous
         sigma=sig,
         ell=lambda t, x, u: np.einsum("...i,ij,...j->...", x, q, x) + np.sum(u**2, axis=-1),
         g=lambda x: np.einsum("...i,ij,...j->...", x, g_mat, x),
-        control_lower=np.array([-5.0]),
-        control_upper=np.array([5.0]),
-        x0=0.5 * rng.normal(size=dim),
+        control_lower=box[0],
+        control_upper=box[1],
+        x0=x0,
     )
 
 

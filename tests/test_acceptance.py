@@ -8,12 +8,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fbsde_lsmc import (
     BasisSpec,
     ContinuousProblem,
     DriftProcess,
     EstimatorKind,
+    FeedbackPolicy,
     GridSpec,
     ValueModel,
     confidence_region,
@@ -24,12 +26,24 @@ from fbsde_lsmc import (
     improve_policy,
     riccati_from_lqr,
     sample_forward,
+    scaling_from_batch,
     build_cartpole_lqr,
 )
+from fbsde_lsmc.backward import backward_sweep
 from fbsde_lsmc.config import parse_config_text
 from fbsde_lsmc.experiments import run_experiment
+from fbsde_lsmc.metrics import shared_rae
+from fbsde_lsmc.value_model import basis_eval
 
-from conftest import ConstantPolicy, delta_y_hat, fit_function, make_scalar_lqr, model_from_truth
+from conftest import (
+    ConstantPolicy,
+    delta_y_hat,
+    driftless_lqr,
+    fit_function,
+    make_scalar_lqr,
+    model_from_truth,
+    random_lqrs,
+)
 
 
 def _verdict(num, label, ok, detail=""):
@@ -107,6 +121,43 @@ class TestCriterion1LqrNearExactness:
             noiseless < 1e-6 and reestimate < 1e-6 and elapsed < 60.0,
             f"RAE noiseless={noiseless:.2e} re-estimate={reestimate:.2e} "
             f"runtime={elapsed:.1f}s",
+        )
+
+    @given(case=random_lqrs())
+    @settings(max_examples=30, deadline=None)
+    def test_taylor_estimators_at_rounding_level_on_random_lqrs(self, case):
+        # the paper's LQR claim on random LQRs, scored as a sweep scores its
+        # cells: degree-2 models fitted under a random feedback drift, their
+        # mean RAE over steps 1..N against the Riccati truth on an on-policy
+        # region
+        cp, gain = case
+        n_steps, kinds = 20, [EstimatorKind.TAYLOR_NOISELESS, EstimatorKind.TAYLOR_REESTIMATE]
+        dp = discretize(cp, n_steps)
+        truth = riccati_from_lqr(dp)
+        mu = truth.policy()
+        drift = DriftProcess.on_policy(FeedbackPolicy(gain, dp.control_lower, dp.control_upper))
+        batch = sample_forward(dp, mu, drift, 128, seed=1)
+        region = confidence_region(sample_forward(dp, mu, DriftProcess.on_policy(mu), 128, seed=2))
+        spec = scaling_from_batch(batch, 2)
+        models = backward_sweep(batch, kinds, spec, down_to=1)
+        steps = range(1, n_steps + 1)
+        scored = [models[kind] for kind in kinds]
+        mean_rae = np.mean([shared_rae(scored, truth, region, i) for i in steps], axis=0)
+
+        # The allowance is a rounding bound.  A target's terms are rounded
+        # relative to their size, which Zbar.D and D^T Mbar D make at most
+        # (1 + |D|)^2 times |V|; least squares multiplies a relative error in
+        # its targets by at most the design's condition number; each of the N
+        # steps adds its own error to the models the earlier steps read; and
+        # RAE divides by the truth's mean absolute deviation, not its size.
+        values = [truth.value(i, region.grid_points(i)) for i in steps]
+        size_over_spread = max(np.abs(v).max() / np.abs(v - v.mean()).mean() for v in values)
+        cond = max(np.linalg.cond(basis_eval(spec, i, batch.x[:, i])) for i in steps)
+        d_max = max(np.linalg.norm(batch.drift_step(i)[3], axis=-1).max() for i in range(n_steps))
+        eps = np.finfo(float).eps
+        allowance = eps * n_steps * cond * size_over_spread * (1.0 + d_max) ** 2
+        assert np.all(mean_rae <= allowance), (
+            f"n = {dp.dim_x}: mean RAE {mean_rae} over the allowance {allowance:.2e}"
         )
 
 
@@ -205,19 +256,8 @@ class TestCriterion5Unbiasedness:
 class TestCriterion6DiscreteGirsanov:
     def test_reweighted_noise_moments_are_standard_normal(self):
         dim = 2
-        cp = ContinuousProblem(
-            dim_x=dim,
-            dim_u=1,
-            horizon=0.3,
-            f=lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float)),
-            sigma=lambda t, x: 0.8
-            * np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim)),
-            ell=lambda t, x, u: np.zeros(np.shape(x)[:-1]),
-            g=lambda x: np.zeros(np.shape(x)[:-1]),
-            control_lower=np.array([-1.0]),
-            control_upper=np.array([1.0]),
-            x0=np.zeros(dim),
-        )
+        lqr = driftless_lqr(0.8 * np.eye(dim))
+        cp = ContinuousProblem.from_lqr(lqr, 0.3, np.zeros(dim), np.array([-1.0]), np.array([1.0]))
         n_steps = 3
         dp = discretize(cp, n_steps)
 

@@ -237,6 +237,20 @@ class TestBackwardSweep:
             alone = backward_pass(dp, mu, batch, kind, spec)
             np.testing.assert_array_equal(fitted[kind].coeffs, alone.coeffs)
 
+    def test_a_non_finite_terminal_cost_fails_every_kind_at_the_terminal_step(self):
+        # 1e308 x^2 overflows for |x| > 1: the terminal targets are inf, so
+        # the terminal fit, shared by every kind, is never made, and no kind
+        # is blamed for step N - 1 instead
+        dp = discretize(make_scalar_lqr(g=1e308, x0=5.0, a=0.0), 10)
+        mu = ConstantPolicy([0.0], dp.control_lower, dp.control_upper)
+        batch = sample_forward(dp, mu, DriftProcess.on_policy(mu), 64, seed=3)
+        with np.errstate(over="ignore"):
+            fitted = backward_sweep(batch, list(EstimatorKind), scaling_from_batch(batch, 2))
+        for kind in EstimatorKind:
+            assert isinstance(fitted[kind], FloatingPointError), kind
+            assert fitted[kind].failing_step == dp.n_steps
+            assert "non-finite backward target" in str(fitted[kind])
+
     def test_models_of_different_bases_are_not_scored_together(self):
         dp, truth, mu, batch = _lqr_pieces(n_steps=4)
         models = [

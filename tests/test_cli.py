@@ -987,7 +987,8 @@ class TestDiagnoseSweepDepth:
             assert main(["diagnose", str(cfg_path), "--output", str(out)]) == 0
             expected = (tmp_path / "expected.csv").read_bytes()
             assert (out / "diagnostics.csv").read_bytes() == expected, step
-            assert len(fitted_steps) == (n - step) * len(kinds)
+            # steps N - 1 .. step + 1 once per estimator, the shared terminal step once
+            assert len(fitted_steps) == (n - step - 1) * len(kinds) + 1
             assert sorted(set(fitted_steps)) == list(range(step + 1, n + 1))
             assert checked[-1] == (step, (m, 2, dim), (m, 1, dim), True, True), step
 
@@ -1046,7 +1047,8 @@ class TestRunSweepDepth:
         monkeypatch.setattr(backward_module, "lsmc_fit", counting)
         run_experiment(cfg)
         groups = len(cfg.samples) * cfg.trials * len(cfg.degrees)
-        assert len(fitted_steps) == groups * cfg.n_steps * len(cfg.estimators)
+        # steps N - 1 .. 1 once per estimator, the shared terminal step once
+        assert len(fitted_steps) == groups * ((cfg.n_steps - 1) * len(cfg.estimators) + 1)
         assert sorted(set(fitted_steps)) == list(range(1, cfg.n_steps + 1))
 
     @pytest.mark.parametrize("text", [TINY_LQR, TINY_SCALAR], ids=["cartpole", "scalar"])

@@ -26,7 +26,7 @@ from fbsde_lsmc.errors import GridEscapeWarning, OutOfDomainError, SingularRecur
 from fbsde_lsmc.oracles import export_grid_csv, export_riccati_json
 from fbsde_lsmc.problems import DiscreteProblem, LqrStructure
 
-from conftest import make_scalar_lqr, reference_grid_bellman
+from conftest import driftless_lqr, make_scalar_lqr, reference_grid_bellman
 
 
 def _unit_step_riccati(a_d, b_d, q, r, g_mat, sigma_d, n_steps):
@@ -179,18 +179,8 @@ class TestGridBellman:
         "dim_x, dim_u", [(2, 1), (3, 1), (1, 2)], ids=["dim_x=2", "dim_x=3", "dim_u=2"]
     )
     def test_unsupported_dimensions_rejected(self, dim_x, dim_u):
-        cp = ContinuousProblem(
-            dim_x=dim_x,
-            dim_u=dim_u,
-            horizon=1.0,
-            f=lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float)),
-            sigma=lambda t, x: np.broadcast_to(np.eye(dim_x), np.shape(x)[:-1] + (dim_x, dim_x)),
-            ell=lambda t, x, u: np.zeros(np.shape(x)[:-1]),
-            g=lambda x: np.zeros(np.shape(x)[:-1]),
-            control_lower=-np.ones(dim_u),
-            control_upper=np.ones(dim_u),
-            x0=np.zeros(dim_x),
-        )
+        lqr = driftless_lqr(np.eye(dim_x), dim_u)
+        cp = ContinuousProblem.from_lqr(lqr, 1.0, np.zeros(dim_x), -np.ones(dim_u), np.ones(dim_u))
         dp = discretize(cp, 2)
         with pytest.raises(ValueError, match="one state and one control"):
             grid_bellman(dp, GridSpec(lo=-np.ones(dim_x), hi=np.ones(dim_x)))

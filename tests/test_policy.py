@@ -22,7 +22,7 @@ from fbsde_lsmc import (
     scaling_from_batch,
     taylor_q,
 )
-from fbsde_lsmc.problems import ControlStructure
+from fbsde_lsmc.problems import LqrStructure
 
 from conftest import (
     ConstantPolicy,
@@ -74,23 +74,15 @@ def _unstructured_problem():
 
 def _two_control_problem():
     """Control-affine problem with two controls and a quadratic control cost."""
-    gain = np.array([[1.0, -0.5]])
-    return ContinuousProblem(
-        dim_x=1,
-        dim_u=2,
-        horizon=1.0,
-        f=lambda t, x, u: -0.2 * x + np.asarray(u, dtype=float) @ gain.T,
-        sigma=lambda t, x: 0.6 * np.ones(np.shape(x)[:-1] + (1, 1)),
-        ell=lambda t, x, u: np.sum(np.asarray(u, dtype=float) ** 2, axis=-1),
-        g=lambda x: np.asarray(x, dtype=float)[..., 0] ** 2,
-        control_lower=np.full(2, -5.0),
-        control_upper=np.full(2, 5.0),
-        x0=np.zeros(1),
-        structure=ControlStructure(
-            drift_gain=lambda t, x: np.broadcast_to(gain, np.shape(x)[:-1] + (1, 2)),
-            cost_quad=np.eye(2),
-        ),
+    lqr = LqrStructure(
+        a=np.array([[-0.2]]),
+        b=np.array([[1.0, -0.5]]),
+        q=np.zeros((1, 1)),
+        r=np.eye(2),
+        g_mat=np.eye(1),
+        sigma_mat=np.array([[0.6]]),
     )
+    return ContinuousProblem.from_lqr(lqr, 1.0, np.zeros(1), np.full(2, -5.0), np.full(2, 5.0))
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """Problem builders and discretization."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,23 +18,13 @@ from fbsde_lsmc import (
     riccati_from_lqr,
 )
 
-from conftest import ConstantPolicy
+from conftest import ConstantPolicy, driftless_lqr
 
 
 class TestDiscretize:
     def test_identity_diffusion_quarter_steps(self):
-        cp = ContinuousProblem(
-            dim_x=2,
-            dim_u=1,
-            horizon=1.0,
-            f=lambda t, x, u: np.zeros_like(x),
-            sigma=lambda t, x: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2)),
-            ell=lambda t, x, u: np.zeros(np.shape(x)[:-1]),
-            g=lambda x: np.zeros(np.shape(x)[:-1]),
-            control_lower=np.array([-1.0]),
-            control_upper=np.array([1.0]),
-            x0=np.zeros(2),
-        )
+        lqr = driftless_lqr(np.eye(2))
+        cp = ContinuousProblem.from_lqr(lqr, 1.0, np.zeros(2), np.array([-1.0]), np.array([1.0]))
         dp = discretize(cp, 4)
         assert dp.dt == 0.25
         np.testing.assert_array_equal(dp.Sigma(2, np.zeros(2)), 0.5 * np.eye(2))
@@ -114,6 +106,83 @@ class TestDiscreteStructure:
         assert dp.lqr is None
         with pytest.raises(ValueError, match="linear-quadratic"):
             riccati_from_lqr(dp)
+
+
+def _cartpole_closures_by_hand(a, b, q, r, g_mat, sigma_mat):
+    """f, sigma, ell, g and the drift gain as ``build_cartpole_lqr`` wrote them
+    out before :meth:`ContinuousProblem.from_lqr` existed, kept verbatim as the
+    reference whose bytes the constructor must reproduce."""
+
+    def f(t, x, u):
+        return np.asarray(x, dtype=float) @ a.T + np.asarray(u, dtype=float) @ b.T
+
+    def sigma(t, x):
+        shape = np.shape(x)[:-1] + (4, 4)
+        return np.broadcast_to(sigma_mat, shape).copy()
+
+    def ell(t, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return np.einsum("...i,ij,...j->...", x, q, x) + np.einsum(
+            "...i,ij,...j->...", u, r, u
+        )
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.einsum("...i,ij,...j->...", x, g_mat, x)
+
+    drift_gain = lambda t, x: np.broadcast_to(b, np.shape(x)[:-1] + (4, 1)).copy()
+    return f, sigma, ell, g, drift_gain
+
+
+class TestFromLqr:
+    def test_cartpole_pieces_keep_the_hand_written_bytes(self):
+        cp = build_cartpole_lqr()
+        lq = cp.lqr
+        f, sigma, ell, g, drift_gain = _cartpole_closures_by_hand(
+            lq.a, lq.b, lq.q, lq.r, lq.g_mat, lq.sigma_mat
+        )
+        rng = np.random.default_rng(8)
+        for lead in [(), (7,), (3, 5)]:
+            x = 4.0 * rng.normal(size=lead + (4,))
+            u = 9.0 * rng.normal(size=lead + (1,))
+            pairs = [
+                (cp.f(0.3, x, u), f(0.3, x, u)),
+                (cp.sigma(0.3, x), sigma(0.3, x)),
+                (cp.ell(0.3, x, u), ell(0.3, x, u)),
+                (cp.g(x), g(x)),
+                (cp.structure.drift_gain(0.3, x), drift_gain(0.3, x)),
+            ]
+            for got, want in pairs:
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert got.tobytes() == want.tobytes()
+        assert cp.structure.cost_quad is lq.r
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("a", (4, 3)),
+            ("b", (3, 1)),
+            ("q", (3, 3)),
+            ("r", (1, 2)),
+            ("g_mat", (4,)),
+            ("sigma_mat", (4, 4, 1)),
+        ],
+    )
+    def test_a_matrix_of_another_shape_is_named(self, name, shape):
+        lqr = dataclasses.replace(build_cartpole_lqr().lqr, **{name: np.ones(shape)})
+        box = np.array([-1.0]), np.array([1.0])
+        with pytest.raises(ValueError, match=rf"lqr\.{name} has shape {re.escape(str(shape))}"):
+            ContinuousProblem.from_lqr(lqr, 1.0, np.zeros(4), *box)
+
+    def test_box_start_cap_and_matrices_are_the_arguments(self):
+        lqr = driftless_lqr(np.eye(2), dim_u=3)
+        x0, lo, hi = np.array([0.5, -1.0]), np.array([-2.0, 0.0, -1.0]), np.array([3.0, 0.0, 1.0])
+        cp = ContinuousProblem.from_lqr(lqr, 2.5, x0, lo, hi, d_cap=7.0)
+        assert cp.lqr is lqr and cp.x0 is x0
+        assert cp.control_lower is lo and cp.control_upper is hi
+        assert (cp.dim_x, cp.dim_u, cp.horizon, cp.d_cap) == (2, 3, 2.5, 7.0)
+        assert ContinuousProblem.from_lqr(lqr, 2.5, x0, lo, hi).d_cap == 10.0
 
 
 class TestNonlinear1d:

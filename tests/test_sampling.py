@@ -32,24 +32,21 @@ from fbsde_lsmc.backward import backward_sweep
 import fbsde_lsmc.sampling as sampling_module
 from fbsde_lsmc.sampling import pinned_step_batch
 
-from conftest import ConstantPolicy, full_history_pinned, make_linear_problem, make_scalar_lqr
+from conftest import (
+    ConstantPolicy,
+    driftless_lqr,
+    full_history_pinned,
+    make_linear_problem,
+    make_scalar_lqr,
+)
 
 
 def _driftless_problem(sigma=0.8, dim=1, horizon=1.0, x0=None):
     # a scalar sigma scales the identity; a matrix is the diffusion itself
     s = sigma * np.eye(dim) if np.ndim(sigma) == 0 else np.asarray(sigma, dtype=float)
     x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-    return ContinuousProblem(
-        dim_x=dim,
-        dim_u=1,
-        horizon=horizon,
-        f=lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=lambda t, x: s * np.ones(np.shape(x)[:-1] + (1, 1)),
-        ell=lambda t, x, u: np.zeros(np.shape(x)[:-1]),
-        g=lambda x: np.zeros(np.shape(x)[:-1]),
-        control_lower=np.array([-1.0]),
-        control_upper=np.array([1.0]),
-        x0=x0,
+    return ContinuousProblem.from_lqr(
+        driftless_lqr(s), horizon, x0, np.array([-1.0]), np.array([1.0])
     )
 
 
