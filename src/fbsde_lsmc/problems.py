@@ -100,14 +100,14 @@ class ContinuousProblem:
     control_lower, control_upper : ndarray
         Per-coordinate closed control intervals (may be infinite).
     x0 : ndarray
-        Nominal initial state.
+        Nominal initial state, shape (dim_x,).
     structure : ControlStructure, optional
         Control-affine/quadratic decomposition when available.
     lqr : LqrStructure, optional
         Exact matrices when the problem is linear-quadratic.
     d_cap : float
-        Drift-correction norm cap that sampling enforces; change-of-measure
-        error bounds degrade like exp(||D||^2 / 2).
+        Drift-correction norm cap that sampling enforces, > 0 (inf: no cap);
+        change-of-measure error bounds degrade like exp(||D||^2 / 2).
     """
 
     dim_x: int
@@ -133,6 +133,10 @@ class ContinuousProblem:
             raise ValueError("control box has an empty interval (lower > upper)")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if np.shape(self.x0) != (self.dim_x,):
+            raise ValueError(f"x0 has shape {np.shape(self.x0)}, not ({self.dim_x},)")
+        if not self.d_cap > 0:
+            raise ValueError(f"d_cap must be > 0 (inf turns the cap off), got {self.d_cap}")
 
     @classmethod
     def from_lqr(cls, lqr: LqrStructure, horizon, x0, lower, upper, d_cap=10.0):

@@ -128,21 +128,30 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _readme_key_table():
-    """{key: read-by cell} from the README table, group rows expanded."""
+    """{key: (default, read-by cell)} from the README table, group rows
+    expanded; a group row's default cell lists one value per key, split at
+    ", " or " / "."""
     table = {}
     for line in (ROOT / "README.md").read_text().splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if not line.startswith("| `") or len(cells) != 4:
             continue
         names = [n.strip(" `") for n in re.split("[,/]", cells[0])]
+        defaults = [d.strip(" `") for d in re.split(", | / ", cells[1])]
         section = names[0].split(".")[0]
-        for name in names:
-            table[name if "." in name else f"{section}.{name}"] = cells[2]
+        for name, default in zip(names, defaults):
+            table[name if "." in name else f"{section}.{name}"] = (default, cells[2])
     return table
 
 
+def _scope(key):
+    """(problems, drift kinds) that read ``key``."""
+    row = config._KEYS.get(key)
+    return row.scope if row and row.scope else (config._VALID_PROBLEMS, config._VALID_DRIFTS)
+
+
 def _scope_cell(key):
-    problems, kinds = config._SCOPES.get(key, (config._VALID_PROBLEMS, config._VALID_DRIFTS))
+    problems, kinds = _scope(key)
     names = [p for p in problems if problems != config._VALID_PROBLEMS]
     names += [k for k in kinds if kinds != config._VALID_DRIFTS]
     return " + ".join(f"`{n}`" for n in names) or "any"
@@ -223,8 +232,16 @@ class TestConfigParsing:
             assert (cfg.seed, cfg.output_dir) == (w.default_seed, str(tmp_path))
 
     def test_readme_key_table_matches_the_parser(self):
+        table = _readme_key_table()
         keys = [*config._KEYS, *config._RETIRED]
-        assert _readme_key_table() == {key: _scope_cell(key) for key in keys}
+        assert {key: cells[1] for key, cells in table.items()} == {
+            key: _scope_cell(key) for key in keys
+        }
+        # every single-valued default: not None (run.n_steps is per problem)
+        # and not a sweep list
+        for key, row in config._KEYS.items():
+            if row.default is not None and not isinstance(row.default, list):
+                assert row.parse(table[key][0]) == row.default, key
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -392,6 +409,47 @@ class TestConfigParsing:
         assert main(["run", str(path), "--output", str(tmp_path / "plain")]) == 0
         env, plain = (_strip_runtime(tmp_path / d / "results.csv") for d in ("env", "plain"))
         assert env and env == plain
+
+
+def _reading_head(key):
+    """Config lines choosing a problem and drift kind that read ``key``."""
+    problems, kinds = _scope(key)
+    return f"problem.name = {problems[0]}\ndrift.kind = {kinds[0]}\n"
+
+
+class TestKeyTable:
+    """Checks that every row of ``config._KEYS`` gets from the one loop."""
+
+    @pytest.mark.parametrize(
+        "key", [key for key, row in config._KEYS.items() if row.low is not None]
+    )
+    def test_least_value_accepted_and_one_below_rejected(self, key):
+        row = config._KEYS[key]
+        value = getattr(parse_config_text(f"{_reading_head(key)}{key} = {row.low!r}"), row.attr)
+        assert (min(value) if isinstance(value, list) else value) == row.low
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be >= "):
+            parse_config_text(f"{_reading_head(key)}{key} = {row.low - 1!r}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", [key for key, row in config._KEYS.items() if row.parse is float]
+    )
+    def test_float_keys_must_be_finite(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite"):
+            parse_config_text(f"{_reading_head(key)}{key} = {value}")
+
+    @pytest.mark.parametrize(
+        "problem, drift", itertools.product(config._VALID_PROBLEMS, config._VALID_DRIFTS)
+    )
+    def test_defaults_pass_the_checks_of_set_values(self, problem, drift):
+        # replace sets every field, so each filled default is checked as if given
+        cfg = config.ExperimentConfig(problem=problem, drift=drift)
+        assert dataclasses.replace(cfg) == cfg
+        assert cfg.estimators == [kind.value for kind in EstimatorKind]
+
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ConfigError, match="^sweep.estimators must be one of"):
+            parse_config_text("sweep.estimators = taylor_noiseless,taylor")
 
 
 @pytest.fixture(scope="module")

@@ -184,6 +184,22 @@ class TestFromLqr:
         assert (cp.dim_x, cp.dim_u, cp.horizon, cp.d_cap) == (2, 3, 2.5, 7.0)
         assert ContinuousProblem.from_lqr(lqr, 2.5, x0, lo, hi).d_cap == 10.0
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_a_start_of_another_length_is_named(self, length):
+        # a length-1 start would broadcast into every state coordinate
+        box = np.array([-1.0]), np.array([1.0])
+        with pytest.raises(ValueError, match=rf"x0 has shape \({length},\), not \(4,\)"):
+            ContinuousProblem.from_lqr(build_cartpole_lqr().lqr, 1.0, np.zeros(length), *box)
+
+    @pytest.mark.parametrize("d_cap", [np.nan, -1.0, 0.0])
+    def test_a_cap_not_above_zero_is_named(self, d_cap):
+        # a NaN cap would fail every step's check with a misleading
+        # DriftUnboundedError instead
+        lqr, box = driftless_lqr(np.eye(2)), (np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="d_cap must be > 0"):
+            ContinuousProblem.from_lqr(lqr, 1.0, np.zeros(2), *box, d_cap=d_cap)
+        assert ContinuousProblem.from_lqr(lqr, 1.0, np.zeros(2), *box, d_cap=np.inf).d_cap == np.inf
+
 
 class TestNonlinear1d:
     def test_drift_field_values(self):
