@@ -6,9 +6,9 @@ is part of the value.  Lists are comma separated.  It parses with no
 dependencies and diffs cleanly.  Unknown and repeated keys are rejected so
 typos fail loudly.
 
-Each key is one row of ``_KEYS``, the one source for its attribute, parser,
-default, scope, least value and, for a name, its choices.  Every float key
-must be finite.
+Each key is one :class:`ExperimentConfig` field, whose declaration is the one
+source for its parser, default, scope, least value and, for a name, its
+choices; ``_KEYS`` gathers these rows by key.  Every float key must be finite.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigError
@@ -53,34 +53,11 @@ class _Key(NamedTuple):
     choices: Optional[tuple] = None
 
 
-# problem.name and drift.kind come first: the other rows' scopes read them
-_KEYS = {
-    "problem.name": _Key("problem", str, "nonlinear1d", choices=_VALID_PROBLEMS),
-    "drift.kind": _Key("drift", str, "optimal", choices=_VALID_DRIFTS),
-    "problem.u_max": _Key("u_max", float, 20.0, _SCALAR, low=_POSITIVE),
-    "run.n_steps": _Key("n_steps", int, low=1),  # default per problem
-    "run.seed": _Key("seed", int, 0),
-    "run.trials": _Key("trials", int, 1, low=1),
-    "run.output_dir": _Key("output_dir", str, "results"),
-    "drift.k1": _Key("drift_k1", float, -25.0, _CARTPOLE_SUBOPTIMAL),
-    "drift.k2": _Key("drift_k2", float, -5.0, _CARTPOLE_SUBOPTIMAL),
-    "sweep.estimators": _Key(
-        "estimators", _list_of(str.strip), list(_VALID_ESTIMATORS), choices=_VALID_ESTIMATORS
-    ),
-    "sweep.degrees": _Key("degrees", _list_of(int), [1, 2, 3, 4, 5, 6], low=0),
-    "sweep.samples": _Key("samples", _list_of(int), [16, 64, 256, 1024, 4096], low=1),
-    "sampling.reference_samples": _Key("reference_samples", int, 1024, low=1),
-    "oracle.state_lo": _Key("oracle_state_lo", float, -5.0, _SCALAR),
-    "oracle.state_hi": _Key("oracle_state_hi", float, 12.0, _SCALAR),
-    "oracle.state_nodes": _Key("oracle_state_nodes", int, 2001, _SCALAR, low=2),
-    "oracle.control_nodes": _Key("oracle_control_nodes", int, 201, _SCALAR, low=1),
-    "oracle.quad_nodes": _Key("oracle_quad_nodes", int, 21, _SCALAR, low=1),
-    "metrics.dx": _Key("metrics_dx", float, low=_POSITIVE),
-    "metrics.points_per_axis": _Key("metrics_points_per_axis", int, low=2),
-    "diagnose.step": _Key("diagnose_step", int, low=0),
-    "diagnose.cells": _Key("diagnose_cells", int, 5, low=1),
-    "diagnose.reps": _Key("diagnose_reps", int, 4000, low=2),
-}
+def _key(key: str, parse, default=None, scope=None, low=None, choices=None):
+    """Field declaring config key ``key``; its metadata holds the key's row,
+    whose attribute is the field's name."""
+    return field(default=None, metadata={"key": key, "row": (parse, default, scope, low, choices)})
+
 
 # retired float keys, accepted only at the value every run now uses:
 # key -> (value, reason)
@@ -91,40 +68,37 @@ _RETIRED = {"run.ridge": (0.0, "every fit is plain minimum-norm least squares")}
 class ExperimentConfig:
     """Resolved experiment settings; see the README for the full key table.
 
-    A field left ``None`` takes its ``_KEYS`` default where its key is read
-    and stays ``None`` under the problems and drift kinds that do not read it.
+    Each field declares one config key.  A field left ``None`` takes its
+    default where its key is read and stays ``None`` under the problems and
+    drift kinds that do not read it.  ``problem`` and ``drift`` are the first
+    two fields, so they are resolved and checked before any scope reads them.
     """
 
-    problem: str = None
-    n_steps: int = None
-    seed: int = None
-    trials: int = None
-    output_dir: str = None
-
-    drift: str = None
-    drift_k1: Optional[float] = None
-    drift_k2: Optional[float] = None
-
-    estimators: list = None
-    degrees: list = None
-    samples: list = None
-
-    reference_samples: int = None
-
-    u_max: Optional[float] = None
-
-    oracle_state_lo: Optional[float] = None
-    oracle_state_hi: Optional[float] = None
-    oracle_state_nodes: Optional[int] = None
-    oracle_control_nodes: Optional[int] = None
-    oracle_quad_nodes: Optional[int] = None
-
-    metrics_dx: Optional[float] = None
-    metrics_points_per_axis: Optional[int] = None
-
-    diagnose_step: Optional[int] = None
-    diagnose_cells: int = None
-    diagnose_reps: int = None
+    problem: str = _key("problem.name", str, "nonlinear1d", choices=_VALID_PROBLEMS)
+    drift: str = _key("drift.kind", str, "optimal", choices=_VALID_DRIFTS)
+    u_max: Optional[float] = _key("problem.u_max", float, 20.0, _SCALAR, low=_POSITIVE)
+    n_steps: int = _key("run.n_steps", int, low=1)  # default per problem
+    seed: int = _key("run.seed", int, 0)
+    trials: int = _key("run.trials", int, 1, low=1)
+    output_dir: str = _key("run.output_dir", str, "results")
+    drift_k1: Optional[float] = _key("drift.k1", float, -25.0, _CARTPOLE_SUBOPTIMAL)
+    drift_k2: Optional[float] = _key("drift.k2", float, -5.0, _CARTPOLE_SUBOPTIMAL)
+    estimators: list = _key(
+        "sweep.estimators", _list_of(str.strip), list(_VALID_ESTIMATORS), choices=_VALID_ESTIMATORS
+    )
+    degrees: list = _key("sweep.degrees", _list_of(int), [1, 2, 3, 4, 5, 6], low=0)
+    samples: list = _key("sweep.samples", _list_of(int), [16, 64, 256, 1024, 4096], low=1)
+    reference_samples: int = _key("sampling.reference_samples", int, 1024, low=1)
+    oracle_state_lo: Optional[float] = _key("oracle.state_lo", float, -5.0, _SCALAR)
+    oracle_state_hi: Optional[float] = _key("oracle.state_hi", float, 12.0, _SCALAR)
+    oracle_state_nodes: Optional[int] = _key("oracle.state_nodes", int, 2001, _SCALAR, low=2)
+    oracle_control_nodes: Optional[int] = _key("oracle.control_nodes", int, 201, _SCALAR, low=1)
+    oracle_quad_nodes: Optional[int] = _key("oracle.quad_nodes", int, 21, _SCALAR, low=1)
+    metrics_dx: Optional[float] = _key("metrics.dx", float, low=_POSITIVE)
+    metrics_points_per_axis: Optional[int] = _key("metrics.points_per_axis", int, low=2)
+    diagnose_step: Optional[int] = _key("diagnose.step", int, low=0)
+    diagnose_cells: int = _key("diagnose.cells", int, 5, low=1)
+    diagnose_reps: int = _key("diagnose.reps", int, 4000, low=2)
 
     def __post_init__(self):
         for key, row in _KEYS.items():
@@ -166,6 +140,9 @@ class ExperimentConfig:
         """The settings this run reads, by attribute name."""
         return {row.attr: getattr(self, row.attr) for row in _KEYS.values() if self._reads(row)}
 
+
+# each key's row, in field order
+_KEYS = {f.metadata["key"]: _Key(f.name, *f.metadata["row"]) for f in fields(ExperimentConfig)}
 
 _COMMENT = re.compile(r"(?<!\S)#")
 

@@ -220,7 +220,7 @@ class DiagnosticReport:
 
     step: int
     kind: EstimatorKind
-    bias: Optional[float]
+    bias: float
     variance: float
     cells: list
     fit_residual_mean: float
@@ -355,7 +355,7 @@ def report_to_csv(reports, path) -> None:
                         repr(cell.rhs),
                         repr(cell.stderr),
                         int(cell.holds),
-                        "" if report.bias is None else repr(report.bias),
+                        repr(report.bias),
                         repr(report.variance),
                         repr(report.fit_residual_mean),
                         repr(report.fit_residual_max),

@@ -17,9 +17,10 @@ model through :func:`estimators.taylor_triple`, as the backward targets do.
 
 Both rules need one control (``dim_u == 1``), as both benchmark problems
 have.  They use a closed form when the problem declares a control-affine
-drift with a quadratic control cost: the objective is then a u^2 + c u on
-the control interval, minimized exactly.  Anything else falls back to a
-grid search over the interval.
+drift with a quadratic control cost (``ControlStructure``): the objective
+is then a u^2 + c u on the control interval, minimized exactly.  The
+Hamiltonian rule needs that structure; the second-order rule falls back to
+a grid search over the interval without it or for a model of degree > 2.
 """
 
 from __future__ import annotations
@@ -74,28 +75,20 @@ def _grid_search(dp: DiscreteProblem, grid_points: int, x: np.ndarray, score) ->
     return out.reshape(x.shape[:-1] + (1,))
 
 
-def hamiltonian_policy(
-    m: ValueModel, dp: DiscreteProblem, i: int, x, grid_points: int = 1001
-) -> np.ndarray:
+def hamiltonian_policy(m: ValueModel, dp: DiscreteProblem, i: int, x) -> np.ndarray:
     """Gradient-based control at (i, x); model must be fitted at step ``i``.
 
-    Broadcasts over leading axes of ``x``; the grid fallback searches the
-    control interval once per state.  Raises ``ValueError`` unless
-    ``dp.dim_u == 1``.
+    Broadcasts over leading axes of ``x``.  Raises ``ValueError`` unless
+    ``dp.dim_u == 1`` and the problem declares its control structure.
     """
     if dp.dim_u != 1:
         raise ValueError(f"policy improvement needs one control dimension, got {dp.dim_u}")
-    x = np.asarray(x, dtype=float)
     st = dp.structure
-    if st is not None:
-        gain = st.drift_gain(i, x)
-        lin = np.einsum("...nj,...n->...j", gain, m.grad(i, x))
-        return _quadratic_argmin(st.cost_quad[0], lin, dp.control_lower[0], dp.control_upper[0])
-
-    def score(xs, us):
-        return dp.L(i, xs, us) + np.einsum("gn,n->g", dp.F(i, xs, us), m.grad(i, xs[0]))
-
-    return _grid_search(dp, grid_points, x, score)
+    if st is None:
+        raise ValueError("hamiltonian_policy needs a ControlStructure; dp.structure is None")
+    x = np.asarray(x, dtype=float)
+    lin = np.einsum("...nj,...n->...j", st.drift_gain(i, x), m.grad(i, x))
+    return _quadratic_argmin(st.cost_quad[0], lin, dp.control_lower[0], dp.control_upper[0])
 
 
 def taylor_q(m: ValueModel, dp: DiscreteProblem, i: int, x, u):

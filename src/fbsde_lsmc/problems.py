@@ -78,6 +78,20 @@ class LqrStructure:
     sigma_mat: np.ndarray
 
 
+def _check_box_start_and_cap(p) -> None:
+    """``ValueError`` naming a problem's control box, ``x0`` or ``d_cap`` that does not fit it."""
+    lo = np.asarray(p.control_lower, dtype=float)
+    hi = np.asarray(p.control_upper, dtype=float)
+    if lo.shape != (p.dim_u,) or hi.shape != (p.dim_u,):
+        raise ValueError("control box must have one interval per control coordinate")
+    if np.any(lo > hi):
+        raise ValueError("control box has an empty interval (lower > upper)")
+    if np.shape(p.x0) != (p.dim_x,):
+        raise ValueError(f"x0 has shape {np.shape(p.x0)}, not ({p.dim_x},)")
+    if not p.d_cap > 0:
+        raise ValueError(f"d_cap must be > 0 (inf turns the cap off), got {p.d_cap}")
+
+
 @dataclass(frozen=True, eq=False)
 class ContinuousProblem:
     """Continuous-time stochastic optimal control problem.
@@ -125,18 +139,9 @@ class ContinuousProblem:
     d_cap: float = 10.0
 
     def __post_init__(self):
-        lo = np.asarray(self.control_lower, dtype=float)
-        hi = np.asarray(self.control_upper, dtype=float)
-        if lo.shape != (self.dim_u,) or hi.shape != (self.dim_u,):
-            raise ValueError("control box must have one interval per control coordinate")
-        if np.any(lo > hi):
-            raise ValueError("control box has an empty interval (lower > upper)")
+        _check_box_start_and_cap(self)
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if np.shape(self.x0) != (self.dim_x,):
-            raise ValueError(f"x0 has shape {np.shape(self.x0)}, not ({self.dim_x},)")
-        if not self.d_cap > 0:
-            raise ValueError(f"d_cap must be > 0 (inf turns the cap off), got {self.d_cap}")
 
     @classmethod
     def from_lqr(cls, lqr: LqrStructure, horizon, x0, lower, upper, d_cap=10.0):
@@ -187,7 +192,8 @@ class DiscreteProblem:
     the dt-scaling relations in the module docstring, and their ``structure``
     and ``lqr`` are the discrete (step ``i``) readings of the continuous
     problem's; hand-built instances only need the shapes to match.
-    ``d_cap`` is the drift-correction norm cap that ``sample_forward`` checks.
+    ``d_cap`` is the drift-correction norm cap that ``sample_forward`` checks;
+    the box, ``x0`` and ``d_cap`` are checked as a continuous problem's are.
     """
 
     n_steps: int
@@ -204,6 +210,9 @@ class DiscreteProblem:
     structure: Optional[ControlStructure] = None
     lqr: Optional[LqrStructure] = None
     d_cap: float = 10.0
+
+    def __post_init__(self):
+        _check_box_start_and_cap(self)
 
 
 def _check_step(i: int, end: int) -> None:

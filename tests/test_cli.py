@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fbsde_lsmc import backward as backward_module
 from fbsde_lsmc import cli as cli_module
@@ -450,6 +452,71 @@ class TestKeyTable:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigError, match="^sweep.estimators must be one of"):
             parse_config_text("sweep.estimators = taylor_noiseless,taylor")
+
+    def test_problem_and_drift_are_the_first_rows(self):
+        # every other row's scope check reads the two resolved first
+        assert list(config._KEYS)[:2] == ["problem.name", "drift.kind"]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_settings_round_trip(self, data):
+        problem = data.draw(st.sampled_from(config._VALID_PROBLEMS))
+        drift = data.draw(st.sampled_from(config._VALID_DRIFTS))
+        values = {"problem.name": problem, "drift.kind": drift}
+        read = {key: problem in _scope(key)[0] and drift in _scope(key)[1] for key in config._KEYS}
+        for key, row in list(config._KEYS.items())[2:]:
+            if read[key] and data.draw(st.booleans()):
+                values[key] = data.draw(_valid_value(row))
+        # the rules that bind more than one key
+        if "metrics.dx" in values and "metrics.points_per_axis" in values:
+            del values[data.draw(st.sampled_from(["metrics.dx", "metrics.points_per_axis"]))]
+        n_steps = values.get("run.n_steps", 200 if problem == "nonlinear1d" else 100)
+        if "diagnose.step" in values:
+            values["diagnose.step"] %= n_steps
+        if {"oracle.state_lo", "oracle.state_hi"} & set(values):
+            lo, hi = values.get("oracle.state_lo", -5.0), values.get("oracle.state_hi", 12.0)
+            assume(lo != hi)
+            values["oracle.state_lo"], values["oracle.state_hi"] = sorted((lo, hi))
+
+        lines = data.draw(st.permutations([f"{k} = {_render(v)}" for k, v in values.items()]))
+        cfg = parse_config_text("\n".join(lines))
+        for key, row in config._KEYS.items():
+            expect = values.get(key, row.default if read[key] else None)
+            if key == "run.n_steps":
+                expect = n_steps
+            assert getattr(cfg, row.attr) == expect, key
+            assert (row.attr in cfg.resolved()) == read[key], key
+        # and back: the resolved settings, written out as config text
+        out = cfg.resolved()
+        text = "\n".join(
+            f"{key} = {_render(out[row.attr])}"
+            for key, row in config._KEYS.items()
+            if out.get(row.attr) is not None
+        )
+        again = parse_config_text(text)
+        assert again == cfg == config.ExperimentConfig(**out)
+        assert again.resolved() == cfg.resolved()
+
+
+def _valid_value(row):
+    """Strategy for one value of ``row`` that passes its own checks."""
+    if isinstance(row.default, list):
+        entry = st.sampled_from(row.choices) if row.choices else st.integers(row.low)
+        return st.lists(entry, min_size=1, max_size=5, unique=True)
+    if row.choices:
+        return st.sampled_from(row.choices)
+    if row.parse is float:
+        return st.floats(row.low, allow_nan=False, allow_infinity=False)
+    if row.parse is int:
+        return st.integers(row.low)
+    return st.text("abcxyz019_-./", min_size=1, max_size=12)  # an output directory
+
+
+def _render(value):
+    """Config-text spelling of a parsed value."""
+    if isinstance(value, list):
+        return ", ".join(_render(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @pytest.fixture(scope="module")

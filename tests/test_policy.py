@@ -57,7 +57,7 @@ def _mean_cost(dp, mu, batch):
 
 
 def _unstructured_problem():
-    """Scalar problem without declared control structure: grid search only."""
+    """Scalar problem without declared control structure."""
     return ContinuousProblem(
         dim_x=1,
         dim_u=1,
@@ -130,14 +130,11 @@ class TestHamiltonianPolicy:
             oracle = us[int(np.argmin(vals)), 0]
             assert abs(closed[0] - oracle) < 1e-3
 
-    def test_grid_fallback_loops_over_leading_axes(self):
+    def test_a_problem_without_control_structure_rejected(self):
         dp = discretize(_unstructured_problem(), 4)
-        model = _model_1d(lambda pts: 3.0 * pts[..., 0] ** 2 - pts[..., 0], 4)
-        xs = np.linspace(-2.0, 3.0, 6).reshape(2, 3, 1)
-        batched = hamiltonian_policy(model, dp, 2, xs, grid_points=201)
-        single = [hamiltonian_policy(model, dp, 2, x, grid_points=201) for x in xs.reshape(-1, 1)]
-        assert batched.shape == (2, 3, 1)
-        np.testing.assert_array_equal(batched.reshape(-1, 1), np.stack(single))
+        model = _model_1d(lambda pts: pts[..., 0] ** 2, 4)
+        with pytest.raises(ValueError, match="needs a ControlStructure; dp.structure is None"):
+            hamiltonian_policy(model, dp, 2, np.array([0.5]))
 
 
 class TestTaylorQ:

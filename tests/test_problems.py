@@ -44,6 +44,22 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(build_nonlinear_1d(), 0)
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"d_cap": np.nan}, "d_cap must be > 0"),
+            ({"d_cap": -1.0}, "d_cap must be > 0"),
+            ({"x0": np.zeros(3)}, r"x0 has shape \(3,\), not \(1,\)"),
+        ],
+        ids=["nan_cap", "negative_cap", "long_start"],
+    )
+    def test_a_discrete_problem_checks_its_cap_and_start(self, change, named):
+        # dataclasses.replace bypasses the continuous problem's checks; a NaN
+        # cap would otherwise fail in sampling as a misleading DriftUnboundedError
+        dp = discretize(build_nonlinear_1d(), 10)
+        with pytest.raises(ValueError, match=named):
+            dataclasses.replace(dp, **change)
+
     def test_drift_increment_matches_rate(self):
         cp = build_nonlinear_1d()
         dp = discretize(cp, 37)
